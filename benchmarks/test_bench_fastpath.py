@@ -1,25 +1,22 @@
-"""Bench: fast-path kernel tiers vs. the reference loop.
+"""Bench: the fast path (SoA kernel) vs. the reference loop.
 
-Times the reference per-record loop and both fast-path kernel tiers (the
-grouped ``loop`` kernel and the structure-of-arrays ``soa`` kernel)
-replaying the same pre-generated traces over the default Fig. 5 workload
-mix (the paper's four Fig. 3 workloads: a churn-heavy, a balanced, and two
-reuse-heavy profiles) and reports accesses/second.
+Times the reference per-record loop and the fast path replaying the same
+pre-generated traces over the default Fig. 5 workload mix (the paper's four
+Fig. 3 workloads: a churn-heavy, a balanced, and two reuse-heavy profiles)
+and reports accesses/second.
 
 Two guards:
 
 * the mix test keeps the historical fast-vs-reference bar (>= 2x floor for
-  CI noise; the SoA tier measures ~15x locally);
-* the consolidated kernel-tier test writes ``BENCH_fastpath.json``
-  (reference vs loop-kernel vs SoA-kernel throughput per scheme, uploaded
-  as a CI artifact so the trajectory is visible across commits) and fails
-  when the SoA kernel regresses below the recorded floors in
-  ``benchmarks/fastpath_floors.json``.
+  CI noise; the fast path measures ~15x locally);
+* the consolidated per-scheme test writes ``BENCH_fastpath.json``
+  (reference vs fast throughput per scheme, uploaded as a CI artifact so
+  the trajectory is visible across commits) and fails when the fast path
+  regresses below the recorded floors in ``benchmarks/fastpath_floors.json``.
 
-Locally the SoA kernel measures ~3x the loop kernel on the mix (reap over
-LRU) and ~15-18x the reference loop; the patrol-scrubbing scheme gains the
-least (its cursor walk is inherently sequential) and restore the least of
-the parallel schemes (its per-way restore stream is the largest expansion).
+Locally the fast path measures ~15-18x the reference loop on the mix (reap
+over LRU); serial gains the least, since its reference loop reads only the
+hit way.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from repro.workloads import FIGURE3_WORKLOADS, generate_l2_trace, get_profile
 #: The default Fig. 5 workload mix used for the throughput comparison.
 MIX = tuple(FIGURE3_WORKLOADS)
 
-#: Schemes covered by the consolidated kernel-tier comparison.
+#: Schemes covered by the consolidated per-scheme comparison.
 TIER_SCHEMES = ("conventional", "reap", "serial", "restore", "scrubbing")
 
 _FLOORS_PATH = Path(__file__).with_name("fastpath_floors.json")
@@ -53,10 +50,8 @@ def _build_traces(num_accesses: int):
     ]
 
 
-def _run_mix(
-    settings, traces, engine: str, scheme: str = "reap", kernel: str = "auto"
-) -> float:
-    """Replay the whole mix under one engine/kernel; returns elapsed seconds."""
+def _run_mix(settings, traces, engine: str, scheme: str = "reap") -> float:
+    """Replay the whole mix under one engine; returns elapsed seconds."""
     start = time.perf_counter()
     for index, trace in enumerate(traces):
         cache = build_protected_cache(
@@ -66,7 +61,7 @@ def _run_mix(
             data_profile=settings.data_profile(index + 1),
             seed=index + 1,
         )
-        run_l2_trace(cache, trace, engine=engine, kernel=kernel)
+        run_l2_trace(cache, trace, engine=engine)
     return time.perf_counter() - start
 
 
@@ -99,16 +94,16 @@ def test_bench_fastpath_throughput(benchmark):
     )
 
 
-def test_bench_kernel_tiers_consolidated():
-    """Reference vs loop-kernel vs SoA-kernel throughput, per scheme.
+def test_bench_schemes_consolidated():
+    """Reference vs fast-path throughput, per scheme.
 
     Writes ``BENCH_fastpath.json`` next to the working directory (CI uploads
-    it as an artifact) and enforces the recorded floors: the SoA tier must
-    stay ahead of both the loop kernel and the reference loop by at least
-    the per-scheme ratios in ``benchmarks/fastpath_floors.json``.
+    it as an artifact) and enforces the recorded floors: the fast path must
+    stay ahead of the reference loop by at least the per-scheme ratios in
+    ``benchmarks/fastpath_floors.json``.
 
     The default trace length is capped at 20k accesses per workload so the
-    fifteen reference-loop replays stay affordable in CI; an explicit
+    ten reference-loop mix replays stay affordable in CI; an explicit
     ``REPRO_BENCH_ACCESSES`` wins over the cap.
     """
     if "REPRO_BENCH_ACCESSES" in os.environ:
@@ -119,46 +114,34 @@ def test_bench_kernel_tiers_consolidated():
     total_accesses = num_accesses * len(traces)
     floors = json.loads(_FLOORS_PATH.read_text())
 
-    # Warm the decode caches so every tier sees identical per-run work.
-    _run_mix(settings, traces, "fast", TIER_SCHEMES[0], kernel="loop")
+    # Warm the decode caches so both engines see identical per-run work.
+    _run_mix(settings, traces, "fast", TIER_SCHEMES[0])
 
     report: dict[str, dict[str, float]] = {}
     failures = []
     for scheme in TIER_SCHEMES:
-        timings = {}
-        for label, engine, kernel in (
-            ("reference", "reference", "auto"),
-            ("loop", "fast", "loop"),
-            ("soa", "fast", "soa"),
-        ):
-            best = min(
-                _run_mix(settings, traces, engine, scheme, kernel=kernel)
-                for _ in range(2)
-            )
-            timings[label] = best
-        entry = {
-            f"{label}_accesses_per_s": round(total_accesses / elapsed)
-            for label, elapsed in timings.items()
+        timings = {
+            label: min(_run_mix(settings, traces, label, scheme) for _ in range(2))
+            for label in ("reference", "fast")
         }
-        entry["soa_over_loop"] = round(timings["loop"] / timings["soa"], 2)
-        entry["soa_over_reference"] = round(
-            timings["reference"] / timings["soa"], 2
-        )
+        entry = {
+            "reference_accesses_per_s": round(total_accesses / timings["reference"]),
+            "soa_accesses_per_s": round(total_accesses / timings["fast"]),
+            "soa_over_reference": round(timings["reference"] / timings["fast"], 2),
+        }
         report[scheme] = entry
         print(
-            f"\n[kernel-tiers] {scheme}: "
+            f"\n[schemes] {scheme}: "
             f"reference {entry['reference_accesses_per_s']:,} acc/s, "
-            f"loop {entry['loop_accesses_per_s']:,} acc/s, "
             f"soa {entry['soa_accesses_per_s']:,} acc/s "
-            f"({entry['soa_over_loop']}x loop, "
-            f"{entry['soa_over_reference']}x reference)"
+            f"({entry['soa_over_reference']}x reference)"
         )
-        for floor_key in ("soa_over_loop", "soa_over_reference"):
-            floor = floors[floor_key][scheme]
-            if entry[floor_key] < floor:
-                failures.append(
-                    f"{scheme}: {floor_key} {entry[floor_key]} < floor {floor}"
-                )
+        floor = floors["soa_over_reference"][scheme]
+        if entry["soa_over_reference"] < floor:
+            failures.append(
+                f"{scheme}: soa_over_reference {entry['soa_over_reference']} "
+                f"< floor {floor}"
+            )
 
     output = Path("BENCH_fastpath.json")
     output.write_text(
@@ -172,7 +155,7 @@ def test_bench_kernel_tiers_consolidated():
         )
         + "\n"
     )
-    print(f"[kernel-tiers] wrote {output.resolve()}")
+    print(f"[schemes] wrote {output.resolve()}")
     assert not failures, "SoA kernel regressed below recorded floors: " + "; ".join(
         failures
     )
@@ -183,11 +166,7 @@ def test_bench_fastpath_matches_reference_on_mix():
     settings, traces = _build_traces(2_000)
     for index, trace in enumerate(traces):
         results = {}
-        for engine, kernel in (
-            ("reference", "auto"),
-            ("fast", "loop"),
-            ("fast", "soa"),
-        ):
+        for engine in ("reference", "fast"):
             cache = build_protected_cache(
                 "conventional",
                 settings.l2_config,
@@ -195,8 +174,5 @@ def test_bench_fastpath_matches_reference_on_mix():
                 data_profile=settings.data_profile(index + 1),
                 seed=index + 1,
             )
-            results[(engine, kernel)] = run_l2_trace(
-                cache, trace, engine=engine, kernel=kernel
-            )
-        assert results[("reference", "auto")] == results[("fast", "loop")], trace.name
-        assert results[("reference", "auto")] == results[("fast", "soa")], trace.name
+            results[engine] = run_l2_trace(cache, trace, engine=engine)
+        assert results["reference"] == results["fast"], trace.name

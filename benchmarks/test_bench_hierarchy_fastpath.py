@@ -46,14 +46,8 @@ def _build_cpu_mix(num_references: int):
     )
 
 
-def _run_mix(
-    settings,
-    trace,
-    engine: str,
-    schemes=("conventional", "reap"),
-    kernel: str = "auto",
-) -> float:
-    """Drive the hierarchy under one engine/kernel; returns elapsed seconds."""
+def _run_mix(settings, trace, engine: str, schemes=("conventional", "reap")) -> float:
+    """Drive the hierarchy under one engine; returns elapsed seconds."""
     config = SimulationConfig()
     start = time.perf_counter()
     for index, scheme in enumerate(schemes):
@@ -64,9 +58,7 @@ def _run_mix(
             data_profile=settings.data_profile(index + 1),
             seed=index + 1,
         )
-        run_cpu_trace(
-            cache, trace, config=config, seed=index + 1, engine=engine, kernel=kernel
-        )
+        run_cpu_trace(cache, trace, config=config, seed=index + 1, engine=engine)
     return time.perf_counter() - start
 
 
@@ -79,7 +71,6 @@ def test_bench_hierarchy_fastpath_throughput(benchmark):
     total_references = len(trace) * len(schemes)
 
     reference_s = _run_mix(settings, trace, "reference", schemes)
-    loop_s = _run_mix(settings, trace, "fast", schemes, kernel="loop")
     fast_s = benchmark.pedantic(
         lambda: _run_mix(settings, trace, "fast", schemes), rounds=1, iterations=1
     )
@@ -88,12 +79,8 @@ def test_bench_hierarchy_fastpath_throughput(benchmark):
     fast_rate = total_references / fast_s
     speedup = reference_s / fast_s
     benchmark.extra_info["reference_references_per_s"] = round(reference_rate)
-    benchmark.extra_info["loop_kernel_references_per_s"] = round(
-        total_references / loop_s
-    )
     benchmark.extra_info["fast_references_per_s"] = round(fast_rate)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["soa_over_loop"] = round(loop_s / fast_s, 2)
     print(
         f"\n[hierarchy-fastpath] mix x {len(trace)} references x "
         f"{'+'.join(schemes)}: reference {reference_rate:,.0f} ref/s, "
@@ -114,11 +101,7 @@ def test_bench_hierarchy_fastpath_matches_reference_on_mix():
     for scheme in ("conventional", "reap", "scrubbing"):
         results = {}
         hierarchy_stats = {}
-        for engine, kernel in (
-            ("reference", "auto"),
-            ("fast", "loop"),
-            ("fast", "soa"),
-        ):
+        for engine in ("reference", "fast"):
             cache = build_protected_cache(
                 scheme,
                 config.hierarchy.l2,
@@ -127,14 +110,9 @@ def test_bench_hierarchy_fastpath_matches_reference_on_mix():
                 seed=1,
             )
             result, hierarchy = run_cpu_trace(
-                cache, trace, config=config, seed=1, engine=engine, kernel=kernel
+                cache, trace, config=config, seed=1, engine=engine
             )
-            results[(engine, kernel)] = result
-            hierarchy_stats[(engine, kernel)] = vars(hierarchy.stats)
-        reference_key = ("reference", "auto")
-        for fast_key in (("fast", "loop"), ("fast", "soa")):
-            assert results[reference_key] == results[fast_key], (scheme, fast_key)
-            assert hierarchy_stats[reference_key] == hierarchy_stats[fast_key], (
-                scheme,
-                fast_key,
-            )
+            results[engine] = result
+            hierarchy_stats[engine] = vars(hierarchy.stats)
+        assert results["reference"] == results["fast"], scheme
+        assert hierarchy_stats["reference"] == hierarchy_stats["fast"], scheme

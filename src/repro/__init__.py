@@ -78,7 +78,6 @@ from .sim import (
     run_cpu_trace,
     run_cpu_trace_fast,
     run_l2_trace,
-    run_l2_trace_fast,
     run_workload,
     supports_fast_path,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "compare_schemes",
     "run_workload",
     "run_l2_trace",
-    "run_l2_trace_fast",
     "run_cpu_trace_fast",
     "supports_fast_path",
     "run_cpu_trace",

@@ -145,36 +145,12 @@ class ReliabilityStatistics:
         self.max_accumulated_reads = max(self.max_accumulated_reads, exposure)
         self.expected_failures += failure_probability
 
-    def record_check_batch(self, exposures, failure_probabilities) -> None:
-        """Record many ECC-checked deliveries at once.
-
-        Totals match calling :meth:`record_check` once per event in order:
-        the integer counters are summed exactly, and the expected-failure
-        accumulator performs the same sequential float additions.
-
-        Args:
-            exposures: Per-check exposure windows, in delivery order.
-            failure_probabilities: Per-check uncorrectable probabilities,
-                aligned with ``exposures``.
-        """
-        exposure_list = list(exposures)
-        self.checked_reads += len(exposure_list)
-        if exposure_list:
-            self.accumulated_reads_sum += sum(exposure_list)
-            self.max_accumulated_reads = max(
-                self.max_accumulated_reads, max(exposure_list)
-            )
-        total = self.expected_failures
-        for probability in failure_probabilities:
-            total += probability
-        self.expected_failures = total
-
     def record_check_array(self, exposures, failure_probabilities) -> None:
         """Record many ECC-checked deliveries from aligned NumPy arrays.
 
-        Same totals as :meth:`record_check_batch`: the integer counters sum
-        exactly, and the expected-failure accumulator reproduces the same
-        left-to-right float additions via
+        Totals match calling :meth:`record_check` once per event in order:
+        the integer counters sum exactly, and the expected-failure
+        accumulator reproduces the same left-to-right float additions via
         :func:`repro.reliability.binomial.sequential_float_sum`.
 
         Args:

@@ -5,7 +5,7 @@ back their results*.  Everything else — store caching, resumability,
 outcome ordering, reporting — lives in the runner, so backends compose with
 every store layout and every spec.  Jobs are deterministic, which gives the
 subsystem its core invariant: **the backend is never part of job identity**
-(like the engine/kernel choice), and every backend produces byte-identical
+(like the engine choice), and every backend produces byte-identical
 store entries.
 
 Three backends ship:
@@ -32,18 +32,15 @@ from ..errors import CampaignError
 
 
 def _initialize_pool_worker(telemetry_spec: str | None) -> None:
-    """Initializer for local pool workers: warning dedup plus telemetry.
+    """Initializer for local pool workers: telemetry.
 
-    Workers deduplicate fallback warnings for their whole lifetime and
-    inherit the parent's telemetry session by sink spec — or have a
+    Workers inherit the parent's telemetry session by sink spec — or have a
     fork-inherited session explicitly cleared when the parent's sink is
     process-local (``telemetry_spec is None``), so renderers never draw
     from two processes.
     """
-    from ..sim.engine import enable_fallback_warning_dedup
     from ..telemetry import enable_telemetry_for_process
 
-    enable_fallback_warning_dedup()
     enable_telemetry_for_process(telemetry_spec, worker=f"pool-{os.getpid()}")
 
 
@@ -89,14 +86,10 @@ class SerialBackend(ExecutionBackend):
     def execute(
         self, payloads: list[dict[str, Any]]
     ) -> Iterator[tuple[str, dict[str, Any], float]]:
-        from ..sim.engine import deduplicate_fallback_warnings
         from .execution import execute_payload
 
-        # One campaign run warns at most once per distinct fallback reason,
-        # instead of once per job.
-        with deduplicate_fallback_warnings():
-            for payload in payloads:
-                yield execute_payload(payload)
+        for payload in payloads:
+            yield execute_payload(payload)
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -124,9 +117,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
         # Fork keeps worker start-up cheap where available (Linux/macOS);
         # elsewhere fall back to the platform default start method.  Workers
-        # deduplicate fallback warnings for their whole lifetime, so a
-        # parallel campaign warns once per worker at most, not per job, and
-        # inherit the active telemetry session the same way.
+        # inherit the active telemetry session through the initializer.
+        # The stdlib warnings registry is per process, so a parallel
+        # campaign warns once per worker at most, not per job.
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else None)
         with context.Pool(

@@ -1150,31 +1150,24 @@ def run_worker(
         frame_timeout_s: Per-exchange connect/send/recv timeout.
         auth_key: Shared HMAC frame key (default: ``REPRO_AUTH_KEY``).
     """
-    from ..sim.engine import deduplicate_fallback_warnings
-
     # Spawned worker processes inherit their chaos plan (if any) through
     # the environment, mirroring the telemetry/artifact-cache env hooks.
     if os.environ.get(FAULT_PLAN_ENV):
         enable_faults_for_process()
 
-    # One worker lifetime warns at most once per distinct auto-fallback
-    # reason, like the process-pool workers.  The scoped form (not the
-    # process-wide enable) keeps in-process callers — tests, notebooks
-    # driving run_worker directly — unaffected after the worker returns.
-    with deduplicate_fallback_warnings():
-        return _run_worker_loop(
-            address,
-            worker_id or default_worker_id(),
-            max_jobs,
-            connect_retry_s,
-            poll_interval_s,
-            reconnect_timeout_s,
-            backoff_base_s,
-            backoff_max_s,
-            backoff_seed,
-            frame_timeout_s,
-            FrameAuth.resolve(auth_key),
-        )
+    return _run_worker_loop(
+        address,
+        worker_id or default_worker_id(),
+        max_jobs,
+        connect_retry_s,
+        poll_interval_s,
+        reconnect_timeout_s,
+        backoff_base_s,
+        backoff_max_s,
+        backoff_seed,
+        frame_timeout_s,
+        FrameAuth.resolve(auth_key),
+    )
 
 
 def _deliver(

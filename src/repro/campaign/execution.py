@@ -1,12 +1,14 @@
 """Process-agnostic job payloads: the unit every execution backend moves.
 
-A payload is a plain dictionary — ``{"job": <JobSpec dict>, "engine": ...,
-"kernel": ...}`` — that serialises identically under pickling (process
-pools) and JSON framing (the TCP protocol), so the same job produces the
-same bytes no matter which backend carries it.  The engine/kernel choices
-(and the optional ``artifact_cache`` directory) ride along *outside* the
-job spec: they select how the job is simulated, never what it computes, so
-they are not part of the job identity or store key.
+A payload is a plain dictionary — ``{"job": <JobSpec dict>, "engine": ...}``
+— that serialises identically under pickling (process pools) and JSON
+framing (the TCP protocol), so the same job produces the same bytes no
+matter which backend carries it.  The engine choice (and the optional
+``artifact_cache`` directory) rides along *outside* the job spec: it
+selects how the job is simulated, never what it computes, so it is not part
+of the job identity or store key.  Unknown payload fields are ignored, so a
+payload from an older coordinator or checkpoint (which may still carry a
+``"kernel"`` field) executes unchanged.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from .spec import JobSpec
 def payload_for(
     job: JobSpec,
     engine: str = "auto",
-    kernel: str = "auto",
     artifact_cache: str | None = None,
 ) -> dict[str, Any]:
     """Build the transportable payload for one job."""
-    payload: dict[str, Any] = {"job": job.to_dict(), "engine": engine, "kernel": kernel}
+    payload: dict[str, Any] = {"job": job.to_dict(), "engine": engine}
     if artifact_cache is not None:
         payload["artifact_cache"] = str(artifact_cache)
     return payload
@@ -63,7 +64,7 @@ def execute_payload(payload: dict[str, Any]) -> tuple[str, dict[str, Any], float
     The elapsed seconds come from a ``job.execute`` telemetry span, which
     measures unconditionally: with telemetry enabled the same timing also
     lands in the event stream (annotated with the workload, sweep point and
-    engine/kernel request), so there is exactly one clock per job.
+    engine request), so there is exactly one clock per job.
     """
     from ..sim.experiment import compare_schemes
     from .faults import fault_point
@@ -76,7 +77,6 @@ def execute_payload(payload: dict[str, Any]) -> tuple[str, dict[str, Any], float
         workload=job.workload,
         point=job.point_label,
         engine=payload.get("engine", "auto"),
-        kernel=payload.get("kernel", "auto"),
         accesses=job_accesses(job),
     )
     with execute_span:
@@ -86,7 +86,6 @@ def execute_payload(payload: dict[str, Any]) -> tuple[str, dict[str, Any], float
             alternatives=job.alternatives,
             settings=job.settings,
             engine=payload.get("engine", "auto"),
-            kernel=payload.get("kernel", "auto"),
             artifact_cache=_payload_artifact_cache(payload),
         )
     return job.key, comparison_to_dict(comparison), execute_span.duration_s

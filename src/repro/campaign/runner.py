@@ -18,7 +18,6 @@ from typing import Any, Callable, Sequence
 
 from ..errors import CampaignError
 from ..sim.engine import ENGINE_CHOICES
-from ..sim.fastpath import KERNEL_CHOICES
 from ..sim.results import WorkloadComparison
 from ..telemetry import emit_event, span
 from .backend import ExecutionBackend, resolve_backend
@@ -89,13 +88,10 @@ class CampaignRunner:
             ``"fast"`` or ``"auto"``, the default).  Engines are numerically
             identical, so store entries stay byte-identical across engine
             choices and the engine is deliberately *not* part of the job key.
-        kernel: Fast-path kernel tier every job runs under (``"loop"``,
-            ``"soa"`` or ``"auto"``, the default); bit-identical kernels,
-            so the kernel is not part of the job key either.
         backend: Execution backend — an
             :class:`~repro.campaign.backend.ExecutionBackend` instance, or
             one of the spellings ``"serial"``, ``"local"``,
-            ``"tcp://HOST:PORT"``.  Like the engine and kernel, the backend
+            ``"tcp://HOST:PORT"``.  Like the engine, the backend
             selects *where* jobs run, never *what* they compute, so it is
             not part of job identity and all backends fill stores with
             byte-identical entries.
@@ -113,7 +109,6 @@ class CampaignRunner:
         store: BaseResultStore | None = None,
         jobs: int = 1,
         engine: str = "auto",
-        kernel: str = "auto",
         backend: str | ExecutionBackend | None = None,
         artifact_cache: str | Path | None = None,
     ) -> None:
@@ -131,14 +126,9 @@ class CampaignRunner:
             raise CampaignError(
                 f"unknown engine {engine!r}; choose one of {ENGINE_CHOICES}"
             )
-        if kernel not in KERNEL_CHOICES:
-            raise CampaignError(
-                f"unknown kernel {kernel!r}; choose one of {KERNEL_CHOICES}"
-            )
         self._store = store
         self._backend = resolve_backend(backend, jobs)
         self._engine = engine
-        self._kernel = kernel
         self._artifact_cache = (
             str(artifact_cache) if artifact_cache is not None else None
         )
@@ -169,7 +159,6 @@ class CampaignRunner:
             workers=self._backend.workers,
             backend=self._backend.name,
             engine=self._engine,
-            kernel=self._kernel,
         ).start()
         by_key: dict[str, JobOutcome] = {}
         pending: dict[str, JobSpec] = {}
@@ -196,7 +185,6 @@ class CampaignRunner:
                     payload_for(
                         job,
                         engine=self._engine,
-                        kernel=self._kernel,
                         artifact_cache=self._artifact_cache,
                     )
                     for job in pending.values()
@@ -279,7 +267,6 @@ def run_campaign(
     jobs: int = 1,
     progress: Callable[[JobOutcome], None] | None = None,
     engine: str = "auto",
-    kernel: str = "auto",
     backend: str | ExecutionBackend | None = None,
     artifact_cache: str | Path | None = None,
 ) -> CampaignResult:
@@ -295,8 +282,6 @@ def run_campaign(
         engine: Simulation engine for every executed job; engines are
             numerically identical, so the store stays consistent across
             engine choices.
-        kernel: Fast-path kernel tier for every executed job (bit-identical
-            kernels; not part of any job key).
         backend: Execution backend instance or spelling (``"serial"``,
             ``"local"``, ``"tcp://HOST:PORT"``); never part of job identity.
         artifact_cache: Optional artifact-cache directory shared across
@@ -312,7 +297,6 @@ def run_campaign(
         store=store,
         jobs=jobs,
         engine=engine,
-        kernel=kernel,
         backend=backend,
         artifact_cache=artifact_cache,
     ).run(progress=progress)

@@ -287,7 +287,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             store=store,
             jobs=args.jobs,
             engine=args.engine,
-            kernel=args.kernel,
             backend=backend,
             artifact_cache=args.artifact_cache,
         )
@@ -553,15 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         "back to the reference loop on custom caches), 'fast' (error on "
         "unsupported), or the per-record 'reference' loop; engines are "
         "numerically identical",
-    )
-    campaign.add_argument(
-        "--kernel",
-        type=str,
-        choices=["loop", "soa", "auto"],
-        default="auto",
-        help="fast-path kernel tier: the structure-of-arrays kernel "
-        "('auto'/'soa', the default) or the grouped per-record 'loop' "
-        "kernel; kernels are bit-identical, only throughput differs",
     )
     campaign.add_argument(
         "--sweep",

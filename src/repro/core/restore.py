@@ -81,30 +81,13 @@ class RestoreCache(ProtectedCache):
         """The MTJ write-error model costing each restore."""
         return self._write_error_model
 
-    def record_restore_batch(self, failure_probabilities) -> None:
-        """Record many line restores at once (energy is charged separately).
-
-        Counter totals match per-read :meth:`_account_restore` accounting: one
-        restore per probability, with the expected-failure accumulator doing
-        the same sequential float additions.
-
-        Args:
-            failure_probabilities: Per-restore write-failure probabilities,
-                in restore order.
-        """
-        total = self._restore_expected_failures
-        count = 0
-        for probability in failure_probabilities:
-            total += probability
-            count += 1
-        self._restore_expected_failures = total
-        self._restore_count += count
-
     def record_restore_array(self, failure_probabilities) -> None:
         """Record many line restores from a float array of probabilities.
 
-        Same totals as :meth:`record_restore_batch`; the expected-failure
-        accumulator reproduces the identical left-to-right additions via
+        Energy is charged separately.  Counter totals match per-restore
+        :meth:`_account_restore` accounting: one restore per probability,
+        and the expected-failure accumulator reproduces the identical
+        left-to-right additions via
         :func:`repro.reliability.binomial.sequential_float_sum`, so the
         structure-of-arrays kernel stays bit-identical to the per-restore
         loop.

@@ -76,37 +76,14 @@ class AccumulationTracker:
         self._concealed.append(concealed_reads)
         self._ones.append(ones_count)
 
-    def record_batch(self, concealed_reads, ones_counts) -> None:
-        """Record many demand reads at once (same samples as repeated :meth:`record`).
-
-        Args:
-            concealed_reads: Per-read concealed-read counts, in delivery order.
-            ones_counts: Per-read ones counts, aligned with ``concealed_reads``.
-
-        Raises:
-            ConfigurationError: if the sequences disagree in length or any
-                entry is negative.
-        """
-        concealed_list = list(concealed_reads)
-        ones_list = list(ones_counts)
-        if len(concealed_list) != len(ones_list):
-            raise ConfigurationError(
-                "concealed_reads and ones_counts must have the same length"
-            )
-        if any(c < 0 for c in concealed_list):
-            raise ConfigurationError("concealed_reads must be non-negative")
-        if any(o < 0 for o in ones_list):
-            raise ConfigurationError("ones_count must be non-negative")
-        self._concealed.extend(int(c) for c in concealed_list)
-        self._ones.extend(int(o) for o in ones_list)
-
     def record_sample_arrays(
         self, concealed_reads: np.ndarray, ones_counts: np.ndarray
     ) -> None:
         """Record many demand reads from integer arrays (no per-sample objects).
 
-        Same samples as :meth:`record_batch`; used by the structure-of-arrays
-        kernel, whose delivery columns are already NumPy arrays.
+        Same samples as repeated :meth:`record`; used by the
+        structure-of-arrays kernel, whose delivery columns are already NumPy
+        arrays.
 
         Raises:
             ConfigurationError: if the arrays disagree in length or any entry

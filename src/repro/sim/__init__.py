@@ -4,14 +4,12 @@ Public surface:
 
 * :func:`run_l2_trace` / :func:`run_cpu_trace` — drive a protected cache or
   the full hierarchy with a trace.  Both accept an ``engine`` argument
-  selecting the per-record reference loop or the batched fast path
-  (:mod:`repro.sim.fastpath`), and a ``kernel`` argument selecting the fast
-  path's tier (the grouped ``"loop"`` kernel or the structure-of-arrays
-  ``"soa"`` kernel in :mod:`repro.sim.soa`); all combinations are
-  numerically identical.
-* :func:`run_l2_trace_fast` / :func:`run_cpu_trace_fast` /
-  :func:`supports_fast_path` — the batched engines and their capability
-  probe.
+  selecting the batched fast path (:mod:`repro.sim.fastpath`, backed by the
+  structure-of-arrays kernel in :mod:`repro.sim.soa`) or the per-record
+  reference loop that serves as its oracle; the two are numerically
+  identical.
+* :func:`replay_l2_segments` / :func:`run_cpu_trace_fast` /
+  :func:`supports_fast_path` — the batched engine and its capability probe.
 * :func:`compare_schemes`, :class:`ExperimentRunner`, :func:`sweep`,
   :class:`ExperimentSettings` — experiment orchestration.
 * :class:`SchemeRunResult`, :class:`WorkloadComparison`, :func:`format_table`
@@ -20,7 +18,6 @@ Public surface:
 
 from .engine import (
     ENGINE_CHOICES,
-    deduplicate_fallback_warnings,
     run_cpu_trace,
     run_l2_trace,
     simulated_time_for,
@@ -33,25 +30,20 @@ from .experiment import (
     sweep,
 )
 from .fastpath import (
-    KERNEL_CHOICES,
     replay_l2_segments,
     run_cpu_trace_fast,
-    run_l2_trace_fast,
     supports_fast_path,
 )
 from .results import SchemeRunResult, WorkloadComparison, format_table
 
 __all__ = [
     "run_l2_trace",
-    "run_l2_trace_fast",
     "replay_l2_segments",
     "supports_fast_path",
     "run_cpu_trace",
     "run_cpu_trace_fast",
     "simulated_time_for",
     "ENGINE_CHOICES",
-    "KERNEL_CHOICES",
-    "deduplicate_fallback_warnings",
     "ExperimentRunner",
     "ExperimentSettings",
     "compare_schemes",

@@ -16,8 +16,6 @@ protected cache object itself remains available for deeper inspection
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
 
 from ..cache import CacheHierarchy
 from ..config import SimulationConfig
@@ -90,48 +88,22 @@ def _check_engine(engine: str) -> None:
         )
 
 
-#: When set (to a mutable set of already-warned reasons), ``engine="auto"``
-#: fallback warnings are deduplicated: each distinct reason warns once.
-_fallback_warned: ContextVar[set | None] = ContextVar(
-    "repro_fallback_warned", default=None
-)
+def _use_fast_path(cache: ProtectedCache, engine: str) -> bool:
+    """Resolve the engine request; warn when ``"auto"`` must fall back.
 
-
-@contextmanager
-def deduplicate_fallback_warnings():
-    """Scope within which each distinct auto-fallback reason warns only once.
-
-    The campaign/sweep layers wrap whole runs in this so a large sweep over
-    an unsupported cache emits one :class:`RuntimeWarning` instead of one
-    per job.  Direct ``run_l2_trace`` calls outside the scope keep the
-    historical warn-per-call behaviour.
+    Telemetry sees every fallback occurrence (so ``repro-reap stats`` can
+    count them).  The one-line warning goes through the stdlib registry, so
+    under the default filter each caller line warns once per process
+    instead of once per call.
     """
-    token = _fallback_warned.set(set())
-    try:
-        yield
-    finally:
-        _fallback_warned.reset(token)
+    if engine == "reference":
+        return False
+    from .fastpath import supports_fast_path
 
-
-def enable_fallback_warning_dedup() -> None:
-    """Deduplicate auto-fallback warnings for the rest of this process.
-
-    Used as the initializer of campaign worker processes, where the scoped
-    context manager cannot span jobs dispatched by the parent.
-    """
-    _fallback_warned.set(set())
-
-
-def _warn_auto_fallback(reason: str) -> None:
-    """One-line warning naming why ``engine="auto"`` took the slow loop."""
-    # Telemetry sees every fallback occurrence (so ``repro-reap stats`` can
-    # count them), even when the stderr warning below is deduplicated.
+    supported, reason = supports_fast_path(cache)
+    if engine == "fast" or supported:
+        return True
     emit_event("engine.fallback", reason=reason)
-    seen = _fallback_warned.get()
-    if seen is not None:
-        if reason in seen:
-            return
-        seen.add(reason)
     # stacklevel 3: warnings.warn <- this helper <- run_*_trace <- API caller.
     warnings.warn(
         f"engine='auto' fell back to the reference loop: "
@@ -139,6 +111,7 @@ def _warn_auto_fallback(reason: str) -> None:
         RuntimeWarning,
         stacklevel=3,
     )
+    return False
 
 
 def _trace_segments(trace: Trace | TraceSource, segment_accesses: int):
@@ -152,45 +125,13 @@ def _trace_segments(trace: Trace | TraceSource, segment_accesses: int):
         yield from trace.segments(segment_accesses)
 
 
-def _run_l2_segmented(
-    cache: ProtectedCache,
-    trace: Trace | TraceSource,
-    config: SimulationConfig | None,
-    add_leakage: bool,
-    engine: str,
-    kernel: str,
-    segment_accesses: int,
-) -> SchemeRunResult:
-    """Segment-by-segment replay; bit-identical to the whole-trace paths."""
-    config = config or SimulationConfig()
+def _run_reference_loop(cache: ProtectedCache, segments) -> int:
+    """The reference per-record loop over decoded segments."""
     scheme = cache.scheme_name()
-    if engine != "reference":
-        from .fastpath import replay_l2_segments, supports_fast_path
-
-        supported, reason = supports_fast_path(cache)
-        if engine == "fast" or supported:
-            total = replay_l2_segments(
-                cache, _trace_segments(trace, segment_accesses), kernel=kernel
-            )
-            simulated_time = simulated_time_for(total, config)
-            if add_leakage:
-                cache.add_leakage(simulated_time)
-            return _snapshot(cache, trace.name, total, simulated_time)
-        _warn_auto_fallback(reason)
-    emit_event(
-        "sim.engine", engine="reference", path="l2", scheme=scheme, streaming=True
-    )
+    emit_event("sim.engine", engine="reference", path="l2", scheme=scheme)
     total = 0
-    for segment_index, (kinds, addresses) in enumerate(
-        _trace_segments(trace, segment_accesses)
-    ):
-        with span(
-            "kernel.segment",
-            scheme=scheme,
-            path="l2",
-            segment=segment_index,
-            accesses=len(kinds),
-        ):
+    with span("reference.replay", scheme=scheme, path="l2") as replay_span:
+        for kinds, addresses in segments:
             for kind_index, address in zip(kinds.tolist(), addresses.tolist()):
                 if kind_index == _L2_READ_INDEX:
                     cache.read(address)
@@ -201,11 +142,9 @@ def _run_l2_segmented(
                         f"run_l2_trace expects L2-level records, got "
                         f"{KIND_ORDER[kind_index]}"
                     )
-        total += len(kinds)
-    simulated_time = simulated_time_for(total, config)
-    if add_leakage:
-        cache.add_leakage(simulated_time)
-    return _snapshot(cache, trace.name, total, simulated_time)
+            total += len(kinds)
+        replay_span.add(accesses=total)
+    return total
 
 
 def run_l2_trace(
@@ -213,8 +152,7 @@ def run_l2_trace(
     trace: Trace | TraceSource,
     config: SimulationConfig | None = None,
     add_leakage: bool = True,
-    engine: str = "reference",
-    kernel: str = "auto",
+    engine: str = "auto",
     segment_accesses: int | None = None,
 ) -> SchemeRunResult:
     """Drive a protected L2 cache with an L2-level trace.
@@ -229,22 +167,19 @@ def run_l2_trace(
         config: Simulation configuration used for the time base; the default
             paper configuration is used when omitted.
         add_leakage: Whether to add leakage energy for the simulated time.
-        engine: ``"reference"`` for the per-record loop, ``"fast"`` for the
-            batched engine in :mod:`repro.sim.fastpath` (raises if the cache
-            is not fast-path capable), or ``"auto"`` to use the fast engine
-            whenever it supports the cache and fall back otherwise.  Both
-            engines produce numerically identical results.
-        kernel: Fast-path kernel tier (``"loop"``, ``"soa"`` or ``"auto"``);
-            ignored by the reference engine.  Kernels are bit-identical, so
-            the knob only affects throughput.
+        engine: ``"auto"`` (the default) uses the batched engine in
+            :mod:`repro.sim.fastpath` whenever it supports the cache and
+            warns before falling back otherwise; ``"fast"`` raises if the
+            cache is not fast-path capable; ``"reference"`` runs the
+            per-record loop.  Both engines produce numerically identical
+            results.
         segment_accesses: Replay segment length.  ``None`` (the default)
-            replays an in-memory :class:`Trace` whole and a streaming
-            source in segments of
+            replays an in-memory :class:`Trace` as a single segment and a
+            streaming source in segments of
             :data:`~repro.workloads.streams.DEFAULT_SEGMENT_ACCESSES`.
-            Any value forces segmented replay — bit-identical to the
-            whole-trace replay by construction, since all cache, policy,
-            accumulator and energy state lives on the cache between
-            segments.
+            Results are bit-identical for every segment length, since all
+            cache, policy, accumulator and energy state lives on the cache
+            between segments.
 
     Returns:
         A :class:`SchemeRunResult` snapshot taken after the whole trace ran.
@@ -252,42 +187,23 @@ def run_l2_trace(
     _check_engine(engine)
     if segment_accesses is not None and segment_accesses <= 0:
         raise SimulationError("segment_accesses must be positive")
-    if segment_accesses is not None or not isinstance(trace, Trace):
-        return _run_l2_segmented(
-            cache,
-            trace,
-            config,
-            add_leakage,
-            engine,
-            kernel,
-            segment_accesses or DEFAULT_SEGMENT_ACCESSES,
-        )
-    if engine != "reference":
-        from .fastpath import run_l2_trace_fast, supports_fast_path
-
-        supported, reason = supports_fast_path(cache)
-        if engine == "fast" or supported:
-            return run_l2_trace_fast(
-                cache, trace, config=config, add_leakage=add_leakage, kernel=kernel
-            )
-        _warn_auto_fallback(reason)
+    if segment_accesses is None:
+        if isinstance(trace, Trace):
+            segment_accesses = max(len(trace), 1)
+        else:
+            segment_accesses = DEFAULT_SEGMENT_ACCESSES
     config = config or SimulationConfig()
-    scheme = cache.scheme_name()
-    emit_event("sim.engine", engine="reference", path="l2", scheme=scheme)
-    with span("reference.replay", scheme=scheme, path="l2", accesses=len(trace)):
-        for record in trace:
-            if record.kind is AccessKind.L2_READ:
-                cache.read(record.address)
-            elif record.kind is AccessKind.L2_WRITE:
-                cache.write(record.address)
-            else:
-                raise SimulationError(
-                    f"run_l2_trace expects L2-level records, got {record.kind}"
-                )
-    simulated_time = simulated_time_for(len(trace), config)
+    segments = _trace_segments(trace, segment_accesses)
+    if _use_fast_path(cache, engine):
+        from .fastpath import replay_l2_segments
+
+        total = replay_l2_segments(cache, segments)
+    else:
+        total = _run_reference_loop(cache, segments)
+    simulated_time = simulated_time_for(total, config)
     if add_leakage:
         cache.add_leakage(simulated_time)
-    return _snapshot(cache, trace.name, len(trace), simulated_time)
+    return _snapshot(cache, trace.name, total, simulated_time)
 
 
 def run_cpu_trace(
@@ -296,8 +212,7 @@ def run_cpu_trace(
     config: SimulationConfig | None = None,
     seed: int = 1,
     add_leakage: bool = True,
-    engine: str = "reference",
-    kernel: str = "auto",
+    engine: str = "auto",
     artifact_cache=None,
 ) -> tuple[SchemeRunResult, CacheHierarchy]:
     """Drive the full two-level hierarchy with a CPU-level trace.
@@ -310,39 +225,33 @@ def run_cpu_trace(
         add_leakage: Whether to add L2 leakage energy for the simulated
             time, matching :func:`run_l2_trace` (hierarchy energy results
             include the leakage term by default).
-        engine: ``"reference"`` for the per-record loop, ``"fast"`` for the
-            batched engine in :mod:`repro.sim.fastpath` (raises if the L2 is
-            not fast-path capable), or ``"auto"`` to use the fast engine
-            whenever it supports the L2 and fall back otherwise.  Both
-            engines produce numerically identical results, including the L1
-            contents and hierarchy statistics.
-        kernel: Fast-path kernel tier (``"loop"``, ``"soa"`` or ``"auto"``);
-            ignored by the reference engine.
+        engine: ``"auto"`` (the default) uses the batched engine in
+            :mod:`repro.sim.fastpath` whenever it supports the L2 and warns
+            before falling back otherwise; ``"fast"`` raises if the L2 is
+            not fast-path capable; ``"reference"`` runs the per-record
+            loop.  Both engines produce numerically identical results,
+            including the L1 contents and hierarchy statistics.
         artifact_cache: Optional :class:`~repro.workloads.ArtifactCache`
-            (or directory spec) the fast SoA path consults for pre-filtered
-            L2 streams; ignored by the reference engine and the loop
-            kernel.  Results are bit-identical either way.
+            (or directory spec) the fast path consults for pre-filtered L2
+            streams; ignored by the reference engine.  Results are
+            bit-identical either way.
 
     Returns:
         A (result, hierarchy) pair; the hierarchy gives access to L1
         statistics and the realised L2 request counts.
     """
     _check_engine(engine)
-    if engine != "reference":
-        from .fastpath import run_cpu_trace_fast, supports_fast_path
+    if _use_fast_path(l2_cache, engine):
+        from .fastpath import run_cpu_trace_fast
 
-        supported, reason = supports_fast_path(l2_cache)
-        if engine == "fast" or supported:
-            return run_cpu_trace_fast(
-                l2_cache,
-                trace,
-                config=config,
-                seed=seed,
-                add_leakage=add_leakage,
-                kernel=kernel,
-                artifact_cache=artifact_cache,
-            )
-        _warn_auto_fallback(reason)
+        return run_cpu_trace_fast(
+            l2_cache,
+            trace,
+            config=config,
+            seed=seed,
+            add_leakage=add_leakage,
+            artifact_cache=artifact_cache,
+        )
     config = config or SimulationConfig()
     hierarchy = CacheHierarchy(config.hierarchy, l2_cache, seed=seed)
     scheme = l2_cache.scheme_name()

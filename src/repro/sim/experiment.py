@@ -160,7 +160,6 @@ def run_workload(
     trace: Trace | None = None,
     sim_config: SimulationConfig | None = None,
     engine: str = "auto",
-    kernel: str = "auto",
     artifact_cache=None,
 ):
     """Run one (workload, scheme) pair and return (result, protected cache).
@@ -181,9 +180,6 @@ def run_workload(
             Both engines produce numerically identical results, so the
             choice never affects experiment outcomes; ``"auto"`` warns and
             falls back to the reference loop for unsupported caches.
-        kernel: Fast-path kernel tier (``"loop"``, ``"soa"`` or ``"auto"``,
-            the default); kernels are bit-identical, so this only affects
-            throughput.
         artifact_cache: Optional artifact-cache spec consulted when the
             trace is resolved here (see :func:`_resolve_trace`); results
             are byte-identical with the cache cold, warm or disabled.
@@ -206,7 +202,6 @@ def run_workload(
         trace,
         config=sim_config,
         engine=engine,
-        kernel=kernel,
         segment_accesses=settings.segment_accesses,
     )
     return result, cache
@@ -219,7 +214,6 @@ def compare_schemes(
     settings: ExperimentSettings | None = None,
     sim_config: SimulationConfig | None = None,
     engine: str = "auto",
-    kernel: str = "auto",
     artifact_cache=None,
 ) -> WorkloadComparison:
     """Run one workload through a baseline and alternative schemes.
@@ -227,11 +221,10 @@ def compare_schemes(
     The trace is resolved once (generated from the profile, served from the
     artifact cache, or opened from ``settings.trace_file``) and replayed
     identically for every scheme so the comparison isolates the protection
-    mechanism.  ``engine`` and ``kernel`` select the simulation engine and
-    fast-path kernel tier per :func:`repro.sim.run_l2_trace`; results are
-    numerically identical across all combinations, and ``artifact_cache``
-    (like engine and kernel) is an operational knob that never changes
-    results or identities.
+    mechanism.  ``engine`` selects the simulation engine per
+    :func:`repro.sim.run_l2_trace`; results are numerically identical
+    across engines, and ``artifact_cache`` (like the engine) is an
+    operational knob that never changes results or identities.
     """
     settings = settings or ExperimentSettings()
     profile = get_profile(workload) if isinstance(workload, str) else workload
@@ -243,7 +236,6 @@ def compare_schemes(
         trace=trace,
         sim_config=sim_config,
         engine=engine,
-        kernel=kernel,
     )
     alternative_results = []
     for scheme in alternatives:
@@ -254,7 +246,6 @@ def compare_schemes(
             trace=trace,
             sim_config=sim_config,
             engine=engine,
-            kernel=kernel,
         )
         alternative_results.append(result)
     return WorkloadComparison(
@@ -274,7 +265,6 @@ class ExperimentRunner:
         baseline: ProtectionScheme | str = ProtectionScheme.CONVENTIONAL,
         alternatives: Sequence[ProtectionScheme | str] = (ProtectionScheme.REAP,),
         engine: str = "auto",
-        kernel: str = "auto",
     ) -> None:
         """Create a runner.
 
@@ -287,8 +277,6 @@ class ExperimentRunner:
                 ``"fast"`` or ``"auto"``, the default); results are
                 numerically identical either way, so the engine is not part
                 of any job identity.
-            kernel: Fast-path kernel tier (``"loop"``, ``"soa"`` or
-                ``"auto"``, the default); also not part of job identity.
         """
         self._workloads = [
             get_profile(w) if isinstance(w, str) else w for w in workloads
@@ -299,7 +287,6 @@ class ExperimentRunner:
         self._baseline = baseline
         self._alternatives = tuple(alternatives)
         self._engine = engine
-        self._kernel = kernel
 
     @property
     def workloads(self) -> list[SPECWorkloadProfile]:
@@ -356,7 +343,6 @@ class ExperimentRunner:
             jobs=jobs,
             progress=job_progress,
             engine=self._engine,
-            kernel=self._kernel,
         )
         return result.comparisons
 
@@ -364,14 +350,6 @@ class ExperimentRunner:
         self, progress: Callable[[str], None] | None = None
     ) -> list[WorkloadComparison]:
         """In-process fallback for unregistered workload profiles."""
-        from .engine import deduplicate_fallback_warnings
-
-        with deduplicate_fallback_warnings():
-            return self._run_direct_inner(progress)
-
-    def _run_direct_inner(
-        self, progress: Callable[[str], None] | None = None
-    ) -> list[WorkloadComparison]:
         comparisons = []
         for index, profile in enumerate(self._workloads):
             comparison = compare_schemes(
@@ -380,7 +358,6 @@ class ExperimentRunner:
                 alternatives=self._alternatives,
                 settings=replace(self._settings, seed=self._settings.seed + index),
                 engine=self._engine,
-                kernel=self._kernel,
             )
             comparisons.append(comparison)
             if progress is not None:
@@ -397,7 +374,6 @@ def sweep(
     jobs: int = 1,
     store=None,
     engine: str = "auto",
-    kernel: str = "auto",
     settings: ExperimentSettings | None = None,
 ) -> list[tuple[object, WorkloadComparison]]:
     """Sweep one parameter and compare schemes at each point.
@@ -424,8 +400,6 @@ def sweep(
             to cache and resume the sweep.
         engine: Simulation engine used at every point (default ``"auto"``;
             results are numerically identical across engines).
-        kernel: Fast-path kernel tier used at every point (default
-            ``"auto"``; kernels are bit-identical).
         settings: Base settings the dotted-path form starts from (defaults
             to :class:`ExperimentSettings`); ignored when
             ``build_settings`` is a callable.
@@ -448,23 +422,19 @@ def sweep(
         return []
     profile = get_profile(workload) if isinstance(workload, str) else workload
     if not _is_registered(profile):
-        from .engine import deduplicate_fallback_warnings
-
-        with deduplicate_fallback_warnings():
-            return [
-                (
-                    value,
-                    compare_schemes(
-                        profile,
-                        baseline=baseline,
-                        alternatives=alternatives,
-                        settings=build_settings(value),
-                        engine=engine,
-                        kernel=kernel,
-                    ),
-                )
-                for value in parameter_values
-            ]
+        return [
+            (
+                value,
+                compare_schemes(
+                    profile,
+                    baseline=baseline,
+                    alternatives=alternatives,
+                    settings=build_settings(value),
+                    engine=engine,
+                ),
+            )
+            for value in parameter_values
+        ]
     job_specs = []
     for index, value in enumerate(parameter_values):
         point_value = value if isinstance(value, (bool, int, float, str)) else str(value)
@@ -477,7 +447,7 @@ def sweep(
                 point=(("sweep_index", index), ("value", point_value)),
             )
         )
-    result = run_campaign(job_specs, store=store, jobs=jobs, engine=engine, kernel=kernel)
+    result = run_campaign(job_specs, store=store, jobs=jobs, engine=engine)
     return [
         (value, outcome.comparison)
         for value, outcome in zip(parameter_values, result.outcomes)

@@ -1,38 +1,23 @@
 """Batched fast-path execution of L2-level and CPU-level traces.
 
-:func:`run_l2_trace_fast` replays an L2 trace against a protected cache and
-produces the *same* end state as the reference per-record loop in
-:mod:`repro.sim.engine` — same :class:`~repro.sim.results.SchemeRunResult`
-snapshot, same :class:`~repro.reliability.AccumulationTracker` samples, same
+:func:`replay_l2_segments` replays decoded L2 trace segments against a
+protected cache and produces the *same* end state as the reference
+per-record loop in :mod:`repro.sim.engine` — same
+:class:`~repro.reliability.AccumulationTracker` samples, same
 cache/reliability/energy statistics, same per-block and per-set policy state
-— while running several times faster.  It gets there in three phases:
-
-1. **Decode** — the whole trace is pre-decoded into NumPy arrays (access
-   kind, set index, tag) with one vectorised
-   :meth:`repro.cache.AddressMapper.decompose_batch` call, and consecutive
-   accesses to the same set are grouped so per-set state is bound once per
-   run instead of once per record.
-2. **Replay** — an allocation-free loop over the grouped records updates
-   compact per-set state (plain Python lists, lazily materialised for
-   touched sets only) and defers every failure-probability evaluation by
-   recording its integer key ``(delivery kind, ones count, window)``.
-   Replacement decisions go through the policy's *compact-state protocol*
-   (:meth:`~repro.cache.replacement.ReplacementPolicy.compact_on_access` /
-   ``compact_on_fill`` / ``compact_victim`` over exported per-set rows) —
-   the same transition functions the object path delegates to, so there is
-   no second implementation of any policy here.
-3. **Resolve** — the recorded keys are reduced to their unique values and
-   evaluated with the vectorised binomial-tail math of
-   :mod:`repro.reliability.binomial`, then scattered back and folded into
-   the reliability statistics in trace order.
+— while running several times faster.  An in-memory trace is simply one
+segment.  Each segment is decoded into NumPy arrays (access kind, set index,
+tag) with one vectorised :meth:`repro.cache.AddressMapper.decompose_batch`
+call, validated, and handed to the structure-of-arrays kernel in
+:mod:`repro.sim.soa`.
 
 :func:`run_cpu_trace_fast` extends the same treatment to the full two-level
 hierarchy: the CPU stream is pre-decoded once, filtered through compact
-L1I/L1D models (the same :class:`~repro.cache.SetAssociativeCache` state and
-replacement transitions, minus the reliability machinery the SRAM L1s do
-not have), and the realised L2 read/write-back stream is handed to the L2
-replay above.  The returned :class:`~repro.cache.CacheHierarchy` carries the
-same L1 contents and statistics as the reference loop.
+L1I/L1D models (:func:`repro.sim.soa.filter_through_l1_soa`, optionally
+served from the :class:`~repro.workloads.ArtifactCache`), and the realised
+L2 read/write-back stream is replayed by the same SoA kernel.  The returned
+:class:`~repro.cache.CacheHierarchy` carries the same L1 contents and
+statistics as the reference loop.
 
 Numerical equivalence is by construction, not by tolerance: every floating
 point accumulator (energy components, expected failures) receives the same
@@ -43,19 +28,18 @@ harness in ``tests/sim/test_engine_equivalence.py`` asserts this field by
 field for every scheme x replacement policy x trace level.
 
 The fast path supports every protection scheme (conventional, REAP, serial,
-restore, and the patrol-scrubbing baseline, whose deterministic line cursor
-is advanced inside the grouped loop) over every built-in replacement policy.
-:func:`supports_fast_path` reports whether a cache qualifies — the remaining
-exclusions are custom :class:`~repro.core.ProtectedCache` subclasses and
-replacement policies that override the object hooks instead of the
-compact-state transitions; :func:`repro.sim.run_l2_trace` with
+restore, and the patrol-scrubbing baseline) over every built-in replacement
+policy.  :func:`supports_fast_path` reports whether a cache qualifies — the
+remaining exclusions are custom :class:`~repro.core.ProtectedCache`
+subclasses and replacement policies that override the object hooks instead
+of the compact-state transitions; :func:`repro.sim.run_l2_trace` with
 ``engine="auto"`` falls back to the reference loop (with a one-line warning)
 when they appear.
 
 One deliberate behavioural difference: the reference loop validates records
 as it consumes them, so a malformed trace leaves the cache partially
-mutated; the fast path validates the whole trace during decode and raises
-*before* touching any state.
+mutated; the fast path validates each segment (a whole in-memory trace is
+one segment) during decode and raises *before* replaying any of it.
 """
 
 from __future__ import annotations
@@ -63,7 +47,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..cache import CacheHierarchy
-from ..cache.cache import SetAssociativeCache
 from ..cache.replacement import ReplacementPolicy
 from ..config import SimulationConfig
 from ..core.conventional import ConventionalCache
@@ -73,20 +56,14 @@ from ..core.restore import RestoreCache
 from ..core.scrubbing import ScrubbingCache
 from ..core.serial import SerialAccessCache
 from ..errors import SimulationError
-from ..reliability.binomial import (
-    accumulated_failure_probabilities,
-    block_failure_probabilities,
-    reap_failure_probabilities,
-)
 from ..telemetry import emit_event, span
 from ..workloads.trace import KIND_ORDER, Trace
 from .results import SchemeRunResult
-
-#: Delivery-kind codes used by the deferred probability records.
-_CONVENTIONAL, _REAP, _SERIAL, _WRITEBACK = 0, 1, 2, 3
+from .soa import _CONVENTIONAL, _REAP, _SERIAL, filter_through_l1_soa, replay_l2_soa
 
 #: Scheme classes the fast path replays (exact types: a subclass may change
-#: behaviour the batched loop does not know about).
+#: behaviour the batched kernel does not know about), with the kernel's
+#: delivery-kind code for each.
 _SCHEME_MODES = {
     ConventionalCache: _CONVENTIONAL,
     REAPCache: _REAP,
@@ -98,19 +75,6 @@ _SCHEME_MODES = {
 #: Replacement-policy object hooks that must route through the compact-state
 #: transitions for the fast path to be equivalent by construction.
 _POLICY_HOOKS = ("on_access", "on_fill", "victim")
-
-#: Kernel tiers of the fast path: the grouped per-record ``"loop"`` kernel,
-#: the two-pass ``"soa"`` (structure-of-arrays) kernel in
-#: :mod:`repro.sim.soa`, or ``"auto"`` (the SoA kernel — both are
-#: bit-identical, so the choice only affects throughput).
-KERNEL_CHOICES = ("loop", "soa", "auto")
-
-
-def _check_kernel(kernel: str) -> None:
-    if kernel not in KERNEL_CHOICES:
-        raise SimulationError(
-            f"unknown kernel {kernel!r}; choose one of {KERNEL_CHOICES}"
-        )
 
 
 def _policy_reason(policy) -> str:
@@ -145,59 +109,10 @@ def supports_fast_path(cache: ProtectedCache) -> tuple[bool, str]:
     return True, ""
 
 
-def run_l2_trace_fast(
-    cache: ProtectedCache,
-    trace: Trace,
-    config: SimulationConfig | None = None,
-    add_leakage: bool = True,
-    kernel: str = "auto",
-) -> SchemeRunResult:
-    """Batched equivalent of the reference :func:`repro.sim.run_l2_trace`.
-
-    Args:
-        cache: The protected cache to drive (mutated in place, exactly as
-            the reference loop would mutate it).
-        trace: L2-level trace (``L2_READ`` / ``L2_WRITE`` records).
-        config: Simulation configuration for the time base.
-        add_leakage: Whether to add leakage energy for the simulated time.
-        kernel: Fast-path kernel tier: the grouped per-record ``"loop"``,
-            the structure-of-arrays ``"soa"``, or ``"auto"`` (SoA).  The
-            kernels are bit-identical; only throughput differs.
-
-    Returns:
-        A :class:`SchemeRunResult` snapshot taken after the whole trace ran.
-
-    Raises:
-        SimulationError: if the cache is not fast-path capable or the trace
-            contains CPU-level records (checked before any state mutation).
-    """
-    from .engine import _snapshot, simulated_time_for
-
-    _check_kernel(kernel)
+def _require_fast_path(cache: ProtectedCache) -> None:
     supported, reason = supports_fast_path(cache)
     if not supported:
         raise SimulationError(f"fast path does not support {reason}")
-    config = config or SimulationConfig()
-    scheme = cache.scheme_name()
-    with span("kernel.decode", scheme=scheme, path="l2", accesses=len(trace)):
-        codes, set_indices, tags = _decode(cache, trace)
-    if kernel == "loop":
-        emit_event(
-            "sim.engine", engine="fast", kernel="loop", path="l2", scheme=scheme
-        )
-        with span("kernel.replay", scheme=scheme, path="l2", accesses=len(trace)):
-            _replay(cache, codes, set_indices, tags)
-    else:
-        from .soa import replay_l2_soa
-
-        emit_event(
-            "sim.engine", engine="fast", kernel="soa", path="l2", scheme=scheme
-        )
-        replay_l2_soa(cache, codes, set_indices, tags, _SCHEME_MODES[type(cache)])
-    simulated_time = simulated_time_for(len(trace), config)
-    if add_leakage:
-        cache.add_leakage(simulated_time)
-    return _snapshot(cache, trace.name, len(trace), simulated_time)
 
 
 def _export_l1_state(hierarchy: CacheHierarchy) -> dict:
@@ -258,17 +173,15 @@ def run_cpu_trace_fast(
     config: SimulationConfig | None = None,
     seed: int = 1,
     add_leakage: bool = True,
-    kernel: str = "auto",
     artifact_cache=None,
 ) -> tuple[SchemeRunResult, CacheHierarchy]:
     """Batched equivalent of the reference :func:`repro.sim.run_cpu_trace`.
 
-    The CPU stream is pre-decoded once, filtered through compact L1I/L1D
-    replays (run-length encoded under the SoA kernel, per record under the
-    loop kernel), and the realised L2 read/write-back stream is replayed
-    with the same engine :func:`run_l2_trace_fast` uses.  The returned
-    hierarchy holds L1 caches whose contents, statistics and replacement
-    state match the reference loop's field for field.
+    The CPU stream is pre-decoded once, filtered through run-length-encoded
+    L1I/L1D replays, and the realised L2 read/write-back stream is replayed
+    with the SoA kernel.  The returned hierarchy holds L1 caches whose
+    contents, statistics and replacement state match the reference loop's
+    field for field.
 
     Args:
         l2_cache: The protected L2 placed under the L1s (mutated in place).
@@ -276,8 +189,6 @@ def run_cpu_trace_fast(
         config: Simulation configuration (hierarchy geometry and time base).
         seed: Seed for the L1 replacement policies.
         add_leakage: Whether to add L2 leakage energy for the simulated time.
-        kernel: Fast-path kernel tier (``"loop"``, ``"soa"`` or ``"auto"``);
-            bit-identical results either way.
         artifact_cache: Optional :class:`~repro.workloads.ArtifactCache`
             (or directory spec) serving pre-filtered L2 streams keyed by
             trace content and L1 geometry; purely operational — results
@@ -292,20 +203,14 @@ def run_cpu_trace_fast(
     """
     from .engine import _snapshot
 
-    _check_kernel(kernel)
-    supported, reason = supports_fast_path(l2_cache)
-    if not supported:
-        raise SimulationError(f"fast path does not support {reason}")
+    _require_fast_path(l2_cache)
     config = config or SimulationConfig()
     hierarchy = CacheHierarchy(config.hierarchy, l2_cache, seed=seed)
     scheme = l2_cache.scheme_name()
-    resolved = "loop" if kernel == "loop" else "soa"
-    emit_event(
-        "sim.engine", engine="fast", kernel=resolved, path="cpu", scheme=scheme
-    )
+    emit_event("sim.engine", engine="fast", path="cpu", scheme=scheme)
 
     stream_cache = stream_key = cached_stream = None
-    if kernel != "loop" and isinstance(trace, Trace):
+    if isinstance(trace, Trace):
         from ..workloads.artifacts import ArtifactCache
 
         stream_cache = ArtifactCache.resolve(artifact_cache)
@@ -315,22 +220,13 @@ def run_cpu_trace_fast(
             )
             cached_stream = stream_cache.load_l1_stream(stream_key)
 
-    if kernel == "loop":
-        with span(
-            "kernel.l1_filter", scheme=scheme, kernel="loop", accesses=len(trace)
-        ):
-            l2_codes, l2_addresses = _filter_through_l1(hierarchy, trace)
-    elif cached_stream is not None:
+    if cached_stream is not None:
         l2_codes, l2_addresses, l1_state = cached_stream
         _apply_l1_state(hierarchy, l1_state)
     else:
-        from .soa import filter_through_l1_soa
-
         with span("kernel.decode", scheme=scheme, path="cpu", accesses=len(trace)):
             cpu_codes, cpu_addresses = _decode_cpu(trace)
-        with span(
-            "kernel.l1_filter", scheme=scheme, kernel="soa", accesses=len(trace)
-        ):
+        with span("kernel.l1_filter", scheme=scheme, accesses=len(trace)):
             l2_codes, l2_addresses = filter_through_l1_soa(
                 hierarchy, cpu_codes, cpu_addresses
             )
@@ -343,20 +239,13 @@ def run_cpu_trace_fast(
                 _export_l1_state(hierarchy),
             )
 
-    l2_count = len(l2_codes)
-    with span("kernel.decode", scheme=scheme, path="l2", accesses=l2_count):
+    with span("kernel.decode", scheme=scheme, path="l2", accesses=len(l2_codes)):
         codes = np.asarray(l2_codes, dtype=np.int8)
         addresses = np.asarray(l2_addresses, dtype=np.int64)
         batch = l2_cache.cache.mapper.decompose_batch(addresses)
-    if kernel == "loop":
-        with span("kernel.replay", scheme=scheme, path="cpu", accesses=l2_count):
-            _replay(l2_cache, codes, batch.indices, batch.tags)
-    else:
-        from .soa import replay_l2_soa
-
-        replay_l2_soa(
-            l2_cache, codes, batch.indices, batch.tags, _SCHEME_MODES[type(l2_cache)]
-        )
+    replay_l2_soa(
+        l2_cache, codes, batch.indices, batch.tags, _SCHEME_MODES[type(l2_cache)]
+    )
 
     # Time base: one CPU reference per cycle, as in the reference loop.
     simulated_time = len(trace) * config.cycle_time_s
@@ -388,31 +277,18 @@ def _decode_arrays(
     return codes, batch.indices, batch.tags
 
 
-def _decode(
-    cache: ProtectedCache, trace: Trace
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-decode a trace into (kind code, set index, tag) arrays."""
-    kinds, addresses = trace.decoded()
-    return _decode_arrays(cache, kinds, addresses)
-
-
-def replay_l2_segments(
-    cache: ProtectedCache,
-    segments,
-    kernel: str = "auto",
-) -> int:
+def replay_l2_segments(cache: ProtectedCache, segments) -> int:
     """Replay decoded ``(kinds, addresses)`` segments against a protected cache.
 
-    The out-of-core counterpart of the whole-trace kernels: each segment is
-    decoded and replayed in turn, and because both kernels seed every
-    accumulator from live cache state on entry and fold everything back on
+    Each segment is decoded and replayed in turn.  The kernel seeds every
+    accumulator from live cache state on entry and folds everything back on
     exit — block fields and ticks through the compact per-set protocol,
     policy state through ``export_set_state``/``import_set_state``, energy
     partial sums from ``cache.energy``, reliability statistics through
-    sequential batch accumulation, tracker samples by append, patrol-scrub
-    credit and cursor through the scrub-state export — the end state after N
-    segments is bit-identical to one whole-trace replay.  Peak memory is
-    bounded by the largest segment.
+    sequential array accumulation, tracker samples by append, patrol-scrub
+    credit and cursor through the scrub-state export — so the end state
+    after N segments is bit-identical to one whole-trace replay.  Peak
+    memory is bounded by the largest segment.
 
     Each segment runs inside a ``kernel.segment`` telemetry span carrying
     the segment ordinal and access count.
@@ -422,35 +298,20 @@ def replay_l2_segments(
         segments: Iterable of ``(kinds, addresses)`` NumPy column pairs in
             the :data:`~repro.workloads.trace.KIND_ORDER` encoding, e.g.
             from :meth:`repro.workloads.streams.TraceSource.segments`.
-        kernel: Fast-path kernel tier (``"loop"``, ``"soa"`` or ``"auto"``).
 
     Returns:
         The total number of accesses replayed.
 
     Raises:
         SimulationError: if the cache is not fast-path capable or a segment
-            contains CPU-level records.  Unlike the whole-trace fast path,
-            validation is necessarily per segment: earlier segments have
-            already mutated the cache when a later segment fails.
+            contains CPU-level records.  Validation is per segment: a
+            segment is rejected before any of it is replayed, but earlier
+            segments have already mutated the cache.
     """
-    _check_kernel(kernel)
-    supported, reason = supports_fast_path(cache)
-    if not supported:
-        raise SimulationError(f"fast path does not support {reason}")
+    _require_fast_path(cache)
     scheme = cache.scheme_name()
-    resolved = "loop" if kernel == "loop" else "soa"
-    emit_event(
-        "sim.engine",
-        engine="fast",
-        kernel=resolved,
-        path="l2",
-        scheme=scheme,
-        streaming=True,
-    )
-    if resolved == "soa":
-        from .soa import replay_l2_soa
-
-        mode = _SCHEME_MODES[type(cache)]
+    emit_event("sim.engine", engine="fast", path="l2", scheme=scheme)
+    mode = _SCHEME_MODES[type(cache)]
     total = 0
     for segment_index, (kinds, addresses) in enumerate(segments):
         accesses = len(kinds)
@@ -462,10 +323,7 @@ def replay_l2_segments(
             accesses=accesses,
         ):
             codes, set_indices, tags = _decode_arrays(cache, kinds, addresses)
-            if resolved == "loop":
-                _replay(cache, codes, set_indices, tags)
-            else:
-                replay_l2_soa(cache, codes, set_indices, tags, mode)
+            replay_l2_soa(cache, codes, set_indices, tags, mode)
         total += accesses
     return total
 
@@ -481,753 +339,3 @@ def _decode_cpu(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
             f"{trace.records[bad[0]].kind}"
         )
     return codes, addresses
-
-
-class _L1Replay:
-    """Compact-state replay of one functional (SRAM) L1 cache.
-
-    Mirrors :meth:`repro.cache.SetAssociativeCache.access` exactly for the
-    hierarchy's usage (``fill_ones_count=0``): same statistics counters,
-    same block fields, same replacement transitions — via the policy's
-    compact-state protocol, so any built-in policy is supported.
-    """
-
-    __slots__ = (
-        "cache",
-        "assoc",
-        "policy",
-        "pol_globals",
-        "pol_access",
-        "pol_fill",
-        "pol_victim",
-        "states",
-        "zeros",
-        "tick",
-        "demand_reads",
-        "demand_writes",
-        "read_hits",
-        "read_misses",
-        "write_hits",
-        "write_misses",
-        "fills",
-        "evictions",
-        "dirty_evictions",
-        "data_way_writes",
-        "accesses",
-    )
-
-    def __init__(self, cache: SetAssociativeCache) -> None:
-        self.cache = cache
-        self.assoc = cache.associativity
-        self.policy = cache.replacement
-        self.pol_globals = self.policy.compact_globals()
-        self.pol_access = self.policy.compact_on_access
-        self.pol_fill = self.policy.compact_on_fill
-        self.pol_victim = self.policy.compact_victim
-        self.states: dict[int, list] = {}
-        # The L1s never record reads on their blocks, so the per-way
-        # unchecked-read exposure seen by victim selection is always zero.
-        self.zeros = [0] * self.assoc
-        self.tick = cache._tick  # noqa: SLF001 - engine-internal state sync
-        self.demand_reads = self.demand_writes = 0
-        self.read_hits = self.read_misses = 0
-        self.write_hits = self.write_misses = 0
-        self.fills = self.evictions = self.dirty_evictions = 0
-        self.data_way_writes = 0
-        self.accesses = 0
-
-    def _materialise(self, set_index: int) -> list:
-        blocks = self.cache.cache_set(set_index).blocks
-        tag_map = {}
-        for way, block in enumerate(blocks):
-            if block.valid:
-                tag_map[block.tag] = way
-        state = [
-            [b.tag for b in blocks],
-            [b.valid for b in blocks],
-            [b.dirty for b in blocks],
-            [b.fills for b in blocks],
-            [b.last_access_tick for b in blocks],
-            tag_map,
-            self.policy.export_set_state(set_index),
-        ]
-        self.states[set_index] = state
-        return state
-
-    def access(self, set_index: int, tag: int, is_write: bool) -> int | None:
-        """One demand access; ``None`` on a hit, else the dirty-victim tag
-        (or ``-1`` when the miss evicted nothing dirty)."""
-        state = self.states.get(set_index)
-        if state is None:
-            state = self._materialise(set_index)
-        blk_tag, blk_valid, blk_dirty, blk_fills, blk_tick, tag_map, pstate = state
-        self.tick += 1
-        tick = self.tick
-        self.accesses += 1
-        if is_write:
-            self.demand_writes += 1
-        else:
-            self.demand_reads += 1
-        hit_way = tag_map.get(tag)
-        if hit_way is not None:
-            if is_write:
-                self.write_hits += 1
-                blk_dirty[hit_way] = True
-                blk_tick[hit_way] = tick
-                self.data_way_writes += 1
-            else:
-                self.read_hits += 1
-            self.pol_access(self.pol_globals, pstate, hit_way)
-            return None
-
-        if is_write:
-            self.write_misses += 1
-        else:
-            self.read_misses += 1
-        victim = -1
-        for way in range(self.assoc):
-            if not blk_valid[way]:
-                victim = way
-                break
-        evicted_dirty_tag = -1
-        if victim < 0:
-            victim = self.pol_victim(self.pol_globals, pstate, self.zeros)
-            self.evictions += 1
-            if blk_dirty[victim]:
-                self.dirty_evictions += 1
-                evicted_dirty_tag = blk_tag[victim]
-            del tag_map[blk_tag[victim]]
-        else:
-            blk_valid[victim] = True
-
-        blk_tag[victim] = tag
-        blk_fills[victim] += 1
-        blk_tick[victim] = tick
-        tag_map[tag] = victim
-        self.fills += 1
-        self.data_way_writes += 1
-        # Write-allocate: the incoming store dirties the freshly filled line.
-        blk_dirty[victim] = is_write
-        self.pol_fill(self.pol_globals, pstate, victim)
-        return evicted_dirty_tag
-
-    def finalize(self) -> None:
-        """Fold counters and state back into the substrate cache."""
-        stats = self.cache.stats
-        stats.demand_reads += self.demand_reads
-        stats.demand_writes += self.demand_writes
-        stats.read_hits += self.read_hits
-        stats.read_misses += self.read_misses
-        stats.write_hits += self.write_hits
-        stats.write_misses += self.write_misses
-        stats.fills += self.fills
-        stats.evictions += self.evictions
-        stats.dirty_evictions += self.dirty_evictions
-        stats.data_way_writes += self.data_way_writes
-        stats.tag_comparisons += self.accesses * self.assoc
-        for set_index, state in self.states.items():
-            blocks = self.cache.cache_set(set_index).blocks
-            for way, block in enumerate(blocks):
-                block.tag = state[0][way]
-                block.valid = state[1][way]
-                block.dirty = state[2][way]
-                block.fills = state[3][way]
-                block.last_access_tick = state[4][way]
-            self.policy.import_set_state(set_index, state[6])
-        self.cache._tick = self.tick  # noqa: SLF001 - engine-internal state sync
-
-
-def _filter_through_l1(
-    hierarchy: CacheHierarchy, trace: Trace
-) -> tuple[list[int], list[int]]:
-    """Run the CPU stream through compact L1 models; return the L2 stream.
-
-    Returns:
-        ``(l2_codes, l2_addresses)`` where code 0 is a demand read and 1 a
-        write-back, in the exact order the reference hierarchy would issue
-        them to the L2.
-    """
-    codes, addresses = _decode_cpu(trace)
-    count = len(codes)
-    l1i, l1d = hierarchy.l1i, hierarchy.l1d
-    is_ifetch = codes == 0
-    i_batch = l1i.mapper.decompose_batch(addresses[is_ifetch])
-    d_batch = l1d.mapper.decompose_batch(addresses[~is_ifetch])
-    set_indices = np.empty(count, dtype=np.int64)
-    tags = np.empty(count, dtype=np.int64)
-    set_indices[is_ifetch] = i_batch.indices
-    set_indices[~is_ifetch] = d_batch.indices
-    tags[is_ifetch] = i_batch.tags
-    tags[~is_ifetch] = d_batch.tags
-
-    i_replay = _L1Replay(l1i)
-    d_replay = _L1Replay(l1d)
-    i_access = i_replay.access
-    d_access = d_replay.access
-    d_config = l1d.config
-    d_offset_bits = d_config.offset_bits
-    d_tag_shift = d_offset_bits + d_config.index_bits
-
-    code_list = codes.tolist()
-    set_list = set_indices.tolist()
-    tag_list = tags.tolist()
-    address_list = addresses.tolist()
-
-    instruction_fetches = data_reads = data_writes = 0
-    l2_reads = l2_writebacks = 0
-    l2_codes: list[int] = []
-    l2_addresses: list[int] = []
-
-    for i in range(count):
-        code = code_list[i]
-        if code == 0:
-            instruction_fetches += 1
-            if i_access(set_list[i], tag_list[i], False) is not None:
-                # L1I victims are never dirty; nothing to write back.
-                l2_reads += 1
-                l2_codes.append(0)
-                l2_addresses.append(address_list[i])
-            continue
-        if code == 1:
-            data_reads += 1
-            writeback = d_access(set_list[i], tag_list[i], False)
-        else:
-            data_writes += 1
-            # Fetch-on-write: the block is read from the L2 before the store.
-            writeback = d_access(set_list[i], tag_list[i], True)
-        if writeback is not None:
-            l2_reads += 1
-            l2_codes.append(0)
-            l2_addresses.append(address_list[i])
-            if writeback >= 0:
-                l2_writebacks += 1
-                l2_codes.append(1)
-                l2_addresses.append(
-                    (writeback << d_tag_shift) | (set_list[i] << d_offset_bits)
-                )
-
-    i_replay.finalize()
-    d_replay.finalize()
-    stats = hierarchy.stats
-    stats.instruction_fetches += instruction_fetches
-    stats.data_reads += data_reads
-    stats.data_writes += data_writes
-    stats.l2_reads += l2_reads
-    stats.l2_writebacks += l2_writebacks
-    return l2_codes, l2_addresses
-
-
-def _replay(
-    cache: ProtectedCache,
-    codes: np.ndarray,
-    set_indices: np.ndarray,
-    tags: np.ndarray,
-) -> None:
-    """Drive the cache state through the decoded access stream."""
-    count = len(codes)
-    if count == 0:
-        return
-
-    mode = _SCHEME_MODES[type(cache)]
-    restore = type(cache) is RestoreCache
-    scrubbing = type(cache) is ScrubbingCache
-    substrate = cache.cache
-    assoc = substrate.associativity
-    policy = substrate.replacement
-    engine = cache.engine
-    rel_stats = engine.stats
-    stats = substrate.stats
-    totals = cache.energy
-    model = cache.energy_model
-    sample = cache.data_profile.sample
-    count_writebacks = cache.count_writeback_checks
-
-    # Per-event energies, computed once; the reference accountant recomputes
-    # them per event but they are pure functions of the model, so every
-    # addend below is bit-identical to the reference sequence.
-    tag_e = model.tag_lookup_energy_pj()
-    way_e = model.way_read_energy_pj()
-    dec_e = model.ecc_decode_energy_pj()
-    mux_e = model.mux_energy_pj()
-    write_breakdown = model.write_access_energy()
-    wtag_e = write_breakdown.tag_pj
-    wdata_e = write_breakdown.data_array_pj
-    wecc_e = write_breakdown.ecc_pj
-    way_write_e = model.way_write_energy_pj()
-    enc_e = model.ecc_encode_energy_pj()
-
-    # Energy accumulators, continued from the cache's current totals.
-    e_tag = totals.tag_pj
-    e_dread = totals.data_read_pj
-    e_dwrite = totals.data_write_pj
-    e_dec = totals.ecc_decode_pj
-    e_enc = totals.ecc_encode_pj
-    e_mux = totals.mux_pj
-
-    # Tick counters (scheme-level and substrate-level both advance once per
-    # access; they are tracked separately in case the cache was pre-driven).
-    scheme_tick = cache._tick  # noqa: SLF001 - engine-internal state sync
-    substrate_tick = substrate._tick  # noqa: SLF001 - engine-internal state sync
-
-    # Replacement transitions: the policy's compact-state protocol, bound to
-    # locals.  The globals list is the policy's own live store, so no
-    # write-back is needed for it; per-set rows are exported on materialise
-    # and imported at the end.
-    pol_globals = policy.compact_globals()
-    pol_access = policy.compact_on_access
-    pol_fill = policy.compact_on_fill
-    pol_victim = policy.compact_victim
-
-    # Patrol-scrubber state (scrubbing scheme only).
-    if scrubbing:
-        scrub_rate = cache.scrub_rate
-        scrub_credit, scrub_cursor, scrubbed_lines, total_frames = (
-            cache.patrol_walk_state()
-        )
-
-    # Functional counters, folded into the statistics objects at the end.
-    demand_reads = demand_writes = 0
-    read_hits = read_misses = write_hits = write_misses = 0
-    fills = evictions = dirty_evictions = 0
-    data_way_reads = data_way_writes = ecc_decodes = 0
-    concealed_events = scrub_events = 0
-
-    # Deferred reliability events: one entry per expected-failure addend, in
-    # trace order.  ``conc`` is the tracker's concealed-read sample for
-    # deliveries and -1 for write-back checks (which record no sample).
-    ef_kind: list[int] = []
-    ef_ones: list[int] = []
-    ef_pwin: list[int] = []
-    ef_cwin: list[int] = []
-    ef_conc: list[int] = []
-    restore_ones: list[int] = []
-
-    # Lazily materialised per-set state: 13 parallel per-way structures plus
-    # the tag->way map, unpacked into locals once per same-set group.
-    set_states: dict[int, list] = {}
-
-    def materialise(set_index: int) -> list:
-        blocks = substrate.cache_set(set_index).blocks
-        tag_map = {}
-        nvalid = 0
-        for way, block in enumerate(blocks):
-            if block.valid:
-                tag_map[block.tag] = way
-                nvalid += 1
-        state = [
-            [b.tag for b in blocks],
-            [b.valid for b in blocks],
-            [b.dirty for b in blocks],
-            [b.ones_count for b in blocks],
-            [b.unchecked_reads for b in blocks],
-            [b.reads_since_demand for b in blocks],
-            [b.total_reads for b in blocks],
-            [b.total_concealed_reads for b in blocks],
-            [b.total_checks for b in blocks],
-            [b.fills for b in blocks],
-            [b.last_access_tick for b in blocks],
-            tag_map,
-            policy.export_set_state(set_index),
-            nvalid,
-        ]
-        set_states[set_index] = state
-        return state
-
-    # Group consecutive same-set accesses so the per-set state is bound once
-    # per run of records rather than once per record.
-    boundaries = np.flatnonzero(np.diff(set_indices)) + 1
-    group_starts = np.concatenate(([0], boundaries)).tolist()
-    group_ends = np.concatenate((boundaries, [count])).tolist()
-    group_sets = set_indices[np.concatenate(([0], boundaries))].tolist()
-
-    code_list = codes.tolist()
-    tag_list = tags.tolist()
-    way_range = range(assoc)
-
-    for set_index, start, end in zip(group_sets, group_starts, group_ends):
-        state = set_states.get(set_index)
-        if state is None:
-            state = materialise(set_index)
-        (
-            blk_tag,
-            blk_valid,
-            blk_dirty,
-            blk_ones,
-            blk_unchecked,
-            blk_rsd,
-            blk_reads,
-            blk_concealed,
-            blk_checks,
-            blk_fills,
-            blk_tick,
-            tag_map,
-            pol_state,
-            nvalid,
-        ) = state
-
-        for i in range(start, end):
-            tag = tag_list[i]
-            fill_ones = sample()
-            scheme_tick += 1
-            substrate_tick += 1
-            hit_way = tag_map.get(tag)
-            miss = True
-
-            if code_list[i] == 0:  # demand read
-                # -- read-path reliability events --------------------------------
-                if mode == _CONVENTIONAL and not restore:
-                    if hit_way is not None:
-                        for way in way_range:
-                            if blk_valid[way] and way != hit_way:
-                                blk_unchecked[way] += 1
-                                blk_rsd[way] += 1
-                                blk_reads[way] += 1
-                                blk_concealed[way] += 1
-                        concealed_events += nvalid - 1
-                        blk_reads[hit_way] += 1
-                        window = blk_unchecked[hit_way] + 1
-                        blk_unchecked[hit_way] = 0
-                        blk_rsd[hit_way] = 0
-                        blk_checks[hit_way] += 1
-                        blk_tick[hit_way] = scheme_tick
-                        ef_kind.append(_CONVENTIONAL)
-                        ef_ones.append(blk_ones[hit_way])
-                        ef_pwin.append(window)
-                        ef_cwin.append(window)
-                        ef_conc.append(window - 1)
-                        ways_read, decodes = nvalid, 1
-                    else:
-                        for way in way_range:
-                            if blk_valid[way]:
-                                blk_unchecked[way] += 1
-                                blk_rsd[way] += 1
-                                blk_reads[way] += 1
-                                blk_concealed[way] += 1
-                        concealed_events += nvalid
-                        ways_read, decodes = nvalid, 0
-                elif mode == _REAP:
-                    for way in way_range:
-                        if not blk_valid[way]:
-                            continue
-                        blk_reads[way] += 1
-                        blk_rsd[way] += 1
-                        blk_checks[way] += 1
-                        blk_tick[way] = scheme_tick
-                        if way == hit_way:
-                            window = blk_rsd[way]
-                            conc = blk_unchecked[way]
-                            blk_unchecked[way] = 0
-                            blk_rsd[way] = 0
-                            ef_kind.append(_REAP)
-                            ef_ones.append(blk_ones[way])
-                            ef_pwin.append(window)
-                            ef_cwin.append(window)
-                            ef_conc.append(conc)
-                        else:
-                            blk_unchecked[way] = 0
-                            scrub_events += 1
-                    ways_read = decodes = nvalid
-                elif mode == _SERIAL:
-                    if hit_way is not None:
-                        blk_reads[hit_way] += 1
-                        window = blk_unchecked[hit_way] + 1
-                        blk_unchecked[hit_way] = 0
-                        blk_rsd[hit_way] = 0
-                        blk_checks[hit_way] += 1
-                        blk_tick[hit_way] = scheme_tick
-                        ef_kind.append(_SERIAL)
-                        ef_ones.append(blk_ones[hit_way])
-                        ef_pwin.append(1)
-                        ef_cwin.append(window)
-                        ef_conc.append(window - 1)
-                        ways_read, decodes = 1, 1
-                    else:
-                        ways_read, decodes = 0, 0
-                else:  # restore: every touched way is scrubbed and rewritten
-                    for way in way_range:
-                        if not blk_valid[way] or way == hit_way:
-                            continue
-                        blk_reads[way] += 1
-                        blk_rsd[way] += 1
-                        blk_unchecked[way] = 0
-                        blk_checks[way] += 1
-                        blk_tick[way] = scheme_tick
-                        scrub_events += 1
-                        restore_ones.append(blk_ones[way])
-                        e_dwrite += way_write_e
-                        e_enc += enc_e
-                    if hit_way is not None:
-                        blk_reads[hit_way] += 1
-                        window = blk_unchecked[hit_way] + 1
-                        blk_unchecked[hit_way] = 0
-                        blk_rsd[hit_way] = 0
-                        blk_checks[hit_way] += 1
-                        blk_tick[hit_way] = scheme_tick
-                        ef_kind.append(_CONVENTIONAL)
-                        ef_ones.append(blk_ones[hit_way])
-                        ef_pwin.append(window)
-                        ef_cwin.append(window)
-                        ef_conc.append(window - 1)
-                        restore_ones.append(blk_ones[hit_way])
-                        e_dwrite += way_write_e
-                        e_enc += enc_e
-                        ways_read, decodes = nvalid, 1
-                    else:
-                        ways_read, decodes = nvalid, 0
-
-                # -- read-access energy and event statistics ---------------------
-                e_tag += tag_e
-                e_dread += ways_read * way_e
-                e_dec += decodes * dec_e
-                e_mux += mux_e
-                data_way_reads += ways_read
-                ecc_decodes += decodes
-
-                # -- functional access -------------------------------------------
-                demand_reads += 1
-                if hit_way is not None:
-                    read_hits += 1
-                    pol_access(pol_globals, pol_state, hit_way)
-                    miss = False
-                else:
-                    read_misses += 1
-            else:  # demand write
-                demand_writes += 1
-                if hit_way is not None:
-                    write_hits += 1
-                    blk_dirty[hit_way] = True
-                    blk_ones[hit_way] = fill_ones
-                    blk_unchecked[hit_way] = 0
-                    blk_rsd[hit_way] = 0
-                    blk_tick[hit_way] = substrate_tick
-                    data_way_writes += 1
-                    pol_access(pol_globals, pol_state, hit_way)
-                    e_tag += wtag_e
-                    e_dwrite += wdata_e
-                    e_enc += wecc_e
-                    miss = False
-                else:
-                    write_misses += 1
-
-            if miss:
-                # -- shared miss path: victim selection, fill, eviction ----------
-                victim = -1
-                for way in way_range:
-                    if not blk_valid[way]:
-                        victim = way
-                        break
-                if victim < 0:
-                    victim = pol_victim(pol_globals, pol_state, blk_unchecked)
-                    evicted_dirty = blk_dirty[victim]
-                    evicted_ones = blk_ones[victim]
-                    evicted_unchecked = blk_unchecked[victim]
-                    evictions += 1
-                    if evicted_dirty:
-                        dirty_evictions += 1
-                    del tag_map[blk_tag[victim]]
-                else:
-                    evicted_dirty = False
-                    blk_valid[victim] = True
-                    nvalid += 1
-
-                blk_tag[victim] = tag
-                blk_ones[victim] = fill_ones
-                blk_unchecked[victim] = 0
-                blk_rsd[victim] = 0
-                blk_fills[victim] += 1
-                blk_tick[victim] = substrate_tick
-                tag_map[tag] = victim
-                fills += 1
-                data_way_writes += 1
-                pol_fill(pol_globals, pol_state, victim)
-
-                # Write-allocate: a store dirties the fresh line; a read fill
-                # does not.  Either way one write-access energy triple is
-                # charged (the fill on a read, the demand store on a write).
-                blk_dirty[victim] = code_list[i] != 0
-                e_tag += wtag_e
-                e_dwrite += wdata_e
-                e_enc += wecc_e
-
-                if evicted_dirty:
-                    # Write-back read-out of the dirty victim: energy only.
-                    e_tag += tag_e
-                    e_dread += 1 * way_e
-                    e_dec += 1 * dec_e
-                    e_mux += mux_e
-                    if count_writebacks and evicted_ones > 0:
-                        ef_kind.append(_WRITEBACK)
-                        ef_ones.append(evicted_ones)
-                        ef_pwin.append(evicted_unchecked + 1)
-                        ef_cwin.append(evicted_unchecked + 1)
-                        ef_conc.append(-1)
-
-            if scrubbing:
-                # The patrol scrubber's share of work after each demand
-                # access, mirroring ScrubbingCache._advance_scrubber: visit
-                # the next resident line (any set) in round-robin frame
-                # order.  Scrubs never change validity or replacement state,
-                # so the current group's unpacked locals stay coherent even
-                # when the scrubbed line is in the active set (the state
-                # lists are aliased, not copied).
-                scrub_credit += scrub_rate
-                while scrub_credit >= 1.0:
-                    scrub_credit -= 1.0
-                    for _ in range(total_frames):
-                        frame = scrub_cursor
-                        scrub_cursor = (scrub_cursor + 1) % total_frames
-                        s_set, s_way = divmod(frame, assoc)
-                        target = set_states.get(s_set)
-                        if target is not None:
-                            s_valid = target[1][s_way]
-                        else:
-                            s_valid = substrate.cache_set(s_set).blocks[s_way].valid
-                        if not s_valid:
-                            continue
-                        if target is None:
-                            target = materialise(s_set)
-                        # on_scrub_read: a checked, non-demand read.
-                        target[4][s_way] = 0  # unchecked_reads
-                        target[5][s_way] += 1  # reads_since_demand
-                        target[6][s_way] += 1  # total_reads
-                        target[8][s_way] += 1  # total_checks
-                        target[10][s_way] = scheme_tick
-                        scrub_events += 1
-                        e_tag += tag_e
-                        e_dread += 1 * way_e
-                        e_dec += 1 * dec_e
-                        e_mux += mux_e
-                        scrubbed_lines += 1
-                        break
-
-        state[13] = nvalid
-
-    # -- resolve deferred probabilities and fold everything back --------------
-    probabilities = _resolve_probabilities(engine, ef_kind, ef_ones, ef_pwin)
-    rel_stats.record_check_batch(ef_cwin, probabilities)
-    rel_stats.record_concealed(concealed_events)
-    rel_stats.scrub_events += scrub_events
-    tracker = engine.tracker
-    if tracker is not None and ef_conc:
-        tracker.record_batch(
-            [conc for conc in ef_conc if conc >= 0],
-            [ones for ones, conc in zip(ef_ones, ef_conc) if conc >= 0],
-        )
-    if restore and restore_ones:
-        failure_by_ones: dict[int, float] = {}
-        write_model = cache.write_error_model
-        for ones in set(restore_ones):
-            failure_by_ones[ones] = write_model.block_write_failure_probability(ones)
-        cache.record_restore_batch([failure_by_ones[ones] for ones in restore_ones])
-    if scrubbing:
-        cache.import_scrub_state(scrub_credit, scrub_cursor, scrubbed_lines)
-
-    stats.demand_reads += demand_reads
-    stats.demand_writes += demand_writes
-    stats.read_hits += read_hits
-    stats.read_misses += read_misses
-    stats.write_hits += write_hits
-    stats.write_misses += write_misses
-    stats.fills += fills
-    stats.evictions += evictions
-    stats.dirty_evictions += dirty_evictions
-    stats.data_way_reads += data_way_reads
-    stats.data_way_writes += data_way_writes
-    stats.ecc_decodes += ecc_decodes
-    stats.tag_comparisons += count * assoc
-
-    totals.tag_pj = e_tag
-    totals.data_read_pj = e_dread
-    totals.data_write_pj = e_dwrite
-    totals.ecc_decode_pj = e_dec
-    totals.ecc_encode_pj = e_enc
-    totals.mux_pj = e_mux
-
-    for set_index, state in set_states.items():
-        blocks = substrate.cache_set(set_index).blocks
-        for way, block in enumerate(blocks):
-            block.tag = state[0][way]
-            block.valid = state[1][way]
-            block.dirty = state[2][way]
-            block.ones_count = state[3][way]
-            block.unchecked_reads = state[4][way]
-            block.reads_since_demand = state[5][way]
-            block.total_reads = state[6][way]
-            block.total_concealed_reads = state[7][way]
-            block.total_checks = state[8][way]
-            block.fills = state[9][way]
-            block.last_access_tick = state[10][way]
-        policy.import_set_state(set_index, state[12])
-
-    cache._tick = scheme_tick  # noqa: SLF001 - engine-internal state sync
-    substrate._tick = substrate_tick  # noqa: SLF001 - engine-internal state sync
-
-
-def _resolve_probabilities(
-    engine, ef_kind: list[int], ef_ones: list[int], ef_pwin: list[int]
-) -> list[float]:
-    """Evaluate the deferred failure probabilities, in trace order.
-
-    The unique ``(kind, ones, window)`` keys are evaluated once each with
-    the vectorised binomial math (falling back to the engine's memoised
-    scalar lookups for interleaved multi-lane codes, whose REAP expression
-    differs) and scattered back over the per-event records.
-    """
-    if not ef_kind:
-        return []
-    keys = np.array([ef_kind, ef_ones, ef_pwin], dtype=np.int64).T
-    unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy >= 2.1 keeps the axis shape
-    kinds = unique_keys[:, 0]
-    ones = unique_keys[:, 1]
-    windows = unique_keys[:, 2]
-    p_cell = engine.p_cell
-    correctable = engine.correctable_errors
-    lanes = engine.interleaving_lanes
-    unique_probs = np.zeros(len(unique_keys), dtype=float)
-
-    nonzero = ones > 0
-    if lanes > 1:
-        lane_ones = np.maximum(1, np.round(ones / lanes)).astype(np.int64)
-    else:
-        lane_ones = ones
-
-    for kind_code in (_CONVENTIONAL, _SERIAL, _WRITEBACK):
-        mask = (kinds == kind_code) & nonzero
-        if not mask.any():
-            continue
-        if kind_code == _WRITEBACK:
-            # Write-back checks use the raw Eq. (3) tail, with no lane
-            # adjustment (mirroring ProtectedCache._handle_eviction).
-            unique_probs[mask] = accumulated_failure_probabilities(
-                p_cell, ones[mask], windows[mask], correctable
-            )
-        else:
-            if kind_code == _CONVENTIONAL:
-                per_lane = accumulated_failure_probabilities(
-                    p_cell, lane_ones[mask], windows[mask], correctable
-                )
-            else:
-                per_lane = block_failure_probabilities(
-                    p_cell, lane_ones[mask], correctable
-                )
-            unique_probs[mask] = (
-                np.minimum(1.0, lanes * per_lane) if lanes > 1 else per_lane
-            )
-
-    reap_mask = (kinds == _REAP) & nonzero
-    if reap_mask.any():
-        if lanes == 1:
-            unique_probs[reap_mask] = reap_failure_probabilities(
-                p_cell, ones[reap_mask], windows[reap_mask], correctable
-            )
-        else:
-            # The multi-lane REAP expression goes through the engine's
-            # memoised per-key scalar path; unique keys keep this cheap.
-            indices = np.flatnonzero(reap_mask)
-            for index in indices:
-                unique_probs[index] = engine.reap_probability(
-                    int(ones[index]), int(windows[index])
-                )
-
-    return unique_probs[inverse].tolist()

@@ -1,10 +1,10 @@
-"""Structure-of-arrays (SoA) replay kernel for the batched engines.
+"""Structure-of-arrays (SoA) replay kernel behind :mod:`repro.sim.fastpath`.
 
-This module is the second kernel tier of :mod:`repro.sim.fastpath`.  The
-first tier (the *loop* kernel, ``fastpath._replay``) already avoids the
-object path, but it still dispatches Python bytecode per access — and, for
-the multi-way schemes, per way.  The SoA kernel removes that by splitting
-the replay into two passes:
+The reference engine in :mod:`repro.sim.engine` drives the object model one
+record at a time, dispatching Python bytecode per access — and, for the
+multi-way schemes, per way.  This kernel is the one fast implementation of
+the same model.  It avoids that cost by splitting the replay into two
+passes:
 
 1. **Functional pass** (sequential, minimal): one lean Python loop decides
    hit/miss, victim and eviction for every access — the only genuinely
@@ -23,7 +23,7 @@ the replay into two passes:
    evicted-block exposures, the final per-block counters and the recency
    ticks without touching Python per access.
 
-Bit-identical by construction, like the loop kernel:
+Bit-identical to the reference loop by construction:
 
 * the per-access ones-count samples are drawn with
   :meth:`repro.core.DataValueProfile.sample_many`, which consumes the
@@ -32,9 +32,11 @@ Bit-identical by construction, like the loop kernel:
   order — the per-access addend sequences are reconstructed per accumulator
   and reduced with a seeded ``np.cumsum``, whose accumulation is
   sequential, so the final value is bitwise equal to the scalar loop's;
-* the deferred failure probabilities go through the same vectorised
-  binomial evaluation as the loop kernel (packed-key deduplication via
-  :func:`repro.reliability.binomial.resolve_unique_keys`).
+* the deferred failure probabilities are evaluated once per unique key
+  (packed-key deduplication via
+  :func:`repro.reliability.binomial.resolve_unique_keys`) with vectorised
+  binomial functions that are element-for-element identical to the scalar
+  ones the reference engine memoises.
 
 The CPU-level entry (:func:`filter_through_l1_soa`) additionally
 run-length-encodes the L1 streams: consecutive references of one L1 to the
@@ -43,7 +45,7 @@ Python iteration instead of one per record, and the realised L2 stream is
 merged back in global order for the L2 replay above.
 
 The differential harness in ``tests/sim/test_engine_equivalence.py`` sweeps
-``kernel="loop"`` against ``kernel="soa"`` across every scheme, replacement
+this kernel against the reference engine across every scheme, replacement
 policy and trace level to enforce all of this field by field.
 """
 
@@ -71,7 +73,8 @@ from ..reliability.binomial import (
 )
 from ..telemetry import span as telemetry_span
 
-#: Delivery-kind codes shared with the loop kernel.
+#: Delivery-kind codes; :data:`repro.sim.fastpath._SCHEME_MODES` maps each
+#: scheme to one of the first three.
 _CONVENTIONAL, _REAP, _SERIAL, _WRITEBACK = 0, 1, 2, 3
 
 #: Policies whose SoA-mode shortcuts are maintained together with their
@@ -349,15 +352,16 @@ def replay_l2_soa(
 ) -> None:
     """Drive ``cache`` through the decoded stream with the SoA kernel.
 
-    Same contract as the loop kernel's ``_replay``: the cache ends in the
-    exact state the reference per-record loop would leave it in.
+    The cache ends in the exact state the reference per-record loop would
+    leave it in.
 
     Args:
         cache: A fast-path-capable :class:`~repro.core.ProtectedCache`.
         codes: Per-access kind codes (0 read, 1 write).
         set_indices: Per-access set indices.
         tags: Per-access tags.
-        scheme_mode: The loop kernel's delivery-kind code for the scheme.
+        scheme_mode: The scheme's delivery-kind code (see
+            :data:`repro.sim.fastpath._SCHEME_MODES`).
     """
     count = len(codes)
     if count == 0:
@@ -1188,10 +1192,11 @@ def replay_l2_soa(
     pass2_span.finish()
 
 
-class _L1ReplaySoA:
+class _L1FilterSoA:
     """Two-pass, run-length-aware replay of one functional (SRAM) L1 cache.
 
-    Equivalent to the loop kernel's per-record ``_L1Replay`` — same counters,
+    Equivalent to :meth:`repro.cache.SetAssociativeCache.access` per record
+    (with ``fill_ones_count=0``, as the hierarchy uses it) — same counters,
     same block fields, same replacement transitions — but mirrors the L2
     kernel's pass split:
 
@@ -1208,7 +1213,7 @@ class _L1ReplaySoA:
       final recency tick of each frame the last tick-updating run that
       touched it.
 
-    Bit-identical to the old per-run loop: pass 1 performs the identical
+    Bit-identical to a per-run loop: pass 1 performs the identical
     policy calls at the identical points in the stream, and every pass-2
     quantity is an integer reconstruction of the same arithmetic.
     """
@@ -1505,7 +1510,7 @@ class _L1ReplaySoA:
             stats.fills += n_miss
             # One data-array write per fill plus one per store, minus the
             # store folded into a write-allocate fill (same arithmetic as
-            # the loop kernel, summed instead of accumulated).
+            # the per-access object path, summed instead of accumulated).
             stats.data_way_writes += demand_writes + n_miss - write_misses
 
             fills_l = np.bincount(
@@ -1593,16 +1598,16 @@ def filter_through_l1_soa(
     data_writes = int(np.count_nonzero(d_stores))
     data_reads = int(d_positions.size) - data_writes
 
-    i_replay = _L1ReplaySoA(l1i)
-    d_replay = _L1ReplaySoA(l1d)
-    i_pos, _, i_wb_tag = i_replay.replay(
+    i_filter = _L1FilterSoA(l1i)
+    d_filter = _L1FilterSoA(l1d)
+    i_pos, _, i_wb_tag = i_filter.replay(
         i_positions, i_batch.indices, i_batch.tags, np.zeros(i_positions.size, dtype=bool)
     )
-    d_pos, d_sets, d_wb_tag = d_replay.replay(
+    d_pos, d_sets, d_wb_tag = d_filter.replay(
         d_positions, d_batch.indices, d_batch.tags, d_stores
     )
-    i_replay.finalize()
-    d_replay.finalize()
+    i_filter.finalize()
+    d_filter.finalize()
     # Only the data side can evict dirty lines (the instruction stream
     # never stores), which the assert pins down.
     assert not i_wb_tag.size or int(i_wb_tag.max()) < 0, "L1I emitted a write-back"
@@ -1664,9 +1669,9 @@ def _record_restores(
     """Rebuild the restore scheme's per-(read, way) rewrite stream.
 
     Every demand read restores all currently valid ways of its set — the
-    non-hit ways in ascending order, then the hit way.  The loop kernel
-    appends one ones count per restored way; this reconstructs the exact
-    same sequence from the frame event streams and records the write-failure
+    non-hit ways in ascending order, then the hit way.  The reference loop
+    accounts one restore per such way; this reconstructs the exact same
+    sequence from the frame event streams and records the write-failure
     probabilities in one batch.
     """
     num_frames = len(init_ones)

@@ -18,8 +18,7 @@ constraints, in order:
    ``tests/telemetry/test_zero_interference.py`` hold stores byte-identical
    with telemetry on and off.
 3. **Scope-local, process-inheritable.**  :func:`telemetry` activates a
-   session for a ``with`` scope through a contextvar — the same shape as
-   :func:`repro.sim.engine.deduplicate_fallback_warnings` — so nested and
+   session for a ``with`` scope through a contextvar, so nested and
    concurrent scopes compose.  Campaign worker processes inherit the
    session through :func:`current_spec` + :func:`enable_telemetry_for_process`
    (the pool-initializer pair), and coordinator handler threads re-enter it
@@ -266,8 +265,7 @@ def telemetry(target: str | Path | Sink, **context: Any):
         The :class:`TelemetrySession`, whose sink the caller may inspect.
 
     The sink is closed when the scope exits, and the previous session (or
-    none) is restored — scopes nest and compose with concurrent contexts
-    exactly like the engine's warning-dedup scope.
+    none) is restored — scopes nest and compose with concurrent contexts.
     """
     session = TelemetrySession(_open_sink(target), dict(context))
     token = _active.set(session)
@@ -305,11 +303,10 @@ def enable_telemetry_for_process(
     """Enable (or explicitly disable) telemetry for the rest of this process.
 
     The worker-process half of session inheritance: pool initializers call
-    it with the parent's :func:`current_spec` — mirroring
-    :func:`repro.sim.engine.enable_fallback_warning_dedup` — so jobs
-    dispatched to the worker emit into the same telemetry file.  A ``None``
-    spec *clears* any session a forked child inherited from its parent
-    (process-local renderers must not run twice).
+    it with the parent's :func:`current_spec`, so jobs dispatched to the
+    worker emit into the same telemetry file.  A ``None`` spec *clears* any
+    session a forked child inherited from its parent (process-local
+    renderers must not run twice).
     """
     if spec is None:
         _active.set(None)

@@ -158,7 +158,9 @@ class TelemetryStats:
     counters: dict[str, tuple[int, float]] = field(default_factory=dict)
     #: gauge name -> (emit count, last value, min, max).
     gauges: dict[str, tuple[int, float, float, float]] = field(default_factory=dict)
-    #: (engine, kernel) label -> selection count, from ``sim.engine`` events.
+    #: Engine label -> selection count, from ``sim.engine`` events (logs
+    #: written before the fast path had a single kernel label it
+    #: ``engine/kernel``).
     engine_selections: dict[str, int] = field(default_factory=dict)
     #: fallback reason -> occurrence count, from ``engine.fallback`` events.
     fallbacks: dict[str, int] = field(default_factory=dict)

@@ -30,7 +30,7 @@ to uncached operation with a single deduplicated warning per directory.
 The cache location is an operational knob — CLI ``--artifact-cache`` or the
 ``REPRO_ARTIFACT_CACHE`` environment variable — and never enters job
 identity: :class:`~repro.campaign.spec.JobSpec` keys and experiment
-settings are unchanged by it, exactly like the engine/kernel selection.
+settings are unchanged by it, exactly like the engine selection.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the statistics containers."""
 
+import numpy as np
 import pytest
 
 from repro.cache import CacheStatistics, ReliabilityStatistics
@@ -79,31 +80,34 @@ class TestReliabilityStatistics:
         assert "mean_accumulated_reads" in data
 
 
-class TestRecordCheckBatch:
+class TestRecordCheckArray:
     def test_matches_sequential_record_check(self):
         events = [(1, 5.0e-13), (3, 1.2e-10), (1, 5.0e-13), (50, 1.3e-9)]
         sequential = ReliabilityStatistics()
         for exposure, probability in events:
             sequential.record_check(exposure, probability)
         batched = ReliabilityStatistics()
-        batched.record_check_batch(
-            [exposure for exposure, _ in events],
-            [probability for _, probability in events],
+        batched.record_check_array(
+            np.array([exposure for exposure, _ in events]),
+            np.array([probability for _, probability in events]),
         )
         assert vars(batched) == vars(sequential)
 
-    def test_empty_batch_is_a_no_op(self):
+    def test_empty_arrays_are_a_no_op(self):
         stats = ReliabilityStatistics()
-        stats.record_check_batch([], [])
+        stats.record_check_array(np.array([], dtype=np.int64), np.array([]))
         assert stats.checked_reads == 0
         assert stats.expected_failures == 0.0
         assert stats.max_accumulated_reads == 0
 
-    def test_batch_continues_existing_totals(self):
+    def test_arrays_continue_existing_totals(self):
         stats = ReliabilityStatistics()
         stats.record_check(7, 1e-10)
-        stats.record_check_batch([2, 3], [1e-11, 1e-12])
+        stats.record_check_array(np.array([2, 3]), np.array([1e-11, 1e-12]))
+        sequential = ReliabilityStatistics()
+        for exposure, probability in ((7, 1e-10), (2, 1e-11), (3, 1e-12)):
+            sequential.record_check(exposure, probability)
         assert stats.checked_reads == 3
         assert stats.accumulated_reads_sum == 12
         assert stats.max_accumulated_reads == 7
-        assert stats.expected_failures == pytest.approx(1e-10 + 1e-11 + 1e-12)
+        assert vars(stats) == vars(sequential)

@@ -271,3 +271,18 @@ class TestEngineSwitch:
         reference = ExperimentRunner(["gcc"], settings=settings).run()
         fast = ExperimentRunner(["gcc"], settings=settings, engine="fast").run()
         assert reference == fast
+
+    def test_legacy_kernel_field_in_payload_is_ignored(self):
+        """Payloads from older coordinators or checkpoints may carry a
+        ``"kernel"`` field; it selects nothing and changes nothing."""
+        from repro.campaign.execution import execute_payload, payload_for
+
+        job = small_spec(workloads=("gcc",)).jobs()[0]
+        payload = payload_for(job)
+        assert "kernel" not in payload
+        key, comparison, _ = execute_payload(payload)
+        legacy_key, legacy_comparison, _ = execute_payload(
+            {**payload, "kernel": "loop"}
+        )
+        assert legacy_key == key == job.key
+        assert legacy_comparison == comparison

@@ -1,5 +1,7 @@
 """Tests for the disruptive-read-and-restore baseline."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cache import AddressMapper
@@ -90,35 +92,39 @@ class TestRestoreBehaviour:
         assert restore.engine.expected_failures <= reap.engine.expected_failures * (1 + 1e-9)
 
 
-class TestRecordRestoreBatch:
-    def test_matches_sequential_accounting(self):
-        cache = build_protected_cache(
+class TestRecordRestoreArray:
+    def make_cache(self):
+        return build_protected_cache(
             ProtectionScheme.RESTORE,
             small_l2(),
             p_cell=1e-8,
             data_profile=DataValueProfile.constant(100),
         )
-        probabilities = [
-            cache.write_error_model.block_write_failure_probability(ones)
-            for ones in (100, 90, 100)
-        ]
-        before_count = cache.restore_count
-        before_failures = cache.restore_expected_failures
-        cache.record_restore_batch(probabilities)
-        assert cache.restore_count == before_count + 3
-        expected = before_failures
-        for probability in probabilities:
-            expected += probability
-        assert cache.restore_expected_failures == expected
 
-    def test_empty_batch_is_a_no_op(self):
-        cache = build_protected_cache(
-            ProtectionScheme.RESTORE,
-            small_l2(),
-            p_cell=1e-8,
-            data_profile=DataValueProfile.constant(100),
+    def test_matches_per_restore_accounting(self):
+        import numpy as np
+
+        ones_counts = (100, 90, 100, 7)
+        per_restore = self.make_cache()
+        for ones in ones_counts:
+            per_restore._account_restore(SimpleNamespace(ones_count=ones))
+        by_array = self.make_cache()
+        by_array.record_restore_array(
+            np.array(
+                [
+                    by_array.write_error_model.block_write_failure_probability(ones)
+                    for ones in ones_counts
+                ]
+            )
         )
-        cache.record_restore_batch([])
+        assert by_array.restore_count == per_restore.restore_count == 4
+        assert by_array.restore_expected_failures == per_restore.restore_expected_failures
+
+    def test_empty_array_is_a_no_op(self):
+        import numpy as np
+
+        cache = self.make_cache()
+        cache.record_restore_array(np.array([]))
         assert cache.restore_count == 0
         assert cache.restore_expected_failures == 0.0
 

@@ -1,5 +1,6 @@
 """Tests for accumulation tracking and the Fig. 3 histogram."""
 
+import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
@@ -95,29 +96,30 @@ class TestConcealedReadHistogram:
             ConcealedReadHistogram(tracker, p_cell=1e-8).tail_dominance_ratio(1.5)
 
 
-class TestRecordBatch:
+class TestRecordSampleArrays:
     def test_matches_sequential_record(self):
         events = [(0, 100), (5, 90), (0, 110), (49, 100)]
         sequential = AccumulationTracker()
         for concealed, ones in events:
             sequential.record(concealed, ones)
         batched = AccumulationTracker()
-        batched.record_batch(
-            [concealed for concealed, _ in events], [ones for _, ones in events]
+        batched.record_sample_arrays(
+            np.array([concealed for concealed, _ in events]),
+            np.array([ones for _, ones in events]),
         )
         assert batched.samples == sequential.samples
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ConfigurationError):
-            AccumulationTracker().record_batch([1, 2], [100])
+            AccumulationTracker().record_sample_arrays(np.array([1, 2]), np.array([100]))
 
     def test_rejects_negative_values(self):
         with pytest.raises(ConfigurationError):
-            AccumulationTracker().record_batch([-1], [100])
+            AccumulationTracker().record_sample_arrays(np.array([-1]), np.array([100]))
         with pytest.raises(ConfigurationError):
-            AccumulationTracker().record_batch([1], [-100])
+            AccumulationTracker().record_sample_arrays(np.array([1]), np.array([-100]))
 
-    def test_empty_batch_is_a_no_op(self):
+    def test_empty_arrays_are_a_no_op(self):
         tracker = AccumulationTracker()
-        tracker.record_batch([], [])
+        tracker.record_sample_arrays(np.array([], dtype=np.int64), np.array([]))
         assert len(tracker) == 0

@@ -41,10 +41,6 @@ EQUIVALENCE_SCHEMES = ("conventional", "reap", "serial", "restore", "scrubbing")
 #: compact-state protocol.
 EQUIVALENCE_POLICIES = ("lru", "fifo", "plru", "random", "ler")
 
-#: The fast path's kernel tiers, both bit-identical to the reference loop.
-EQUIVALENCE_KERNELS = ("loop", "soa")
-
-
 def small_l2(**overrides) -> CacheLevelConfig:
     """A small L2 geometry that keeps the harness quick but conflict-rich."""
     params = dict(
@@ -121,9 +117,7 @@ def build_cache(
     )
 
 
-def run_both_engines(
-    scheme, trace, config=None, seed=1, ones_count=100, kernel="loop", **kwargs
-):
+def run_both_engines(scheme, trace, config=None, seed=1, ones_count=100, **kwargs):
     """Run one trace through both engines on identically-built caches.
 
     Returns:
@@ -136,12 +130,12 @@ def run_both_engines(
         scheme, config=config, seed=seed, ones_count=ones_count, **kwargs
     )
     reference_result = run_l2_trace(reference_cache, trace, engine="reference")
-    fast_result = run_l2_trace(fast_cache, trace, engine="fast", kernel=kernel)
+    fast_result = run_l2_trace(fast_cache, trace, engine="fast")
     return reference_result, fast_result, reference_cache, fast_cache
 
 
 def run_both_cpu_engines(
-    scheme, trace, sim_config=None, seed=1, ones_count=100, kernel="loop", **kwargs
+    scheme, trace, sim_config=None, seed=1, ones_count=100, **kwargs
 ):
     """Run one CPU trace through both engines over identical hierarchies.
 
@@ -160,7 +154,7 @@ def run_both_cpu_engines(
         reference_cache, trace, config=sim_config, seed=seed, engine="reference"
     )
     fast_result, fast_hierarchy = run_cpu_trace(
-        fast_cache, trace, config=sim_config, seed=seed, engine="fast", kernel=kernel
+        fast_cache, trace, config=sim_config, seed=seed, engine="fast"
     )
     return (
         reference_result,

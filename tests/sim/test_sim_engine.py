@@ -6,6 +6,7 @@ from repro.config import CacheLevelConfig, SimulationConfig
 from repro.core import DataValueProfile, ProtectionScheme, build_protected_cache
 from repro.errors import SimulationError
 from repro.sim import run_cpu_trace, run_l2_trace, simulated_time_for
+from repro.telemetry import MemorySink, telemetry
 from repro.workloads import (
     AccessKind,
     Trace,
@@ -129,6 +130,28 @@ class TestRunL2Trace:
         assert cache.stats.accesses == 0
         assert cache.energy.dynamic_pj == 0.0
 
+    def test_reference_engine_validates_as_it_goes(self):
+        """The reference loop has replayed the valid prefix when it raises."""
+        trace = Trace(
+            name="mixed",
+            records=[
+                TraceRecord(AccessKind.L2_READ, 0x1000),
+                TraceRecord(AccessKind.LOAD, 0x2000),
+            ],
+        )
+        cache = make_cache()
+        with pytest.raises(SimulationError):
+            run_l2_trace(cache, trace, engine="reference")
+        assert cache.stats.accesses == 1
+
+    def test_default_engine_is_the_fast_path(self):
+        trace = generate_l2_trace(get_profile("gcc"), small_l2(), num_accesses=500, seed=1)
+        sink = MemorySink()
+        with telemetry(sink):
+            run_l2_trace(make_cache(), trace)
+        engines = [e["engine"] for e in sink.events if e["name"] == "sim.engine"]
+        assert engines == ["fast"]
+
     def test_mttf_property_consistent(self):
         trace = generate_l2_trace(get_profile("gcc"), small_l2(), num_accesses=2_000, seed=1)
         result = run_l2_trace(make_cache(), trace)
@@ -145,11 +168,16 @@ class TestRunCpuTrace:
             p_cell=1e-8,
             data_profile=DataValueProfile.constant(100),
         )
-        result, hierarchy = run_cpu_trace(cache, trace)
+        sink = MemorySink()
+        with telemetry(sink):
+            result, hierarchy = run_cpu_trace(cache, trace)
         assert hierarchy.stats.total_references == 5_000
         # The L1s absorb most of the traffic.
         assert result.num_accesses < 5_000
         assert result.num_accesses == hierarchy.stats.l2_reads + hierarchy.stats.l2_writebacks
+        # The default engine is the fast path.
+        engines = [e["engine"] for e in sink.events if e["name"] == "sim.engine"]
+        assert engines == ["fast"]
 
     def test_hierarchy_leakage_included_by_default(self):
         trace = hot_loop_trace(num_accesses=2_000, seed=1)

@@ -3,7 +3,7 @@
 Chunked replay must be *bit-identical* to whole-trace replay: same
 :class:`SchemeRunResult`, same accumulation-tracker samples, same
 reliability/energy statistics, same per-block and per-set policy state —
-for every scheme, both fast-path kernels, several segment sizes, the
+for every scheme, several segment sizes, the
 reference engine, and traces served from disk (binary and text sources).
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from equivalence_utils import (
-    EQUIVALENCE_KERNELS,
     EQUIVALENCE_SCHEMES,
     assert_caches_equivalent,
     assert_results_equivalent,
@@ -43,40 +42,36 @@ def binary_path(trace, tmp_path_factory):
     return path
 
 
-def run_whole(scheme, trace, kernel):
+def run_whole(scheme, trace):
     cache = build_cache(scheme)
-    result = run_l2_trace(cache, trace, engine="fast", kernel=kernel)
+    result = run_l2_trace(cache, trace, engine="fast")
     return result, cache
 
 
 class TestSegmentedReplayBitIdentity:
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("segment_accesses", SEGMENT_SIZES)
-    def test_segmented_equals_whole(self, trace, scheme, kernel, segment_accesses):
-        whole_result, whole_cache = run_whole(scheme, trace, kernel)
+    def test_segmented_equals_whole(self, trace, scheme, segment_accesses):
+        whole_result, whole_cache = run_whole(scheme, trace)
         segmented_cache = build_cache(scheme)
         segmented_result = run_l2_trace(
             segmented_cache,
             trace,
             engine="fast",
-            kernel=kernel,
             segment_accesses=segment_accesses,
         )
         assert_results_equivalent(whole_result, segmented_result)
         assert_caches_equivalent(whole_cache, segmented_cache)
 
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
-    def test_binary_source_equals_whole(self, trace, binary_path, scheme, kernel):
-        whole_result, whole_cache = run_whole(scheme, trace, kernel)
+    def test_binary_source_equals_whole(self, trace, binary_path, scheme):
+        whole_result, whole_cache = run_whole(scheme, trace)
         source_cache = build_cache(scheme)
         with open_trace(binary_path) as source:
             source_result = run_l2_trace(
                 source_cache,
                 source,
                 engine="fast",
-                kernel=kernel,
                 segment_accesses=1536,
             )
         assert_results_equivalent(whole_result, source_result)
@@ -96,7 +91,7 @@ class TestSegmentedReplayBitIdentity:
     def test_text_source_equals_whole(self, trace, tmp_path):
         path = tmp_path / "trace.txt"
         trace.save(path)
-        whole_result, whole_cache = run_whole("reap", trace, "soa")
+        whole_result, whole_cache = run_whole("reap", trace)
         source_cache = build_cache("reap")
         source_result = run_l2_trace(
             source_cache,
@@ -109,7 +104,7 @@ class TestSegmentedReplayBitIdentity:
 
     def test_default_segmenting_of_a_source_is_identical(self, trace, binary_path):
         """A TraceSource with no explicit segment size replays correctly."""
-        whole_result, whole_cache = run_whole("reap", trace, "soa")
+        whole_result, whole_cache = run_whole("reap", trace)
         source_cache = build_cache("reap")
         with open_trace(binary_path) as source:
             source_result = run_l2_trace(source_cache, source, engine="fast")
