@@ -20,6 +20,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import pytest
+
 from repro.config import (
     CacheLevelConfig,
     ECCConfig,
@@ -40,6 +42,19 @@ EQUIVALENCE_SCHEMES = ("conventional", "reap", "serial", "restore", "scrubbing")
 #: Every built-in replacement policy, all covered by the fast path via the
 #: compact-state protocol.
 EQUIVALENCE_POLICIES = ("lru", "fifo", "plru", "random", "ler")
+
+#: Replays the fast engine's L2 side both as one segment and in ragged
+#: segments, so every scenario also checks state carried across segment
+#: boundaries.  Tests take the value as ``segment_accesses``.
+over_fast_segmenting = pytest.mark.parametrize(
+    "segment_accesses", (None, 701), ids=("whole", "segmented")
+)
+
+#: Runs the fast engine's CPU path with the L1-filtered stream computed
+#: in place and loaded from a warm artifact cache.  Tests take the value
+#: as ``l1_stream``.
+over_l1_stream = pytest.mark.parametrize("l1_stream", ("uncached", "warm"))
+
 
 def small_l2(**overrides) -> CacheLevelConfig:
     """A small L2 geometry that keeps the harness quick but conflict-rich."""
@@ -117,8 +132,13 @@ def build_cache(
     )
 
 
-def run_both_engines(scheme, trace, config=None, seed=1, ones_count=100, **kwargs):
+def run_both_engines(
+    scheme, trace, config=None, seed=1, ones_count=100, segment_accesses=None, **kwargs
+):
     """Run one trace through both engines on identically-built caches.
+
+    ``segment_accesses`` is the fast engine's replay segment length
+    (``None`` replays the trace as one segment).
 
     Returns:
         ``(reference_result, fast_result, reference_cache, fast_cache)``.
@@ -130,14 +150,26 @@ def run_both_engines(scheme, trace, config=None, seed=1, ones_count=100, **kwarg
         scheme, config=config, seed=seed, ones_count=ones_count, **kwargs
     )
     reference_result = run_l2_trace(reference_cache, trace, engine="reference")
-    fast_result = run_l2_trace(fast_cache, trace, engine="fast")
+    fast_result = run_l2_trace(
+        fast_cache, trace, engine="fast", segment_accesses=segment_accesses
+    )
     return reference_result, fast_result, reference_cache, fast_cache
 
 
 def run_both_cpu_engines(
-    scheme, trace, sim_config=None, seed=1, ones_count=100, **kwargs
+    scheme,
+    trace,
+    sim_config=None,
+    seed=1,
+    ones_count=100,
+    artifact_cache="off",
+    **kwargs,
 ):
     """Run one CPU trace through both engines over identical hierarchies.
+
+    When ``artifact_cache`` names a cache, a throwaway fast run on a
+    separate L2 stores the L1-filtered stream first, so the measured fast
+    run replays it from the warm cache.
 
     Returns:
         ``(reference_result, fast_result, reference_hierarchy,
@@ -150,11 +182,28 @@ def run_both_cpu_engines(
     fast_cache = build_cache(
         scheme, config=sim_config.hierarchy.l2, seed=seed, ones_count=ones_count, **kwargs
     )
+    if artifact_cache != "off":
+        warming_cache = build_cache(
+            scheme, config=sim_config.hierarchy.l2, seed=seed, ones_count=ones_count, **kwargs
+        )
+        run_cpu_trace(
+            warming_cache,
+            trace,
+            config=sim_config,
+            seed=seed,
+            engine="fast",
+            artifact_cache=artifact_cache,
+        )
     reference_result, reference_hierarchy = run_cpu_trace(
         reference_cache, trace, config=sim_config, seed=seed, engine="reference"
     )
     fast_result, fast_hierarchy = run_cpu_trace(
-        fast_cache, trace, config=sim_config, seed=seed, engine="fast"
+        fast_cache,
+        trace,
+        config=sim_config,
+        seed=seed,
+        engine="fast",
+        artifact_cache=artifact_cache,
     )
     return (
         reference_result,

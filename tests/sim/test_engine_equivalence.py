@@ -4,7 +4,10 @@ The fast engine in :mod:`repro.sim.fastpath` is only allowed to exist
 because it is *numerically indistinguishable* from the per-record reference
 loop.  This module is the contract: it sweeps every fast-path scheme across
 SPEC-profile and synthetic workloads, every built-in replacement policy,
-both trace levels (L2 and CPU/hierarchy) and multiple seeds, and asserts
+both trace levels (L2 and CPU/hierarchy) and multiple seeds — with the fast
+L2 replay run whole and in ragged segments, and the fast CPU path run with
+its L1-filtered stream computed and served from a warm artifact cache — and
+asserts
 field-by-field equality of
 
 * the :class:`~repro.sim.SchemeRunResult` snapshot (ints exact, floats to
@@ -56,6 +59,8 @@ from equivalence_utils import (
     assert_results_equivalent,
     build_cache,
     interleaved_l2,
+    over_fast_segmenting,
+    over_l1_stream,
     run_both_cpu_engines,
     run_both_engines,
     small_hierarchy_config,
@@ -98,19 +103,21 @@ class TestSchemeWorkloadSeedSweep:
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_engines_match(self, scheme, workload, seed):
+    @over_fast_segmenting
+    def test_engines_match(self, scheme, workload, seed, segment_accesses):
         trace = profile_trace(workload, seed)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, seed=seed
+            scheme, trace, seed=seed, segment_accesses=segment_accesses
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_restore_and_scheme_extras(self, scheme):
+    @over_fast_segmenting
+    def test_restore_and_scheme_extras(self, scheme, segment_accesses):
         trace = profile_trace("h264ref", 3)
         _, _, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, seed=3
+            scheme, trace, seed=3, segment_accesses=segment_accesses
         )
         if scheme == "restore":
             assert ref_cache.restore_count == fast_cache.restore_count
@@ -130,28 +137,31 @@ class TestReplacementPolicyMatrix:
 
     @pytest.mark.parametrize("policy", EQUIVALENCE_POLICIES)
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_all_schemes_all_policies(self, scheme, policy):
+    @over_fast_segmenting
+    def test_all_schemes_all_policies(self, scheme, policy, segment_accesses):
         config = small_l2(replacement=policy)
         trace = profile_trace("mcf", 5, config=config)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, config=config, seed=5
+            scheme, trace, config=config, seed=5, segment_accesses=segment_accesses
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
     @pytest.mark.parametrize("policy", EQUIVALENCE_POLICIES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_policies_across_seeds(self, policy, seed):
+    @over_fast_segmenting
+    def test_policies_across_seeds(self, policy, seed, segment_accesses):
         config = small_l2(replacement=policy)
         trace = profile_trace("gcc", seed, config=config)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "reap", trace, config=config, seed=seed
+            "reap", trace, config=config, seed=seed, segment_accesses=segment_accesses
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
     @pytest.mark.parametrize("policy", ("random", "ler"))
-    def test_stateful_policies_on_warm_cache(self, policy):
+    @over_fast_segmenting
+    def test_stateful_policies_on_warm_cache(self, policy, segment_accesses):
         """Sequential runs continue the policy stream/tick identically."""
         config = small_l2(replacement=policy)
         first = profile_trace("gcc", 8, config=config, length=1_500)
@@ -159,9 +169,13 @@ class TestReplacementPolicyMatrix:
         ref_cache = build_cache("conventional", config=config, seed=8)
         fast_cache = build_cache("conventional", config=config, seed=8)
         run_l2_trace(ref_cache, first, engine="reference")
-        run_l2_trace(fast_cache, first, engine="fast")
+        run_l2_trace(
+            fast_cache, first, engine="fast", segment_accesses=segment_accesses
+        )
         reference = run_l2_trace(ref_cache, second, engine="reference")
-        fast = run_l2_trace(fast_cache, second, engine="fast")
+        fast = run_l2_trace(
+            fast_cache, second, engine="fast", segment_accesses=segment_accesses
+        )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
@@ -170,70 +184,101 @@ class TestScrubbingScheme:
     """The patrol scrubber's cursor/credit replay, across rates."""
 
     @pytest.mark.parametrize("rate", (0.1, 0.25, 1 / 3, 1.0, 2.5))
-    def test_scrub_rates(self, rate):
+    @over_fast_segmenting
+    def test_scrub_rates(self, rate, segment_accesses):
         trace = profile_trace("xalancbmk", 6)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "scrubbing", trace, seed=6, scrub_lines_per_access=rate
+            "scrubbing",
+            trace,
+            seed=6,
+            scrub_lines_per_access=rate,
+            segment_accesses=segment_accesses,
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
         assert ref_cache.scrubbed_lines > 0
 
-    def test_zero_rate_never_scrubs(self):
+    @over_fast_segmenting
+    def test_zero_rate_never_scrubs(self, segment_accesses):
         trace = profile_trace("gcc", 2, length=1_000)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "scrubbing", trace, seed=2, scrub_lines_per_access=0.0
+            "scrubbing",
+            trace,
+            seed=2,
+            scrub_lines_per_access=0.0,
+            segment_accesses=segment_accesses,
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
         assert fast_cache.scrubbed_lines == 0
 
-    def test_warm_cache_continues_patrol(self):
+    @over_fast_segmenting
+    def test_warm_cache_continues_patrol(self, segment_accesses):
         """The cursor and fractional credit survive across segments."""
         first = profile_trace("gcc", 10, length=1_200)
         second = profile_trace("namd", 11, length=1_200)
         ref_cache = build_cache("scrubbing", seed=10, scrub_lines_per_access=0.7)
         fast_cache = build_cache("scrubbing", seed=10, scrub_lines_per_access=0.7)
         run_l2_trace(ref_cache, first, engine="reference")
-        run_l2_trace(fast_cache, first, engine="fast")
+        run_l2_trace(
+            fast_cache, first, engine="fast", segment_accesses=segment_accesses
+        )
         reference = run_l2_trace(ref_cache, second, engine="reference")
-        fast = run_l2_trace(fast_cache, second, engine="fast")
+        fast = run_l2_trace(
+            fast_cache, second, engine="fast", segment_accesses=segment_accesses
+        )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
+
+
+def artifact_spec(l1_stream: str, tmp_path):
+    """The artifact-cache spec for one ``over_l1_stream`` case."""
+    return tmp_path / "artifacts" if l1_stream == "warm" else "off"
 
 
 class TestHierarchyTraces:
     """run_cpu_trace equivalence: HierarchyStatistics and L1 contents too."""
 
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_cpu_traces_all_schemes(self, scheme):
+    @over_l1_stream
+    def test_cpu_traces_all_schemes(self, scheme, l1_stream, tmp_path):
         trace = cpu_trace(seed=1)
         reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-            scheme, trace, seed=1
+            scheme, trace, seed=1, artifact_cache=artifact_spec(l1_stream, tmp_path)
         )
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
         assert_caches_equivalent(ref_cache, fast_cache)
 
     @pytest.mark.parametrize("l1_policy", EQUIVALENCE_POLICIES)
-    def test_cpu_traces_l1_policies(self, l1_policy):
+    @over_l1_stream
+    def test_cpu_traces_l1_policies(self, l1_policy, l1_stream, tmp_path):
         sim_config = small_hierarchy_config(l1_replacement=l1_policy)
         trace = cpu_trace(seed=2)
         reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-            "reap", trace, sim_config=sim_config, seed=2
+            "reap",
+            trace,
+            sim_config=sim_config,
+            seed=2,
+            artifact_cache=artifact_spec(l1_stream, tmp_path),
         )
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
         assert_caches_equivalent(ref_cache, fast_cache)
 
     @pytest.mark.parametrize("l2_policy", ("fifo", "ler"))
-    def test_cpu_traces_l2_policies(self, l2_policy):
+    @over_l1_stream
+    def test_cpu_traces_l2_policies(self, l2_policy, l1_stream, tmp_path):
         sim_config = small_hierarchy_config(
             l2_config=small_l2(replacement=l2_policy)
         )
         trace = cpu_trace(seed=3)
         reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-            "conventional", trace, sim_config=sim_config, seed=3
+            "conventional",
+            trace,
+            sim_config=sim_config,
+            seed=3,
+            artifact_cache=artifact_spec(l1_stream, tmp_path),
         )
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
@@ -278,71 +323,92 @@ class TestConfigurationVariants:
     """Non-default configurations exercise every fast-path branch."""
 
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_interleaved_multi_lane_ecc(self, scheme):
+    @over_fast_segmenting
+    def test_interleaved_multi_lane_ecc(self, scheme, segment_accesses):
         config = interleaved_l2()
         trace = profile_trace("namd", 2, config=config)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, config=config, seed=2
+            scheme, trace, config=config, seed=2, segment_accesses=segment_accesses
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_writeback_checks_counted(self, scheme):
+    @over_fast_segmenting
+    def test_writeback_checks_counted(self, scheme, segment_accesses):
         trace = profile_trace("xalancbmk", 4)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, seed=4, count_writeback_checks=True
+            scheme,
+            trace,
+            seed=4,
+            count_writeback_checks=True,
+            segment_accesses=segment_accesses,
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    def test_stochastic_data_profile(self):
+    @over_fast_segmenting
+    def test_stochastic_data_profile(self, segment_accesses):
         trace = profile_trace("gcc", 5)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "reap", trace, seed=5, ones_count=None
+            "reap", trace, seed=5, ones_count=None, segment_accesses=segment_accesses
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    def test_tracking_disabled(self):
+    @over_fast_segmenting
+    def test_tracking_disabled(self, segment_accesses):
         trace = profile_trace("mcf", 6)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "conventional", trace, seed=6, track_accumulation=False
+            "conventional",
+            trace,
+            seed=6,
+            track_accumulation=False,
+            segment_accesses=segment_accesses,
         )
         assert ref_cache.tracker is None and fast_cache.tracker is None
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    def test_empty_trace(self):
+    @over_fast_segmenting
+    def test_empty_trace(self, segment_accesses):
         trace = Trace(name="empty")
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "reap", trace
+            "reap", trace, segment_accesses=segment_accesses
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
         assert fast.num_accesses == 0
 
-    def test_sequential_runs_on_warm_cache(self):
+    @over_fast_segmenting
+    def test_sequential_runs_on_warm_cache(self, segment_accesses):
         """A second trace on an already-driven cache continues identically."""
         first = profile_trace("gcc", 8, length=1_500)
         second = profile_trace("mcf", 9, length=1_500)
         ref_cache = build_cache("reap", seed=8)
         fast_cache = build_cache("reap", seed=8)
         run_l2_trace(ref_cache, first, engine="reference")
-        run_l2_trace(fast_cache, first, engine="fast")
+        run_l2_trace(
+            fast_cache, first, engine="fast", segment_accesses=segment_accesses
+        )
         reference = run_l2_trace(ref_cache, second, engine="reference")
-        fast = run_l2_trace(fast_cache, second, engine="fast")
+        fast = run_l2_trace(
+            fast_cache, second, engine="fast", segment_accesses=segment_accesses
+        )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    def test_engines_interchangeable_mid_stream(self):
+    @pytest.mark.parametrize(
+        "first_engine, second_engine", (("fast", "reference"), ("reference", "fast"))
+    )
+    def test_engines_interchangeable_mid_stream(self, first_engine, second_engine):
         """Fast and reference segments can be freely mixed on one cache."""
         first = profile_trace("namd", 10, length=1_500)
         second = profile_trace("namd", 11, length=1_500)
         mixed_cache = build_cache("conventional", seed=10)
         reference_cache = build_cache("conventional", seed=10)
-        run_l2_trace(mixed_cache, first, engine="fast")
-        mixed = run_l2_trace(mixed_cache, second, engine="reference")
+        run_l2_trace(mixed_cache, first, engine=first_engine)
+        mixed = run_l2_trace(mixed_cache, second, engine=second_engine)
         run_l2_trace(reference_cache, first, engine="reference")
         pure = run_l2_trace(reference_cache, second, engine="reference")
         assert_results_equivalent(pure, mixed)
@@ -475,12 +541,15 @@ class TestCustomPolicyOptIn:
         assert supported is True and reason == ""
 
     @pytest.mark.parametrize("scheme", ("conventional", "reap"))
-    def test_opt_in_policy_is_replayed_identically(self, scheme):
+    @over_fast_segmenting
+    def test_opt_in_policy_is_replayed_identically(self, scheme, segment_accesses):
         trace = profile_trace("mcf", 7)
         ref_cache = _with_policy(build_cache(scheme, seed=7), _ThirdPartyAuditingLRU)
         fast_cache = _with_policy(build_cache(scheme, seed=7), _ThirdPartyAuditingLRU)
         reference = run_l2_trace(ref_cache, trace, engine="reference")
-        fast = run_l2_trace(fast_cache, trace, engine="fast")
+        fast = run_l2_trace(
+            fast_cache, trace, engine="fast", segment_accesses=segment_accesses
+        )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
         # The object path audited its hooks; the batched engines bypass them
@@ -496,7 +565,10 @@ class TestCustomPolicyOptIn:
         assert supported is False
         assert "UnmarkedLRU" in reason
 
-    def test_compact_override_without_mode_declaration_stays_exact(self):
+    @over_fast_segmenting
+    def test_compact_override_without_mode_declaration_stays_exact(
+        self, segment_accesses
+    ):
         """A subclass overriding a compact transition must not inherit the
         parent's SoA shortcuts: MRU below would be silently replayed as LRU
         if the kernel trusted the inherited position mode."""
@@ -512,11 +584,14 @@ class TestCustomPolicyOptIn:
         fast_cache = _with_policy(build_cache("reap", seed=5), MRUPolicy)
         assert supports_fast_path(fast_cache)[0] is True
         reference = run_l2_trace(ref_cache, trace, engine="reference")
-        fast = run_l2_trace(fast_cache, trace, engine="fast")
+        fast = run_l2_trace(
+            fast_cache, trace, engine="fast", segment_accesses=segment_accesses
+        )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    def test_third_party_position_mode_policy(self):
+    @over_fast_segmenting
+    def test_third_party_position_mode_policy(self, segment_accesses):
         """A policy implementing the documented position protocol (without
         the built-ins' fused victim shortcut) replays exactly: the base
         class supplies ``soa_victim_positions`` via ``compact_victim``."""
@@ -534,7 +609,9 @@ class TestCustomPolicyOptIn:
         ref_cache = _with_policy(build_cache("reap", seed=6), DeclaredPositionLRU)
         fast_cache = _with_policy(build_cache("reap", seed=6), DeclaredPositionLRU)
         reference = run_l2_trace(ref_cache, trace, engine="reference")
-        fast = run_l2_trace(fast_cache, trace, engine="fast")
+        fast = run_l2_trace(
+            fast_cache, trace, engine="fast", segment_accesses=segment_accesses
+        )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
@@ -599,7 +676,8 @@ class TestRandomizedTraces:
 
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
     @pytest.mark.parametrize("seed", (11, 12, 13))
-    def test_random_trace_equivalence(self, scheme, seed):
+    @over_fast_segmenting
+    def test_random_trace_equivalence(self, scheme, seed, segment_accesses):
         rng = random.Random(seed)
         config = small_l2()
         # A tight footprint (few sets, few tags) maximises conflicts.
@@ -616,7 +694,7 @@ class TestRandomizedTraces:
         trace = Trace(name=f"random-{seed}", records=records)
 
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, seed=seed
+            scheme, trace, seed=seed, segment_accesses=segment_accesses
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
@@ -632,7 +710,8 @@ class TestRandomizedTraces:
         )
 
     @pytest.mark.parametrize("policy", EQUIVALENCE_POLICIES)
-    def test_random_trace_policy_equivalence(self, policy):
+    @over_fast_segmenting
+    def test_random_trace_policy_equivalence(self, policy, segment_accesses):
         rng = random.Random(31)
         config = small_l2(replacement=policy)
         records = []
@@ -646,13 +725,18 @@ class TestRandomizedTraces:
             records.append(TraceRecord(kind, address))
         trace = Trace(name=f"random-{policy}", records=records)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "conventional", trace, config=config, seed=31
+            "conventional",
+            trace,
+            config=config,
+            seed=31,
+            segment_accesses=segment_accesses,
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
     @pytest.mark.parametrize("seed", (21, 22))
-    def test_random_wide_address_space(self, seed):
+    @over_fast_segmenting
+    def test_random_wide_address_space(self, seed, segment_accesses):
         """Sparse random addresses (mostly misses) stay equivalent too."""
         rng = random.Random(seed)
         records = [
@@ -664,7 +748,7 @@ class TestRandomizedTraces:
         ]
         trace = Trace(name=f"sparse-{seed}", records=records)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "conventional", trace, seed=seed
+            "conventional", trace, seed=seed, segment_accesses=segment_accesses
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)

@@ -3,8 +3,8 @@
 Chunked replay must be *bit-identical* to whole-trace replay: same
 :class:`SchemeRunResult`, same accumulation-tracker samples, same
 reliability/energy statistics, same per-block and per-set policy state —
-for every scheme, several segment sizes, the
-reference engine, and traces served from disk (binary and text sources).
+for every scheme, several segment sizes, both engines, and traces served
+from disk (binary and text sources).
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from equivalence_utils import (
 from repro.sim import ExperimentSettings, run_l2_trace
 from repro.telemetry import MemorySink, telemetry
 from repro.workloads import generate_l2_trace, get_profile, open_trace
+
+#: Engines replaying the segmented side; the whole side is always fast.
+ENGINES = ("fast", "reference")
 
 #: Segment sizes exercised against the 6000-access trace below: one that
 #: divides it, one ragged, and one larger than the whole trace.
@@ -50,28 +53,30 @@ def run_whole(scheme, trace):
 
 class TestSegmentedReplayBitIdentity:
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("segment_accesses", SEGMENT_SIZES)
-    def test_segmented_equals_whole(self, trace, scheme, segment_accesses):
+    def test_segmented_equals_whole(self, trace, scheme, engine, segment_accesses):
         whole_result, whole_cache = run_whole(scheme, trace)
         segmented_cache = build_cache(scheme)
         segmented_result = run_l2_trace(
             segmented_cache,
             trace,
-            engine="fast",
+            engine=engine,
             segment_accesses=segment_accesses,
         )
         assert_results_equivalent(whole_result, segmented_result)
         assert_caches_equivalent(whole_cache, segmented_cache)
 
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_binary_source_equals_whole(self, trace, binary_path, scheme):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_binary_source_equals_whole(self, trace, binary_path, scheme, engine):
         whole_result, whole_cache = run_whole(scheme, trace)
         source_cache = build_cache(scheme)
         with open_trace(binary_path) as source:
             source_result = run_l2_trace(
                 source_cache,
                 source,
-                engine="fast",
+                engine=engine,
                 segment_accesses=1536,
             )
         assert_results_equivalent(whole_result, source_result)

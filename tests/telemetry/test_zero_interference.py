@@ -112,21 +112,32 @@ class TestEngineResultIdentity:
             seed=1,
         )
 
-    def run_once(self, instrument, tmp_path, scheme="reap"):
+    def run_once(self, instrument, tmp_path, scheme="reap", segment_accesses=None):
         from equivalence_utils import build_cache
 
         trace = self.l2_trace()
         cache = build_cache(scheme)
         if instrument:
             with telemetry(tmp_path / "fast.jsonl"):
-                return run_l2_trace(cache, trace, engine="fast")
-        return run_l2_trace(cache, trace, engine="fast")
+                return run_l2_trace(
+                    cache, trace, engine="fast", segment_accesses=segment_accesses
+                )
+        return run_l2_trace(
+            cache, trace, engine="fast", segment_accesses=segment_accesses
+        )
 
-    def test_fast_engine_identical_with_telemetry_on(self, tmp_path):
+    @pytest.mark.parametrize(
+        "segment_accesses", (None, 500), ids=("whole", "segmented")
+    )
+    def test_fast_engine_identical_with_telemetry_on(self, tmp_path, segment_accesses):
         from equivalence_utils import assert_results_equivalent
 
-        plain = self.run_once(instrument=False, tmp_path=tmp_path)
-        instrumented = self.run_once(instrument=True, tmp_path=tmp_path)
+        plain = self.run_once(
+            instrument=False, tmp_path=tmp_path, segment_accesses=segment_accesses
+        )
+        instrumented = self.run_once(
+            instrument=True, tmp_path=tmp_path, segment_accesses=segment_accesses
+        )
         assert_results_equivalent(plain, instrumented)
 
     def test_reference_engine_identical_with_telemetry_on(self, tmp_path):
