@@ -9,11 +9,16 @@ Runs the same 12-point ``p_cell`` sweep over one workload three ways:
 * **warm** — the populated directory, as a second campaign or another
   worker machine would see it; every job serves the trace from disk.
 
-The acceptance bar is the cross-job claim: with the cache warm the sweep
-must run at least 2x faster than the uncached sweep (locally ~3-4x — the
-per-job cost drops to the simulation itself).  Results land in
+The three sweeps run in three interleaved rounds.  Two things are checked.
+The mechanism, exactly: in every round the sweeps generate the trace 12, 1
+and 0 times.  And the pay-off, as a ratio of best-of-three times: the warm
+sweep must run at least 1.3x faster than the uncached one, the threshold
+below which the L2-trace artifact kind would no longer earn its code.  The
+columnar generator keeps trace derivation well below half of an uncached
+job, so the ratio sits near 1.6-1.8x.  Results land in
 ``BENCH_amortisation.json`` (uploaded as a CI artifact) together with the
-store-identity check: all three sweeps must fill byte-identical stores.
+store-identity check: every sweep of every round must fill a
+byte-identical store.
 """
 
 from __future__ import annotations
@@ -25,13 +30,22 @@ from pathlib import Path
 
 from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.config import CacheLevelConfig
-from repro.sim import ExperimentSettings
+from repro.sim import ExperimentSettings, experiment
+from repro.workloads import artifacts, generator
 
 #: Sweep size; the amortisation claim needs a >= 10-point sweep.
 SWEEP_POINTS = tuple(1e-9 * (index + 1) for index in range(12))
 
-#: Accesses per job: enough that trace derivation dominates an uncached job.
+#: Accesses per job.
 NUM_ACCESSES = 20_000
+
+#: Warm-over-uncached floor: below it the L2-trace artifact kind is not
+#: worth keeping.
+WARM_SPEEDUP_FLOOR = 1.3
+
+#: Interleaved uncached/cold/warm rounds; each sweep's time is its best
+#: round, so one noisy round cannot decide the ratio.
+ROUNDS = 3
 
 
 def sweep_spec() -> CampaignSpec:
@@ -65,44 +79,64 @@ def run_sweep(store_path: Path, artifact_cache) -> float:
     return time.perf_counter() - start
 
 
-def test_bench_amortisation_warm_vs_cold():
-    """Warm artifact cache must at least halve the sweep's wall clock."""
+def test_bench_amortisation_warm_vs_cold(monkeypatch):
+    """The cache removes every regeneration and pays for itself on a sweep."""
+    generations = []
+
+    def counting_generate(*args, **kwargs):
+        generations.append(1)
+        return generator.generate_l2_trace(*args, **kwargs)
+
+    for module in (experiment, artifacts):
+        monkeypatch.setattr(module, "generate_l2_trace", counting_generate)
+
+    labels = ("uncached", "cold", "warm")
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
-        cache_dir = tmp_path / "artifacts"
-        uncached_s = run_sweep(tmp_path / "uncached.jsonl", None)
-        cold_s = run_sweep(tmp_path / "cold.jsonl", cache_dir)
-        warm_s = run_sweep(tmp_path / "warm.jsonl", cache_dir)
+        seconds = {label: [] for label in labels}
+        blobs = []
+        for round_index in range(ROUNDS):
+            cache_dir = tmp_path / f"artifacts-{round_index}"
+            generated = {}
+            for label in labels:
+                store_path = tmp_path / f"{label}-{round_index}.jsonl"
+                before = len(generations)
+                artifact_cache = None if label == "uncached" else cache_dir
+                seconds[label].append(run_sweep(store_path, artifact_cache))
+                generated[label] = len(generations) - before
+                blobs.append(store_path.read_bytes())
+            # The mechanism, exactly: one generation per uncached job, one
+            # per cold sweep, none once the cache is warm.
+            assert generated == {"uncached": len(SWEEP_POINTS), "cold": 1, "warm": 0}
 
         # The operational knob must not change a single stored byte.
-        blobs = [
-            (tmp_path / f"{label}.jsonl").read_bytes()
-            for label in ("uncached", "cold", "warm")
-        ]
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert all(blob == blobs[0] for blob in blobs)
 
+        uncached_s, cold_s, warm_s = (min(seconds[label]) for label in labels)
         speedup_warm = uncached_s / warm_s
         speedup_cold = uncached_s / cold_s
         report = {
             "workloads": ["gcc"],
             "sweep_points": len(SWEEP_POINTS),
             "accesses_per_job": NUM_ACCESSES,
+            "rounds": ROUNDS,
             "uncached_s": round(uncached_s, 3),
             "cold_s": round(cold_s, 3),
             "warm_s": round(warm_s, 3),
             "warm_speedup_over_uncached": round(speedup_warm, 2),
             "cold_speedup_over_uncached": round(speedup_cold, 2),
+            "trace_generations": generated,
             "stores_byte_identical": True,
         }
         output = Path("BENCH_amortisation.json")
         output.write_text(json.dumps(report, indent=2) + "\n")
         print(
             f"\n[amortisation] {len(SWEEP_POINTS)}-point sweep x "
-            f"{NUM_ACCESSES} accesses: uncached {uncached_s:.2f}s, "
-            f"cold {cold_s:.2f}s, warm {warm_s:.2f}s "
+            f"{NUM_ACCESSES} accesses, best of {ROUNDS}: uncached "
+            f"{uncached_s:.2f}s, cold {cold_s:.2f}s, warm {warm_s:.2f}s "
             f"(warm {speedup_warm:.1f}x, cold {speedup_cold:.1f}x)"
         )
-        assert speedup_warm >= 2.0, (
+        assert speedup_warm >= WARM_SPEEDUP_FLOOR, (
             f"warm artifact cache only {speedup_warm:.2f}x over an uncached "
-            f"sweep (expected >= 3x nominally, 2x floor for CI noise)"
+            f"sweep (floor {WARM_SPEEDUP_FLOOR}x)"
         )

@@ -64,6 +64,8 @@ class AddressMapper:
         self._index_bits = config.index_bits
         self._offset_mask = (1 << self._offset_bits) - 1
         self._index_mask = (1 << self._index_bits) - 1
+        self._tag_limit = 1 << config.tag_bits
+        self._num_sets = config.num_sets
         self._max_address = (1 << config.address_bits) - 1
 
     @property
@@ -74,7 +76,7 @@ class AddressMapper:
     @property
     def num_sets(self) -> int:
         """Number of sets addressable by the index field."""
-        return self._config.num_sets
+        return self._num_sets
 
     def decompose(self, address: int) -> DecomposedAddress:
         """Split an address into tag / index / offset.
@@ -143,9 +145,9 @@ class AddressMapper:
         Raises:
             AddressError: if any field is out of range for the geometry.
         """
-        if tag < 0 or tag >= (1 << self._config.tag_bits):
+        if tag < 0 or tag >= self._tag_limit:
             raise AddressError(f"tag {tag} out of range")
-        if index < 0 or index >= self.num_sets:
+        if index < 0 or index >= self._num_sets:
             raise AddressError(f"index {index} out of range")
         if offset < 0 or offset > self._offset_mask:
             raise AddressError(f"offset {offset} out of range")

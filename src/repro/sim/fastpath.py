@@ -336,6 +336,6 @@ def _decode_cpu(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         raise SimulationError(
             f"run_cpu_trace expects CPU-level records, got "
-            f"{trace.records[bad[0]].kind}"
+            f"{KIND_ORDER[int(kinds[bad[0]])]}"
         )
     return codes, addresses

@@ -49,7 +49,7 @@ from typing import Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from ..errors import TraceError
-from .trace import _KIND_INDEX, KIND_ORDER, AccessKind, Trace, TraceRecord
+from .trace import _KIND_INDEX, KIND_ORDER, AccessKind, Trace
 
 #: Default replay segment length (accesses per segment).  One segment of a
 #: million accesses costs ~9 MB of decoded arrays — small enough to bound
@@ -537,17 +537,19 @@ def read_trace(path: str | Path, format: str = "auto", name: str | None = None) 
     """Load any supported trace file fully into an in-memory :class:`Trace`.
 
     Convenience for small traces and tests; use :func:`open_trace` plus the
-    engines' ``segment_accesses`` for out-of-core replay.
+    engines' ``segment_accesses`` for out-of-core replay.  The result is a
+    column-backed trace (:meth:`Trace.from_columns`) over the concatenated
+    segments, so no per-access record is built unless one is asked for.
     """
     source = open_trace(path, format=format, name=name)
     try:
-        trace = Trace(name=source.name)
-        for kinds, addresses in source.segments():
-            trace.extend(
-                TraceRecord(kind=KIND_ORDER[k], address=int(a))
-                for k, a in zip(kinds.tolist(), addresses.tolist())
-            )
-        return trace
+        segments = list(source.segments())
+        if not segments:
+            return Trace(name=source.name)
+        kinds, addresses = zip(*segments)
+        return Trace.from_columns(
+            source.name, np.concatenate(kinds), np.concatenate(addresses)
+        )
     finally:
         close = getattr(source, "close", None)
         if close is not None:

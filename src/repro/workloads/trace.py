@@ -10,6 +10,13 @@ Two trace granularities are used in the reproduction:
   level because the phenomenon under study — concealed-read accumulation —
   is entirely determined by the L2 access sequence.
 
+A :class:`Trace` is backed either by :class:`TraceRecord` objects or by a
+pair of NumPy columns (:meth:`Trace.from_columns`: int8 indices into
+:data:`KIND_ORDER` plus int64 addresses).  The engines only read the
+columns (:meth:`Trace.decoded`), so a column-backed trace — what the L2
+generator and :func:`~repro.workloads.streams.read_trace` return — builds
+its records lazily, only when ``records``, iteration or indexing asks.
+
 Traces can be saved to and loaded from a simple text format (one record per
 line: ``<kind> <hex address>``) so experiments are reproducible and
 shareable without rerunning the generators.
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -49,6 +56,19 @@ KIND_ORDER = (
 
 _KIND_INDEX = {kind: index for index, kind in enumerate(KIND_ORDER)}
 
+#: Kind indices that count as writes (see :attr:`TraceRecord.is_write`).
+_WRITE_INDICES = (_KIND_INDEX[AccessKind.STORE], _KIND_INDEX[AccessKind.L2_WRITE])
+
+
+def _integer_column(values, what: str) -> np.ndarray:
+    """``values`` as a one-dimensional integer array, or :class:`TraceError`."""
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise TraceError(f"{what} column must be one-dimensional")
+    if array.size and array.dtype.kind not in "iu":
+        raise TraceError(f"{what} column must hold integers, got {array.dtype}")
+    return array
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -72,25 +92,101 @@ class TraceRecord:
         return self.kind in (AccessKind.STORE, AccessKind.L2_WRITE)
 
 
-@dataclass
 class Trace:
     """An ordered sequence of memory references with a name.
+
+    A trace is backed either by a list of :class:`TraceRecord` objects (the
+    constructor, :meth:`append`, :meth:`extend`, :meth:`load`) or by a pair
+    of NumPy columns (:meth:`from_columns`, which the L2 generator and
+    :func:`~repro.workloads.streams.read_trace` use).  A column-backed trace
+    builds its records lazily, on the first access to :attr:`records`,
+    iteration or indexing; the fast engines only ever call :meth:`decoded`,
+    so they never pay for per-access objects.
 
     Mutate the trace through :meth:`append` / :meth:`extend` (not by touching
     ``records`` directly) so the read/write counters stay consistent.
     """
 
-    name: str
-    records: list[TraceRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._write_count = sum(1 for r in self.records if r.is_write)
+    def __init__(self, name: str, records: list[TraceRecord] | None = None) -> None:
+        self.name = name
+        self._records: list[TraceRecord] | None = [] if records is None else records
+        self._write_count = sum(1 for r in self._records if r.is_write)
         self._version = 0
         self._decoded: tuple[tuple[int, int], np.ndarray, np.ndarray] | None = None
         self._content_hash: tuple[tuple[int, int], str] | None = None
 
+    @classmethod
+    def from_columns(cls, name: str, kinds, addresses) -> "Trace":
+        """A trace backed by ``(kind index, address)`` columns.
+
+        ``kinds`` index :data:`KIND_ORDER` and ``addresses`` are byte
+        addresses, exactly as :meth:`decoded` returns them.  The columns are
+        copied into read-only arrays that seed the :meth:`decoded` memo, so
+        decoding the trace is free; :class:`TraceRecord` objects are built
+        only if a caller asks for them.
+
+        Raises:
+            TraceError: if the columns are not one-dimensional integer
+                arrays of equal length, a kind code is outside
+                :data:`KIND_ORDER`, or an address is negative or does not fit
+                in a signed 64-bit integer.
+        """
+        kind_column = _integer_column(kinds, "kind")
+        address_column = _integer_column(addresses, "address")
+        if len(kind_column) != len(address_column):
+            raise TraceError(
+                f"kind and address columns differ in length "
+                f"({len(kind_column)} != {len(address_column)})"
+            )
+        if kind_column.size and (
+            kind_column.min() < 0 or kind_column.max() >= len(KIND_ORDER)
+        ):
+            raise TraceError(
+                f"kind codes must index KIND_ORDER (0..{len(KIND_ORDER) - 1})"
+            )
+        if address_column.size:
+            if address_column.min() < 0:
+                raise TraceError("trace addresses must be non-negative")
+            if address_column.max() > np.iinfo(np.int64).max:
+                raise TraceError("trace addresses must fit in a signed 64-bit integer")
+        kind_column = kind_column.astype(np.int8)
+        address_column = address_column.astype(np.int64)
+        kind_column.setflags(write=False)
+        address_column.setflags(write=False)
+        trace = cls(name=name)
+        trace._records = None
+        trace._write_count = int(np.count_nonzero(np.isin(kind_column, _WRITE_INDICES)))
+        trace._decoded = ((len(kind_column), 0), kind_column, address_column)
+        return trace
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The references as :class:`TraceRecord` objects (built on first use)."""
+        if self._records is None:
+            _, kinds, addresses = self._decoded
+            self._records = [
+                TraceRecord(KIND_ORDER[kind], address)
+                for kind, address in zip(kinds.tolist(), addresses.tolist())
+            ]
+        return self._records
+
+    def __repr__(self) -> str:
+        return f"Trace(name={self.name!r}, accesses={len(self)})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        if self.name != other.name or len(self) != len(other):
+            return False
+        mine, theirs = self.decoded(), other.decoded()
+        return np.array_equal(mine[0], theirs[0]) and np.array_equal(mine[1], theirs[1])
+
+    __hash__ = None  # mutable container
+
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is None:
+            return len(self._decoded[1])
+        return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -121,11 +217,12 @@ class Trace:
         keyed on both the record count and a mutation version bumped by
         :meth:`append`/:meth:`extend`, so equal-length mutation through the
         documented API cannot replay stale arrays), so replaying one trace
-        against several schemes or engines decodes it only once.  The
-        returned arrays are shared and marked immutable; writing to them
-        raises ``ValueError``.
+        against several schemes or engines decodes it only once.  A
+        column-backed trace (:meth:`from_columns`) starts with the memo
+        already filled.  The returned arrays are shared and marked
+        immutable; writing to them raises ``ValueError``.
         """
-        count = len(self.records)
+        count = len(self)
         key = (count, self._version)
         cached = self._decoded
         if cached is not None and cached[0] == key:
@@ -154,8 +251,7 @@ class Trace:
         ``(count, mutation version)`` key as :meth:`decoded`, so mutation
         through :meth:`append`/:meth:`extend` invalidates both together.
         """
-        count = len(self.records)
-        key = (count, self._version)
+        key = (len(self), self._version)
         cached = self._content_hash
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -172,7 +268,7 @@ class Trace:
     @property
     def read_count(self) -> int:
         """Number of non-write references (maintained incrementally, O(1))."""
-        return len(self.records) - self._write_count
+        return len(self) - self._write_count
 
     @property
     def write_count(self) -> int:
@@ -182,9 +278,9 @@ class Trace:
     @property
     def read_fraction(self) -> float:
         """Fraction of references that are reads."""
-        if not self.records:
+        if len(self) == 0:
             return 0.0
-        return self.read_count / len(self.records)
+        return self.read_count / len(self)
 
     def unique_blocks(self, block_size: int = 64) -> int:
         """Number of distinct cache blocks touched."""

@@ -7,6 +7,10 @@ from repro.cache import AddressMapper
 from repro.config import CacheLevelConfig, paper_l2_config
 from repro.errors import ConfigurationError, TraceError
 from repro.workloads import AccessKind, generate_l2_trace, get_profile
+from repro.workloads.trace import KIND_ORDER
+
+_READ = KIND_ORDER.index(AccessKind.L2_READ)
+_WRITE = KIND_ORDER.index(AccessKind.L2_WRITE)
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,20 @@ class TestBasicGeneration:
 
     def test_trace_named_after_profile(self, l2_config):
         assert generate_l2_trace(get_profile("mcf"), l2_config, 1_000).name == "mcf"
+
+    def test_fast_replay_builds_no_records(self, l2_config):
+        """Generated traces are column-backed: replaying one never builds
+        per-access record objects."""
+        from repro.core import build_protected_cache
+        from repro.sim import run_l2_trace
+
+        trace = generate_l2_trace(get_profile("gcc"), l2_config, num_accesses=2_000)
+        fast = run_l2_trace(build_protected_cache("reap", l2_config), trace, engine="fast")
+        reference = run_l2_trace(
+            build_protected_cache("reap", l2_config), trace, engine="reference"
+        )
+        assert trace._records is None
+        assert fast == reference
 
     def test_rejects_nonpositive_length(self, l2_config):
         with pytest.raises(TraceError):
@@ -96,22 +114,18 @@ class TestStatisticalShape:
 
 
 class TestFreshTagWraparound:
-    """`_fresh_tag` must never re-issue a live tag after wrapping around."""
+    """`_fresh_tag` must never re-issue a live tag after wrapping around.
+
+    The set-stream builder emits ``(kind code, tag)`` columns; the tests
+    read the tag column directly.
+    """
 
     @staticmethod
     def _builder(tag_bits=3, churn_miss_fraction=1.0, churn_reuse_window=3):
         from repro.workloads.generator import _SetStreamBuilder
         from repro.workloads.spec_profiles import SPECWorkloadProfile
 
-        # 16 sets x 64 B blocks -> offset 6 + index 4; address_bits 13
-        # leaves 3 tag bits, i.e. tags 1..7 usable (tag 0 reserved).
-        config = CacheLevelConfig(
-            name="L2",
-            size_bytes=4 * 1024,
-            associativity=4,
-            block_size_bytes=64,
-            address_bits=10 + tag_bits,
-        )
+        # 3 tag bits: tags 1..7 usable (tag 0 reserved).
         profile = SPECWorkloadProfile(
             name="tiny",
             write_fraction=0.2,
@@ -125,19 +139,18 @@ class TestFreshTagWraparound:
             churn_miss_fraction=churn_miss_fraction,
             churn_reuse_window=churn_reuse_window,
         )
-        mapper = AddressMapper(config)
         rng = np.random.default_rng(7)
-        return _SetStreamBuilder(mapper, 0, profile, rng), mapper
+        return _SetStreamBuilder(tag_bits, 0, profile, rng)
 
     def test_wraparound_skips_live_tags(self):
-        builder, _ = self._builder()
+        builder = self._builder()
         live = {builder._claim_tag() for _ in range(3)}  # tags 1..3 stay live
         drawn = [builder._fresh_tag() for _ in range(8)]  # forces wraparound
         assert not live.intersection(drawn)
         assert all(1 <= tag <= 7 for tag in drawn)
 
     def test_exhausted_tag_space_raises(self):
-        builder, _ = self._builder()
+        builder = self._builder()
         for _ in range(7):
             builder._claim_tag()
         with pytest.raises(TraceError, match="tag space exhausted"):
@@ -147,23 +160,25 @@ class TestFreshTagWraparound:
         # Streaming misses only: far more fresh tags than the 7-tag space.
         # Expired tags leave the reuse window and become reusable, so the
         # stream keeps going instead of exhausting the space.
-        builder, mapper = self._builder(churn_miss_fraction=1.0, churn_reuse_window=3)
-        records = builder.churn_stream(100)
-        assert len(records) == 100
-        # No record may alias a line that is still in the reuse window: each
-        # window of 4 consecutive records (one new + window of 3) holds
+        builder = self._builder(churn_miss_fraction=1.0, churn_reuse_window=3)
+        kinds, tags = builder.churn_stream(100)
+        assert len(kinds) == len(tags) == 100
+        assert set(kinds.tolist()) <= {_READ, _WRITE}
+        # No access may alias a line that is still in the reuse window: each
+        # window of 4 consecutive accesses (one new + window of 3) holds
         # distinct tags.
-        tags = [mapper.decompose(r.address).tag for r in records]
+        tags = tags.tolist()
         for i in range(3, len(tags)):
             assert tags[i] not in tags[i - 3 : i]
 
     def test_churn_stream_exhaustion_is_a_clear_error(self):
-        builder, _ = self._builder(churn_miss_fraction=1.0, churn_reuse_window=64)
+        builder = self._builder(churn_miss_fraction=1.0, churn_reuse_window=64)
         with pytest.raises(TraceError, match="tag space exhausted"):
             builder.churn_stream(100)
 
     def test_stable_stream_hot_cold_tags_stay_distinct(self):
-        builder, mapper = self._builder()
-        records = builder.stable_stream(50)
-        resident = {mapper.decompose(r.address).tag for r in records}
-        assert len(resident) == 3  # 2 hot + 1 cold, no aliasing
+        builder = self._builder()
+        kinds, tags = builder.stable_stream(50)
+        assert len(kinds) == len(tags) == 50
+        assert set(kinds.tolist()) <= {_READ, _WRITE}
+        assert len(set(tags.tolist())) == 3  # 2 hot + 1 cold, no aliasing

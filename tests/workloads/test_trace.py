@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.workloads import AccessKind, Trace, TraceRecord
+from repro.workloads.trace import KIND_ORDER
 
 
 class TestTraceRecord:
@@ -283,3 +286,171 @@ class TestContentHash:
         kinds_after, _ = trace.decoded()
         assert len(kinds_after) == 2 * len(kinds_before)
         assert trace.content_hash() != hash_before
+
+
+def _record_trace(kinds, addresses, name="cols") -> Trace:
+    return Trace(
+        name=name,
+        records=[TraceRecord(KIND_ORDER[k], a) for k, a in zip(kinds, addresses)],
+    )
+
+
+class TestFromColumns:
+    KINDS = [0, 1, 2, 3, 4, 3, 1]
+    ADDRESSES = [0x0, 0x40, 0x80, 0x1000, 0x1040, 0x0, 0x7FFF_FFFF_FFC0]
+
+    @pytest.fixture
+    def pair(self):
+        columns = Trace.from_columns(
+            "cols",
+            np.array(self.KINDS, dtype=np.int8),
+            np.array(self.ADDRESSES, dtype=np.int64),
+        )
+        return columns, _record_trace(self.KINDS, self.ADDRESSES)
+
+    def test_matches_record_built_trace(self, pair):
+        columns, records = pair
+        assert len(columns) == len(records) == len(self.KINDS)
+        assert columns.read_count == records.read_count
+        assert columns.write_count == records.write_count == 2
+        assert columns.read_fraction == records.read_fraction
+        assert columns.content_hash() == records.content_hash()
+        for mine, theirs in zip(columns.decoded(), records.decoded()):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+        assert columns.unique_blocks(64) == records.unique_blocks(64)
+        assert columns.records == records.records
+        assert list(columns) == list(records)
+        assert columns[3] == records[3]
+        assert columns == records
+
+    def test_records_are_built_lazily(self, pair):
+        columns, _ = pair
+        columns.decoded()
+        columns.content_hash()
+        assert columns.read_count == 5
+        assert columns._records is None
+        assert columns[0] == TraceRecord(AccessKind.IFETCH, 0x0)
+        assert columns._records is not None
+
+    def test_text_roundtrip(self, pair, tmp_path):
+        columns, records = pair
+        columns.save(tmp_path / "cols.txt")
+        records.save(tmp_path / "records.txt")
+        assert (tmp_path / "cols.txt").read_text() == (
+            tmp_path / "records.txt"
+        ).read_text()
+        loaded = Trace.load(tmp_path / "cols.txt", name="cols")
+        assert loaded == columns
+        assert loaded.content_hash() == columns.content_hash()
+
+    def test_binary_roundtrip(self, pair, tmp_path):
+        from repro.workloads import read_trace
+
+        columns, records = pair
+        columns.save_binary(tmp_path / "cols.bin", chunk_accesses=3)
+        records.save_binary(tmp_path / "records.bin", chunk_accesses=3)
+        assert (tmp_path / "cols.bin").read_bytes() == (
+            tmp_path / "records.bin"
+        ).read_bytes()
+        loaded = read_trace(tmp_path / "cols.bin")
+        assert loaded == columns
+        assert loaded.write_count == columns.write_count
+
+    @pytest.mark.parametrize("mutate", ["append", "extend"])
+    def test_mutation_invalidates_both_memos(self, pair, mutate):
+        columns, records = pair
+        kinds_before, _ = columns.decoded()
+        hash_before = columns.content_hash()
+        added = TraceRecord(AccessKind.L2_WRITE, 0x2000)
+        for trace in (columns, records):
+            if mutate == "append":
+                trace.append(added)
+            else:
+                trace.extend([added])
+        kinds, addresses = columns.decoded()
+        assert len(kinds) == len(kinds_before) + 1
+        assert addresses[-1] == 0x2000
+        assert columns.content_hash() != hash_before
+        assert columns.content_hash() == records.content_hash()
+        assert columns.write_count == records.write_count == 3
+
+    def test_decoded_arrays_are_read_only_copies(self):
+        kinds = np.array([3, 4], dtype=np.int8)
+        addresses = np.array([0x40, 0x80], dtype=np.int64)
+        trace = Trace.from_columns("ro", kinds, addresses)
+        decoded_kinds, decoded_addresses = trace.decoded()
+        with pytest.raises(ValueError):
+            decoded_kinds[0] = 0
+        with pytest.raises(ValueError):
+            decoded_addresses[0] = 0
+        # The caller's arrays stay writable and are not aliased.
+        addresses[0] = 0xC0
+        assert decoded_addresses[0] == 0x40
+
+    def test_accepts_sequences_and_other_integer_dtypes(self):
+        trace = Trace.from_columns(
+            "seq", np.array([3, 4], dtype=np.uint8), [0x40, 0x80]
+        )
+        assert trace.decoded()[0].dtype == np.int8
+        assert trace.decoded()[1].dtype == np.int64
+        assert trace.records == [
+            TraceRecord(AccessKind.L2_READ, 0x40),
+            TraceRecord(AccessKind.L2_WRITE, 0x80),
+        ]
+
+    def test_empty_columns(self):
+        trace = Trace.from_columns("empty", [], [])
+        assert len(trace) == 0
+        assert trace.read_fraction == 0.0
+        assert trace.records == []
+        assert trace.content_hash() == Trace(name="empty").content_hash()
+
+    @pytest.mark.parametrize("kind", [-1, len(KIND_ORDER), 255])
+    def test_rejects_out_of_range_kind(self, kind):
+        dtype = np.uint8 if kind == 255 else np.int16
+        with pytest.raises(TraceError, match="KIND_ORDER"):
+            Trace.from_columns("bad", np.array([3, kind], dtype=dtype), [0, 64])
+
+    def test_rejects_negative_address(self):
+        with pytest.raises(TraceError, match="non-negative"):
+            Trace.from_columns("bad", [3, 3], np.array([0, -64], dtype=np.int64))
+
+    def test_rejects_address_beyond_int64(self):
+        with pytest.raises(TraceError, match="64-bit"):
+            Trace.from_columns("bad", [3], np.array([1 << 63], dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "kinds, addresses, message",
+        [
+            ([3, 3], [0], "differ in length"),
+            ([[3]], [0], "one-dimensional"),
+            ([3.0], [0], "integers"),
+            ([3], [0.5], "integers"),
+        ],
+    )
+    def test_rejects_malformed_columns(self, kinds, addresses, message):
+        with pytest.raises(TraceError, match=message):
+            Trace.from_columns("bad", kinds, addresses)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(KIND_ORDER) - 1), st.integers(0, (1 << 63) - 1)
+            ),
+            max_size=40,
+        )
+    )
+    def test_property_matches_record_built_trace(self, pairs):
+        kinds = [k for k, _ in pairs]
+        addresses = [a for _, a in pairs]
+        columns = Trace.from_columns(
+            "p", np.array(kinds, dtype=np.int8), np.array(addresses, dtype=np.int64)
+        )
+        records = _record_trace(kinds, addresses, name="p")
+        assert len(columns) == len(records)
+        assert columns.write_count == records.write_count
+        assert columns.content_hash() == records.content_hash()
+        assert columns.unique_blocks(64) == records.unique_blocks(64)
+        assert columns.records == records.records
