@@ -13,6 +13,17 @@ The paper's Fig. 3 plots, for one workload:
 :class:`AccumulationTracker` collects (concealed-read count, ones count)
 samples from the cache simulation; :class:`ConcealedReadHistogram` turns them
 into exactly those two curves.
+
+Every demand read resolves through one closed form.  A read that found
+``concealed`` concealed reads exposed its ``ones`` '1' cells to
+``N = concealed + 1`` reads before the ECC check, so its uncorrectable-error
+probability is Eq. (3), ``P[X >= t + 1]`` with ``X ~ Binomial(N * ones, p)``.
+Eq. (3) with ``N = 1`` is Eq. (2), and a block with no '1' cells (zero
+trials) never fails, so no case needs its own branch.  The histogram
+evaluates that tail once per *distinct* trial count through
+:func:`~repro.reliability.binomial.binomial_tail_ge_array` (element-identical
+to the scalar oracle) and memoises the per-read array, so one panel makes one
+binomial pass however many of its curves it draws.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError, ConfigurationError
-from .binomial import accumulated_failure_probability, block_failure_probability
+from .binomial import binomial_tail_ge_array
 
 
 @dataclass
@@ -172,29 +183,40 @@ class ConcealedReadHistogram:
             raise AnalysisError("cannot build a histogram from zero samples")
         if not 0.0 <= p_cell <= 1.0:
             raise ConfigurationError("p_cell must be in [0, 1]")
+        if correctable < 0:
+            raise ConfigurationError("correctable must be non-negative")
         if num_bins < 1:
             raise ConfigurationError("num_bins must be >= 1")
         self._tracker = tracker
         self._p_cell = p_cell
         self._correctable = correctable
         self._num_bins = num_bins
+        self._probabilities: np.ndarray | None = None
 
     def per_access_failure_probabilities(self) -> np.ndarray:
-        """Uncorrectable-error probability of each recorded demand read."""
-        counts = self._tracker.counts()
-        ones = self._tracker.ones()
-        probabilities = np.empty(len(counts), dtype=float)
-        for i, (concealed, n_ones) in enumerate(zip(counts, ones)):
-            if n_ones == 0:
-                probabilities[i] = 0.0
-            elif concealed == 0:
-                probabilities[i] = block_failure_probability(
-                    self._p_cell, int(n_ones), self._correctable
-                )
-            else:
-                probabilities[i] = accumulated_failure_probability(
-                    self._p_cell, int(n_ones), int(concealed) + 1, self._correctable
-                )
+        """Uncorrectable-error probability of each recorded demand read.
+
+        Entry ``i`` is ``P[X >= correctable + 1]`` with
+        ``X ~ Binomial((concealed_i + 1) * ones_i, p_cell)``: Eq. (3), which
+        is Eq. (2) when ``concealed_i == 0`` and 0.0 when ``ones_i == 0``.
+        The tail is evaluated once per distinct trial count and scattered
+        back, so the values equal the scalar Eq. (2)/(3) functions exactly.
+
+        The array is memoised until the tracker grows (it is append-only,
+        so its length identifies its contents) and returned read-only so
+        callers cannot corrupt the memo.
+        """
+        memo = self._probabilities
+        if memo is not None and len(memo) == len(self._tracker):
+            return memo
+        trials = (self._tracker.counts() + 1) * self._tracker.ones()
+        unique_trials, inverse = np.unique(trials, return_inverse=True)
+        tails = binomial_tail_ge_array(
+            unique_trials, self._p_cell, self._correctable + 1
+        )
+        probabilities = tails[inverse]
+        probabilities.flags.writeable = False
+        self._probabilities = probabilities
         return probabilities
 
     def total_failure_rate(self) -> float:

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AnalysisError, ConfigurationError
 from repro.reliability import AccumulationTracker, ConcealedReadHistogram
+from repro.reliability.binomial import (
+    accumulated_failure_probability,
+    block_failure_probability,
+)
 
 
 def tracker_with(samples):
@@ -12,6 +18,25 @@ def tracker_with(samples):
     for concealed, ones in samples:
         tracker.record(concealed, ones)
     return tracker
+
+
+def scalar_probabilities(tracker, p_cell, correctable):
+    """The per-read Eq. (2)/(3) loop, one scalar binomial tail per sample."""
+    probabilities = []
+    for concealed, ones in zip(tracker.counts(), tracker.ones()):
+        if ones == 0:
+            probabilities.append(0.0)
+        elif concealed == 0:
+            probabilities.append(
+                block_failure_probability(p_cell, int(ones), correctable)
+            )
+        else:
+            probabilities.append(
+                accumulated_failure_probability(
+                    p_cell, int(ones), int(concealed) + 1, correctable
+                )
+            )
+    return np.array(probabilities, dtype=float)
 
 
 class TestAccumulationTracker:
@@ -67,7 +92,7 @@ class TestConcealedReadHistogram:
         tracker = tracker_with([(0, 100), (10, 100), (100, 100)])
         histogram = ConcealedReadHistogram(tracker, p_cell=1e-6)
         per_access = histogram.per_access_failure_probabilities()
-        assert histogram.total_failure_rate() == pytest.approx(per_access.sum())
+        assert histogram.total_failure_rate() == per_access.sum()
 
     def test_zero_ones_blocks_never_fail(self):
         tracker = tracker_with([(100, 0), (1000, 0)])
@@ -93,7 +118,61 @@ class TestConcealedReadHistogram:
         with pytest.raises(ConfigurationError):
             ConcealedReadHistogram(tracker, p_cell=1e-8, num_bins=0)
         with pytest.raises(ConfigurationError):
+            ConcealedReadHistogram(tracker, p_cell=1e-8, correctable=-1)
+        with pytest.raises(ConfigurationError):
             ConcealedReadHistogram(tracker, p_cell=1e-8).tail_dominance_ratio(1.5)
+
+
+class TestVectorisedProbabilities:
+    """The deduplicated, memoised evaluation equals the scalar loop exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.one_of(st.just(0), st.integers(0, 300)),
+                st.one_of(st.just(0), st.integers(0, 300)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        p_cell=st.one_of(
+            st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)
+        ),
+        correctable=st.integers(0, 3),
+    )
+    def test_equals_scalar_loop(self, samples, p_cell, correctable):
+        tracker = tracker_with(samples)
+        histogram = ConcealedReadHistogram(
+            tracker, p_cell=p_cell, correctable=correctable
+        )
+        assert np.array_equal(
+            histogram.per_access_failure_probabilities(),
+            scalar_probabilities(tracker, p_cell, correctable),
+        )
+
+    def test_second_call_returns_same_values(self):
+        tracker = tracker_with([(0, 100), (10, 90), (10, 90), (250, 0)])
+        histogram = ConcealedReadHistogram(tracker, p_cell=1e-5)
+        first = histogram.per_access_failure_probabilities()
+        second = histogram.per_access_failure_probabilities()
+        assert np.array_equal(first, second)
+        assert np.array_equal(second, scalar_probabilities(tracker, 1e-5, 1))
+
+    def test_returned_array_is_read_only(self):
+        histogram = ConcealedReadHistogram(tracker_with([(3, 100)]), p_cell=1e-5)
+        probabilities = histogram.per_access_failure_probabilities()
+        with pytest.raises(ValueError):
+            probabilities[0] = 0.5
+
+    def test_record_after_first_call_is_included(self):
+        tracker = tracker_with([(0, 100), (20, 100)])
+        histogram = ConcealedReadHistogram(tracker, p_cell=1e-4)
+        assert len(histogram.per_access_failure_probabilities()) == 2
+        tracker.record(400, 120)
+        probabilities = histogram.per_access_failure_probabilities()
+        assert len(probabilities) == 3
+        assert np.array_equal(probabilities, scalar_probabilities(tracker, 1e-4, 1))
 
 
 class TestRecordSampleArrays:
