@@ -3,25 +3,28 @@
 The reference engine in :mod:`repro.sim.engine` drives the object model one
 record at a time, dispatching Python bytecode per access — and, for the
 multi-way schemes, per way.  This kernel is the one fast implementation of
-the same model.  It avoids that cost by splitting the replay into two
-passes:
+the same model.  :func:`replay_l2_soa` avoids that cost by composing two
+passes, each timed by its own telemetry span:
 
-1. **Functional pass** (sequential, minimal): one lean Python loop decides
-   hit/miss, victim and eviction for every access — the only genuinely
-   order-dependent work — while *deferring* everything else.  Replacement
-   transitions are deferred through the policy's SoA protocol
+1. :func:`functional_pass` (``kernel.pass1``, sequential, minimal): one
+   lean Python loop decides hit/miss, victim and eviction for every access
+   — the only genuinely order-dependent work — while *deferring*
+   everything else, and returns a frozen :class:`FunctionalProduct`.
+   Replacement transitions are deferred through the policy's SoA protocol
    (:attr:`repro.cache.replacement.ReplacementPolicy.soa_mode`): timestamp
    policies collapse to one "last touch position" store per access,
    tree/stateless policies to a queued way, and unknown compact-capable
-   policies fall back to exact scalar calls.
-2. **Reliability/energy pass** (vectorised): with the per-access
-   ``(way, miss, valid-count)`` columns known, every remaining quantity is
-   closed-form over NumPy arrays.  Per-set read ranks turn the exposure
-   windows into differences of a counter sampled at consecutive events of
-   the same cache frame; per-frame event streams (accesses plus patrol
-   scrubs, sorted by frame then time) yield the delivery windows, the
-   evicted-block exposures, the final per-block counters and the recency
-   ticks without touching Python per access.
+   policies fall back to exact scalar calls.  Unless the policy's victim
+   choice reads exposure (LER) or the scheme scrubs, the product does not
+   depend on the scheme or on ``p_cell``.
+2. :func:`reliability_pass` (``kernel.pass2``, vectorised): with the
+   product's per-access ``(frame, miss, eviction)`` columns known, every
+   remaining quantity is closed-form over NumPy arrays.  Per-set read ranks
+   turn the exposure windows into differences of a counter sampled at
+   consecutive events of the same cache frame; per-frame event streams
+   (accesses plus patrol scrubs, sorted by frame then time) yield the
+   delivery windows, the evicted-block exposures, the final per-block
+   counters and the recency ticks without touching Python per access.
 
 Bit-identical to the reference loop by construction:
 
@@ -38,11 +41,15 @@ Bit-identical to the reference loop by construction:
   binomial functions that are element-for-element identical to the scalar
   ones the reference engine memoises.
 
-The CPU-level entry (:func:`filter_through_l1_soa`) additionally
-run-length-encodes the L1 streams: consecutive references of one L1 to the
-same block are guaranteed hits after the first, so each run costs one
-Python iteration instead of one per record, and the realised L2 stream is
-merged back in global order for the L2 replay above.
+The CPU-level entry (:func:`filter_through_l1_soa`) replays each L1 with
+:func:`_replay_l1`, which additionally run-length-encodes the stream:
+consecutive references of one L1 to the same block are guaranteed hits
+after the first, so each run costs one Python iteration instead of one per
+record.  The realised L2 stream is merged back in global order for the L2
+replay above.  Both functional loops keep their per-set state in one shared
+core, :class:`_FrameState`: flat frame-indexed lists, lazy set
+materialisation, the free-way scan, victim selection and the final policy
+flush.
 
 The differential harness in ``tests/sim/test_engine_equivalence.py`` sweeps
 this kernel against the reference engine across every scheme, replacement
@@ -50,6 +57,9 @@ policy and trace level to enforce all of this field by field.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -343,6 +353,158 @@ def resolve_probability_keys(
     return unique_probs[inverse]
 
 
+class _FrameState:
+    """Flat, frame-indexed pass-1 state of one set-associative cache.
+
+    The core both functional replays share (:func:`functional_pass` for the
+    L2 and :func:`_replay_l1`).  Per-set state lives in flat Python lists
+    indexed by frame id (``set * associativity + way``), copied in lazily
+    per touched set by :meth:`materialise`.  All resident lines share one
+    dict keyed by the packed (tag, set) address and valued with the frame
+    id, so a hit is a single dict probe plus a couple of flat-list stores.
+    Replacement transitions are deferred through the policy's SoA mode:
+    ``pend`` holds last-touch positions in ``"position"`` mode and
+    ``queues`` the touched ways per set in ``"ordered"`` mode, until
+    :meth:`flush` applies them.  Block fields are left to each caller's own
+    write-back.
+    """
+
+    __slots__ = (
+        "substrate", "assoc", "index_bits", "num_frames", "policy", "pol_globals",
+        "uses_exposure", "position_mode", "ordered_mode", "fill_only_mode",
+        "tick_base", "tags", "valid", "dirty", "pend", "nvalid", "init_nvalid",
+        "materialised", "rows", "queues", "touched_sets", "resident",
+    )
+
+    def __init__(self, substrate: SetAssociativeCache) -> None:
+        num_sets = substrate.num_sets
+        policy = substrate.replacement
+        soa_mode, self.uses_exposure = effective_soa_scheduling(policy)
+        self.substrate = substrate
+        self.assoc = substrate.associativity
+        self.index_bits = num_sets.bit_length() - 1
+        self.num_frames = num_frames = num_sets * self.assoc
+        self.policy = policy
+        self.pol_globals = policy.compact_globals()
+        self.position_mode = soa_mode == "position"
+        self.ordered_mode = soa_mode == "ordered"
+        self.fill_only_mode = soa_mode == "fill-only"
+        self.tick_base = policy.soa_tick_base() if self.position_mode else 0
+        self.tags = [0] * num_frames
+        self.valid = [False] * num_frames
+        self.dirty = [False] * num_frames
+        self.pend = [-1] * num_frames if self.position_mode else None
+        self.nvalid = [0] * num_sets
+        self.init_nvalid = [0] * num_sets
+        self.materialised = [False] * num_sets
+        self.rows: list = [None] * num_sets
+        self.queues: list | None = [None] * num_sets if self.ordered_mode else None
+        self.touched_sets: list[int] = []
+        self.resident: dict[int, int] = {}
+
+    def materialise(self, set_index: int) -> list:
+        """Copy one set's lines and policy row in; returns its blocks."""
+        blocks = self.substrate.cache_set(set_index).blocks
+        base = set_index * self.assoc
+        tags, valid, dirty = self.tags, self.valid, self.dirty
+        resident, index_bits = self.resident, self.index_bits
+        nvalid = 0
+        for way, block in enumerate(blocks):
+            f = base + way
+            tags[f] = block.tag
+            if block.valid:
+                valid[f] = True
+                resident[(block.tag << index_bits) | set_index] = f
+                nvalid += 1
+            dirty[f] = block.dirty
+        self.nvalid[set_index] = self.init_nvalid[set_index] = nvalid
+        self.rows[set_index] = self.policy.export_set_state(set_index)
+        if self.ordered_mode:
+            self.queues[set_index] = []
+        self.materialised[set_index] = True
+        self.touched_sets.append(set_index)
+        return blocks
+
+    def claim_free(self, set_index: int) -> int:
+        """Mark a non-full set's first invalid frame valid and return it."""
+        valid = self.valid
+        frame = set_index * self.assoc
+        while valid[frame]:
+            frame += 1
+        valid[frame] = True
+        self.nvalid[set_index] += 1
+        return frame
+
+    def evict(self, set_index: int, exposure: list) -> int:
+        """Choose a full set's victim frame and drop its line's residency.
+
+        ``exposure`` is the per-way unchecked-read count the policy's
+        victim choice may read.  In ``"position"`` mode nothing is flushed:
+        the policy picks over the mixed stored and deferred timestamps.
+        """
+        assoc = self.assoc
+        base = set_index * assoc
+        policy = self.policy
+        row = self.rows[set_index]
+        if self.position_mode:
+            frame = base + policy.soa_victim_positions(
+                self.pol_globals,
+                row,
+                self.pend[base : base + assoc],
+                self.tick_base,
+                exposure,
+            )
+        else:
+            if self.ordered_mode:
+                queue = self.queues[set_index]
+                if queue:
+                    policy.compact_on_access_batch(self.pol_globals, row, queue)
+                    queue.clear()
+            frame = base + policy.compact_victim(self.pol_globals, row, exposure)
+        del self.resident[(self.tags[frame] << self.index_bits) | set_index]
+        return frame
+
+    def flush(self, num_accesses: int) -> None:
+        """Apply the deferred transitions and write the policy state back."""
+        policy = self.policy
+        assoc = self.assoc
+        rows, pend, queues = self.rows, self.pend, self.queues
+        for set_index in self.touched_sets:
+            row = rows[set_index]
+            if self.position_mode:
+                base = set_index * assoc
+                policy.soa_apply_last_positions(
+                    row, pend[base : base + assoc], self.tick_base
+                )
+            elif self.ordered_mode and queues[set_index]:
+                policy.compact_on_access_batch(self.pol_globals, row, queues[set_index])
+            policy.import_set_state(set_index, row)
+        if self.position_mode:
+            policy.soa_commit(self.tick_base, num_accesses)
+
+
+@dataclass(frozen=True)
+class FunctionalProduct:
+    """What :func:`functional_pass` decided, as :func:`reliability_pass` reads it.
+
+    The per-frame columns are meaningful on the touched sets only; the
+    patrol fields are empty (``scrub_state`` is ``None``) without scrubbing.
+    """
+
+    frames: np.ndarray  # per access: frame id hit or filled
+    miss_positions: np.ndarray  # positions of the misses, ascending
+    evicted: np.ndarray  # per access: the miss evicted a valid line
+    evict_dirty: np.ndarray  # per access: ... and that line was dirty
+    init_nvalid: np.ndarray  # per set: valid ways before the replay
+    touched_sets: list  # materialised sets, in materialisation order
+    tags: list  # per frame, after the replay
+    valid: list
+    dirty: list
+    visit_positions: np.ndarray  # per patrol visit, chronological: position
+    visit_frames: np.ndarray  # ... and frame visited
+    scrub_state: tuple | None  # patrol (credit, cursor, scrubbed lines) after
+
+
 def replay_l2_soa(
     cache,
     codes: np.ndarray,
@@ -366,104 +528,81 @@ def replay_l2_soa(
     count = len(codes)
     if count == 0:
         return
-
-    restore = type(cache) is RestoreCache
-    scrubbing = type(cache) is ScrubbingCache
-    substrate = cache.cache
-    assoc = substrate.associativity
-    policy = substrate.replacement
-    engine = cache.engine
-    rel_stats = engine.stats
-    stats = substrate.stats
-    totals = cache.energy
-
     # One ones-count sample per access, consumed in trace order exactly as
     # the per-access sample() calls of the scalar loops.
     samples = np.asarray(cache.data_profile.sample_many(count), dtype=np.int64)
+    scheme = cache.scheme_name()
+    with telemetry_span("kernel.pass1", scheme=scheme, accesses=count):
+        functional = functional_pass(cache, codes, set_indices, tags, scheme_mode)
+    with telemetry_span("kernel.pass2", scheme=scheme, accesses=count):
+        reliability_pass(cache, codes, set_indices, scheme_mode, functional, samples)
 
-    # -- policy scheduling --------------------------------------------------------
-    soa_mode, uses_exposure = effective_soa_scheduling(policy)
-    pol_globals = policy.compact_globals()
+
+def functional_pass(
+    cache,
+    codes: np.ndarray,
+    set_indices: np.ndarray,
+    tags: np.ndarray,
+    scheme_mode: int,
+) -> FunctionalProduct:
+    """Pass 1: hit/miss, victim and eviction for every access, in order.
+
+    The only order-dependent work, done by one lean Python loop; replacement
+    transitions are deferred and flushed into the policy at the end.  The
+    scheme enters only through the exposure counters a policy's victim
+    choice may read (LER) and through the patrol scrubber, so for every
+    other combination the product is the same across schemes and
+    ``p_cell``.  Mutates the replacement policy and materialises the touched
+    sets, but leaves block fields to :func:`reliability_pass`.
+
+    Args are as for :func:`replay_l2_soa`; ``codes`` must be non-empty.
+    """
+    count = len(codes)
+    state = _FrameState(cache.cache)
+    substrate = state.substrate
+    assoc = state.assoc
+    index_bits = state.index_bits
+    num_sets = substrate.num_sets
+    policy = state.policy
+    pol_globals = state.pol_globals
     pol_access = policy.compact_on_access
     pol_fill = policy.compact_on_fill
-    pol_victim = policy.compact_victim
-    position_mode = soa_mode == "position"
-    ordered_mode = soa_mode == "ordered"
-    fill_only_mode = soa_mode == "fill-only"
-    tick_base = policy.soa_tick_base() if position_mode else 0
+    uses_exposure = state.uses_exposure
+    position_mode = state.position_mode
+    ordered_mode = state.ordered_mode
+    fill_only_mode = state.fill_only_mode
+    tags_l, valid_l, dirty_l, pend_l = state.tags, state.valid, state.dirty, state.pend
+    materialised, rows, queues = state.materialised, state.rows, state.queues
+    resident, nvalid_l = state.resident, state.nvalid
+    claim_free, evict = state.claim_free, state.evict
+    restore = type(cache) is RestoreCache
+    scrubbing = type(cache) is ScrubbingCache
+
     # Exposure bookkeeping (only when a policy's victim choice reads it):
     # under the accumulating schemes the live unchecked count of a way is
     # the set's read rank minus the rank at the way's last reset; under the
     # self-scrubbing schemes it is the initial exposure until any reset.
     exp_is_rr = scheme_mode == _CONVENTIONAL and not restore
     exp_reads_reset = restore or scheme_mode == _REAP
-
-    # -- pass 1: functional replay ------------------------------------------------
-    # Phase spans use the explicit start()/finish() pair: reindenting the
-    # two ~300-line passes under ``with`` blocks would obscure the kernel.
-    scheme_name = cache.scheme_name()
-    pass1_span = telemetry_span(
-        "kernel.pass1", scheme=scheme_name, accesses=count
-    ).start()
-    # Per-set state lives in flat, frame-indexed Python lists (frame id =
-    # set * associativity + way), materialised lazily per touched set.  All
-    # resident lines share one dict keyed by the packed (tag, set) address
-    # and valued with the frame id, so the hit path is a single dict probe
-    # plus a couple of flat-list stores.
-    num_sets = substrate.num_sets
-    index_bits = num_sets.bit_length() - 1
-    materialised = [False] * num_sets
-    rows: list = [None] * num_sets
-    nvalid_l = [0] * num_sets
-    total_frame_count = num_sets * assoc
-    tags_l = [0] * total_frame_count
-    valid_l = [False] * total_frame_count
-    dirty_l = [False] * total_frame_count
-    pend_l = [-1] * total_frame_count if position_mode else None
-    queues: list = [None] * num_sets if ordered_mode else None
-    exp_l = [0] * total_frame_count if uses_exposure else None
+    exp_l = [0] * state.num_frames if uses_exposure else None
     rr_l = [0] * num_sets if uses_exposure else None
-    touched_sets: list[int] = []
     zeros_exposure = [0] * assoc
-    apply_positions = (
-        policy.soa_apply_last_positions if position_mode else None
-    )
-    victim_positions = (
-        policy.soa_victim_positions if position_mode else None
-    )
-    resident: dict[int, int] = {}
+    if uses_exposure:
 
-    init_nvalid = [0] * num_sets
+        def materialise(set_index: int) -> None:
+            base = set_index * assoc
+            for way, block in enumerate(state.materialise(set_index)):
+                exp_l[base + way] = -block.unchecked_reads
 
-    def materialise(set_index: int) -> None:
-        blocks = substrate.cache_set(set_index).blocks
-        base = set_index * assoc
-        nvalid = 0
-        for way, block in enumerate(blocks):
-            f = base + way
-            tags_l[f] = block.tag
-            if block.valid:
-                valid_l[f] = True
-                resident[(block.tag << index_bits) | set_index] = f
-                nvalid += 1
-            dirty_l[f] = block.dirty
-            if uses_exposure:
-                exp_l[f] = -block.unchecked_reads
-        nvalid_l[set_index] = nvalid
-        init_nvalid[set_index] = nvalid
-        rows[set_index] = policy.export_set_state(set_index)
-        if ordered_mode:
-            queues[set_index] = []
-        materialised[set_index] = True
-        touched_sets.append(set_index)
+    else:
+        materialise = state.materialise
 
     way_arr = [0] * count
     miss_positions: list[int] = []
     evicted_flags: list[bool] = []
     evict_dirty_flags: list[bool] = []
     vis_pos: list[int] = []
-    vis_set: list[int] = []
-    vis_way: list[int] = []
+    vis_frame: list[int] = []
 
     if scrubbing:
         scrub_rate = cache.scrub_rate
@@ -485,21 +624,12 @@ def replay_l2_soa(
     set_list = set_indices.tolist()
     # Packed (tag, set) keys for the shared residency dict.
     key_list = ((tags << index_bits) | set_indices).tolist()
-    way_range = range(assoc)
-    fast_loop = position_mode and not uses_exposure
 
     def handle_miss(i: int, set_index: int, key: int, code: int) -> None:
         """Shared miss path: victim choice, eviction bookkeeping, fill."""
-        base = set_index * assoc
-        nvalid = nvalid_l[set_index]
         miss_positions.append(i)
-        if nvalid < assoc:
-            for way in way_range:
-                if not valid_l[base + way]:
-                    victim = base + way
-                    break
-            valid_l[victim] = True
-            nvalid_l[set_index] = nvalid + 1
+        if nvalid_l[set_index] < assoc:
+            victim = claim_free(set_index)
             evicted_flags.append(False)
             evict_dirty_flags.append(False)
             if patrol_closed_form:
@@ -508,37 +638,19 @@ def replay_l2_soa(
                 fill_log_pos.append(i)
                 fill_log_frame.append(victim)
         else:
-            row = rows[set_index]
-            if ordered_mode:
-                queue = queues[set_index]
-                if queue:
-                    policy.compact_on_access_batch(pol_globals, row, queue)
-                    queue.clear()
+            exposure = zeros_exposure
             if uses_exposure:
+                base = set_index * assoc
                 if exp_is_rr:
                     rank = rr_l[set_index]
                     exposure = [
                         rank - exp_base for exp_base in exp_l[base : base + assoc]
                     ]
-                elif exp_reads_reset and rr_l[set_index] > 0:
-                    exposure = zeros_exposure
-                else:
-                    exposure = [
-                        -exp_base for exp_base in exp_l[base : base + assoc]
-                    ]
-            else:
-                exposure = zeros_exposure
-            if position_mode:
-                # No flush: the policy picks a victim over the mixed stored
-                # and deferred timestamps directly.
-                victim = base + victim_positions(
-                    pol_globals, row, pend_l[base : base + assoc], tick_base, exposure
-                )
-            else:
-                victim = base + pol_victim(pol_globals, row, exposure)
+                elif not (exp_reads_reset and rr_l[set_index] > 0):
+                    exposure = [-exp_base for exp_base in exp_l[base : base + assoc]]
+            victim = evict(set_index, exposure)
             evicted_flags.append(True)
             evict_dirty_flags.append(dirty_l[victim])
-            del resident[(tags_l[victim] << index_bits) | set_index]
         tags_l[victim] = key >> index_bits
         dirty_l[victim] = code != 0
         resident[key] = victim
@@ -548,11 +660,12 @@ def replay_l2_soa(
         if position_mode:
             pend_l[victim] = i
         elif ordered_mode:
-            queues[set_index].append(victim - base)
+            queues[set_index].append(victim - set_index * assoc)
         else:
-            pol_fill(pol_globals, rows[set_index], victim - base)
+            pol_fill(pol_globals, rows[set_index], victim - set_index * assoc)
 
-    if fast_loop:
+    resident_get = resident.get
+    if position_mode and not uses_exposure:
         # The common case (LRU-family policy, no patrol scrubber): the hit
         # path is one dict probe plus two flat stores, with the replacement
         # transition deferred as a last-touch position.  All touched sets
@@ -561,7 +674,6 @@ def replay_l2_soa(
             np.bincount(set_indices, minlength=num_sets)
         ).tolist():
             materialise(set_index)
-        resident_get = resident.get
         for i, (key, code) in enumerate(zip(key_list, code_list)):
             hit_frame = resident_get(key)
             if hit_frame is not None:
@@ -572,7 +684,6 @@ def replay_l2_soa(
             else:
                 handle_miss(i, set_list[i], key, code)
     else:
-        resident_get = resident.get
         for i, (set_index, key, code) in enumerate(
             zip(set_list, key_list, code_list)
         ):
@@ -617,14 +728,11 @@ def replay_l2_soa(
                         if not s_valid:
                             continue
                         vis_pos.append(i)
-                        vis_set.append(s_set)
-                        vis_way.append(s_way)
+                        vis_frame.append(patrol_frame)
                         scrubbed_lines += 1
-                        if uses_exposure:
-                            # A patrol check scrubs the visited way's exposure.
-                            exp_l[patrol_frame] = (
-                                rr_l[s_set] if exp_is_rr else 0
-                            )
+                        # A patrol check scrubs the visited way's exposure
+                        # (patrol_inline implies uses_exposure).
+                        exp_l[patrol_frame] = rr_l[s_set] if exp_is_rr else 0
                         break
 
     if patrol_closed_form:
@@ -635,7 +743,7 @@ def replay_l2_soa(
         visits_per_access, scrub_credit = _patrol_visit_schedule(
             scrub_credit, scrub_rate, count
         )
-        vis_pos, vis_frames, scrub_cursor = _patrol_visit_frames(
+        vis_pos, vis_frame, scrub_cursor = _patrol_visit_frames(
             visits_per_access,
             fill_log_pos,
             fill_log_frame,
@@ -643,47 +751,81 @@ def replay_l2_soa(
             scrub_cursor,
             total_frames,
         )
-        scrubbed_lines += len(vis_frames)
-        vis_set = vis_frames // assoc
-        vis_way = vis_frames - vis_set * assoc
+        scrubbed_lines += len(vis_frame)
         # Patrol-visited sets join the touched set for pass 2's write-back,
         # exactly as the inline walk materialises them on first visit.
-        for set_index in np.unique(vis_set).tolist():
+        for set_index in np.unique(vis_frame // assoc).tolist():
             if not materialised[set_index]:
                 materialise(set_index)
 
-    # Flush deferred replacement transitions and write the policy state back.
-    for set_index in touched_sets:
-        row = rows[set_index]
-        if position_mode:
-            base = set_index * assoc
-            apply_positions(row, pend_l[base : base + assoc], tick_base)
-        elif ordered_mode and queues[set_index]:
-            policy.compact_on_access_batch(pol_globals, row, queues[set_index])
-        policy.import_set_state(set_index, row)
-    if position_mode:
-        policy.soa_commit(tick_base, count)
-    pass1_span.finish()
+    state.flush(count)
+    miss_idx = np.array(miss_positions, dtype=np.int64)
+    evicted = np.zeros(count, dtype=bool)
+    evicted[miss_idx] = evicted_flags
+    evict_dirty = np.zeros(count, dtype=bool)
+    evict_dirty[miss_idx] = evict_dirty_flags
+    return FunctionalProduct(
+        frames=np.array(way_arr, dtype=np.int64),
+        miss_positions=miss_idx,
+        evicted=evicted,
+        evict_dirty=evict_dirty,
+        init_nvalid=np.asarray(state.init_nvalid, dtype=np.int64),
+        touched_sets=state.touched_sets,
+        tags=tags_l,
+        valid=valid_l,
+        dirty=dirty_l,
+        visit_positions=np.asarray(vis_pos, dtype=np.int64),
+        visit_frames=np.asarray(vis_frame, dtype=np.int64),
+        scrub_state=(
+            (scrub_credit, scrub_cursor, scrubbed_lines) if scrubbing else None
+        ),
+    )
 
-    # -- pass 2: vectorised reliability, energy and block state -------------------
-    pass2_span = telemetry_span(
-        "kernel.pass2", scheme=scheme_name, accesses=count
-    ).start()
-    frame = np.array(way_arr, dtype=np.int64)
-    num_frames = total_frame_count
+
+def reliability_pass(
+    cache,
+    codes: np.ndarray,
+    set_indices: np.ndarray,
+    scheme_mode: int,
+    functional: FunctionalProduct,
+    samples: np.ndarray,
+) -> None:
+    """Pass 2: vectorised reliability, energy and block state.
+
+    With the per-access ``(frame, miss, eviction)`` columns of
+    ``functional`` known, every remaining quantity is closed-form over NumPy
+    arrays: statistics, tracker samples, deferred failure probabilities,
+    energy sums and the final per-block fields, all folded back into
+    ``cache``.
+
+    Args:
+        cache: The cache :func:`functional_pass` replayed.
+        codes: Per-access kind codes (0 read, 1 write).
+        set_indices: Per-access set indices.
+        scheme_mode: The scheme's delivery-kind code.
+        functional: The functional pass's product for this stream.
+        samples: One ones-count sample per access.
+    """
+    count = len(codes)
+    restore = type(cache) is RestoreCache
+    scrubbing = type(cache) is ScrubbingCache
+    substrate = cache.cache
+    assoc = substrate.associativity
+    num_sets = substrate.num_sets
+    num_frames = num_sets * assoc
+    engine = cache.engine
+    rel_stats = engine.stats
+    stats = substrate.stats
+    totals = cache.energy
+    frame = functional.frames
+    evicted = functional.evicted
+    evict_dirty = functional.evict_dirty
+    touched_sets = functional.touched_sets
+    tags_l, valid_l, dirty_l = functional.tags, functional.valid, functional.dirty
 
     is_read = np.asarray(codes) == 0
     miss_mask = np.zeros(count, dtype=bool)
-    if miss_positions:
-        miss_idx = np.array(miss_positions, dtype=np.int64)
-        miss_mask[miss_idx] = True
-        evicted = np.zeros(count, dtype=bool)
-        evicted[miss_idx] = np.array(evicted_flags, dtype=bool)
-        evict_dirty = np.zeros(count, dtype=bool)
-        evict_dirty[miss_idx] = np.array(evict_dirty_flags, dtype=bool)
-    else:
-        evicted = np.zeros(count, dtype=bool)
-        evict_dirty = np.zeros(count, dtype=bool)
+    miss_mask[functional.miss_positions] = True
     hit_mask = ~miss_mask
     delivery = is_read & hit_mask
     write_hit = ~is_read & hit_mask
@@ -713,7 +855,7 @@ def replay_l2_soa(
     nvb_sorted = (ff_cum - np.repeat(ff_base, set_counts)) - free_fill_sorted
     nvb = np.empty(count, dtype=np.int64)
     nvb[order_by_set] = nvb_sorted
-    nvb += np.asarray(init_nvalid, dtype=np.int64)[set_indices]
+    nvb += functional.init_nvalid[set_indices]
 
     reads_per_set = np.bincount(set_indices[is_read], minlength=num_sets)
     # Read positions in (set, position) order, with per-set offsets; the
@@ -733,11 +875,11 @@ def replay_l2_soa(
 
     # Scrub-visit read ranks via one packed searchsorted over read positions
     # sorted by (set, position).
-    num_visits = len(vis_pos)
+    visits_pos = functional.visit_positions
+    visits_frame = functional.visit_frames
+    num_visits = len(visits_pos)
     if num_visits:
-        visits_pos = np.array(vis_pos, dtype=np.int64)
-        visits_set = np.array(vis_set, dtype=np.int64)
-        visits_frame = visits_set * assoc + np.array(vis_way, dtype=np.int64)
+        visits_set = visits_frame // assoc
         read_keys_sorted = set_indices[read_positions] * (count + 1) + read_positions
         visits_rank = (
             np.searchsorted(
@@ -746,8 +888,6 @@ def replay_l2_soa(
             - read_offsets[visits_set]
         )
     else:
-        visits_pos = np.zeros(0, dtype=np.int64)
-        visits_frame = np.zeros(0, dtype=np.int64)
         visits_rank = np.zeros(0, dtype=np.int64)
 
     # Initial (pre-replay) per-frame state, read from the untouched blocks.
@@ -918,29 +1058,6 @@ def replay_l2_soa(
     if tracker is not None:
         tracker.record_sample_arrays(conc_acc[delivery], ones_at_acc[delivery])
 
-    # -- restore: per-way rewrite probabilities, in (access, way) order -----------
-    if restore:
-        _record_restores(
-            cache,
-            count,
-            assoc,
-            order_by_set,
-            sorted_read,
-            reads_per_set,
-            rr,
-            seg_frames,
-            seg_starts,
-            f_s,
-            pos_s,
-            kind_s,
-            setter,
-            setter_ones,
-            init_ones,
-            init_valid,
-            frame,
-            hit_mask,
-        )
-
     # -- energy: reconstruct the per-access addend sequences ----------------------
     model = cache.energy_model
     tag_e = model.tag_lookup_energy_pj()
@@ -1080,6 +1197,26 @@ def replay_l2_soa(
     resident_mask = final_valid
     reads_while_valid = np.where(resident_mask, r_end - valid_from_r, 0)
 
+    # Restore: every read rewrites each way resident in its set, in
+    # (access, way) order.
+    if restore:
+        _record_restores(
+            cache,
+            _EventStreams(
+                read_positions,
+                read_offsets,
+                reads_while_valid,
+                valid_from_r,
+                f_s,
+                pos_s,
+                setter,
+                setter_ones,
+                init_ones,
+                frame,
+                hit_mask,
+            ),
+        )
+
     # Patrol scrubs on a frame after its last demand (own) event: they keep
     # incrementing reads_since_demand, which only demand events reset.
     if num_visits:
@@ -1186,385 +1323,228 @@ def replay_l2_soa(
             block.last_access_tick = tick_l[f]
 
     if scrubbing:
-        cache.import_scrub_state(scrub_credit, scrub_cursor, scrubbed_lines)
+        cache.import_scrub_state(*functional.scrub_state)
     cache._tick = scheme_tick0 + count  # noqa: SLF001 - engine-internal state sync
     substrate._tick = substrate_tick0 + count  # noqa: SLF001
-    pass2_span.finish()
 
 
-class _L1FilterSoA:
+def _replay_l1(
+    cache: SetAssociativeCache,
+    sub_positions: np.ndarray,
+    sets: np.ndarray,
+    tags: np.ndarray,
+    stores: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-pass, run-length-aware replay of one functional (SRAM) L1 cache.
 
     Equivalent to :meth:`repro.cache.SetAssociativeCache.access` per record
     (with ``fill_ones_count=0``, as the hierarchy uses it) — same counters,
     same block fields, same replacement transitions — but mirrors the L2
-    kernel's pass split:
+    kernel's pass split over the shared :class:`_FrameState` core:
 
-    * **Pass 1** (:meth:`replay`, sequential) extracts runs of consecutive
-      same-block references vectorised, then walks them with a lean loop
-      that resolves only the genuinely order-dependent work — residency (one
-      shared dict keyed by the packed (tag, set) address), victim choice and
-      eviction bookkeeping — while deferring replacement transitions through
-      the policy's SoA protocol.  A hit run costs one dict probe plus one
-      flat store.
-    * **Pass 2** (:meth:`finalize`, vectorised) reconstructs every counter
-      and per-block field closed-form from the run columns: hit/miss
-      counters are mask sums, per-frame fill counts a ``bincount``, and the
-      final recency tick of each frame the last tick-updating run that
-      touched it.
+    * **Pass 1** (sequential) extracts runs of consecutive same-block
+      references vectorised, then walks them with a lean loop that resolves
+      only the genuinely order-dependent work — residency, victim choice
+      and eviction bookkeeping — while deferring replacement transitions
+      through the policy's SoA protocol.  A hit run costs one dict probe
+      plus one flat store.
+    * **Pass 2** (vectorised) reconstructs every counter and per-block
+      field closed-form from the run columns: hit/miss counters are mask
+      sums, per-frame fill counts a ``bincount``, and the final recency
+      tick of each frame the last tick-updating run that touched it.
 
-    Bit-identical to a per-run loop: pass 1 performs the identical
-    policy calls at the identical points in the stream, and every pass-2
-    quantity is an integer reconstruction of the same arithmetic.
+    Bit-identical to a per-run loop: pass 1 performs the identical policy
+    calls at the identical points in the stream, and every pass-2 quantity
+    is an integer reconstruction of the same arithmetic.
+
+    Args:
+        cache: The L1 cache (mutated in place).
+        sub_positions: Global trace positions of this cache's records.
+        sets: Per-record set indices.
+        tags: Per-record tags.
+        stores: Per-record store flags.
+
+    Returns:
+        ``(miss_positions, miss_sets, miss_wb_tags)`` — the global position
+        and set of every missing run's first reference, and the evicted
+        dirty victim's tag (-1 when nothing dirty was evicted), in stream
+        order.
     """
-
-    __slots__ = (
-        "cache",
-        "assoc",
-        "num_sets",
-        "index_bits",
-        "num_frames",
-        "policy",
-        "pol_globals",
-        "pol_access",
-        "pol_fill",
-        "pol_victim",
-        "position_mode",
-        "ordered_mode",
-        "fill_only_mode",
-        "tick_base",
-        "zeros",
-        "tick0",
-        "acc",
-        "tags_f",
-        "valid_f",
-        "dirty_f",
-        "pend_f",
-        "rows",
-        "queues",
-        "touched_sets",
-        "evictions",
-        "dirty_evictions",
-        "_runs",
-    )
-
-    def __init__(self, cache: SetAssociativeCache) -> None:
-        self.cache = cache
-        self.assoc = cache.associativity
-        self.num_sets = cache.num_sets
-        self.index_bits = self.num_sets.bit_length() - 1
-        self.num_frames = self.num_sets * self.assoc
-        self.policy = cache.replacement
-        self.pol_globals = self.policy.compact_globals()
-        self.pol_access = self.policy.compact_on_access
-        self.pol_fill = self.policy.compact_on_fill
-        self.pol_victim = self.policy.compact_victim
-        soa_mode, _ = effective_soa_scheduling(self.policy)
-        self.position_mode = soa_mode == "position"
-        self.ordered_mode = soa_mode == "ordered"
-        self.fill_only_mode = soa_mode == "fill-only"
-        self.tick_base = self.policy.soa_tick_base() if self.position_mode else 0
-        # The L1s never record reads on their blocks, so the per-way
-        # unchecked-read exposure seen by victim selection is always zero.
-        self.zeros = [0] * self.assoc
-        self.tick0 = cache._tick  # noqa: SLF001 - engine-internal state sync
-        self.acc = 0
-        # Flat frame-indexed state (frame id = set * associativity + way),
-        # filled lazily per touched set, exactly like the L2 kernel.
-        self.tags_f = [0] * self.num_frames
-        self.valid_f = [False] * self.num_frames
-        self.dirty_f = [False] * self.num_frames
-        self.pend_f = [-1] * self.num_frames if self.position_mode else None
-        self.rows: list = [None] * self.num_sets
-        self.queues: list = [None] * self.num_sets if self.ordered_mode else None
-        self.touched_sets: list[int] = []
-        self.evictions = self.dirty_evictions = 0
-        self._runs: tuple | None = None
-
-    def _materialise(self, set_index: int, resident: dict[int, int]) -> None:
-        blocks = self.cache.cache_set(set_index).blocks
-        base = set_index * self.assoc
-        for way, block in enumerate(blocks):
-            f = base + way
-            self.tags_f[f] = block.tag
-            if block.valid:
-                self.valid_f[f] = True
-                resident[(block.tag << self.index_bits) | set_index] = f
-            self.dirty_f[f] = block.dirty
-        self.rows[set_index] = self.policy.export_set_state(set_index)
-        if self.ordered_mode:
-            self.queues[set_index] = []
-        self.touched_sets.append(set_index)
-
-    def replay(
-        self,
-        sub_positions: np.ndarray,
-        sets: np.ndarray,
-        tags: np.ndarray,
-        stores: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pass 1: replay the cache's whole substream.
-
-        Args:
-            sub_positions: Global trace positions of this cache's records.
-            sets: Per-record set indices.
-            tags: Per-record tags.
-            stores: Per-record store flags.
-
-        Returns:
-            ``(miss_positions, miss_sets, miss_wb_tags)`` — the global
-            position and set of every missing run's first reference, and
-            the evicted dirty victim's tag (-1 when nothing dirty was
-            evicted), in stream order.
-        """
-        n = int(len(sub_positions))
-        self.acc = n
+    n = int(len(sub_positions))
+    if n == 0:
         empty = np.zeros(0, dtype=np.int64)
-        if n == 0:
-            return empty, empty, empty
+        return empty, empty, empty
 
-        # Run extraction: maximal runs of consecutive same-(set, tag)
-        # references collapse to one pass-1 iteration each.
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = (sets[1:] != sets[:-1]) | (tags[1:] != tags[:-1])
-        run_starts = np.flatnonzero(change)
-        run_ends = np.concatenate((run_starts[1:], [n]))
-        store_cum = np.concatenate(([0], np.cumsum(stores)))
-        last_store = np.maximum.accumulate(
-            np.where(stores, np.arange(n, dtype=np.int64), -1)
-        )
-        run_sets = sets[run_starts]
-        n_stores_r = store_cum[run_ends] - store_cum[run_starts]
-        last_off_r = last_store[run_ends - 1] - run_starts
-        first_store_r = stores[run_starts]
-        keys = (tags[run_starts].astype(np.int64) << self.index_bits) | run_sets
+    # Run extraction: maximal runs of consecutive same-(set, tag)
+    # references collapse to one pass-1 iteration each.
+    change = np.empty(n, dtype=bool)
+    change[0] = True
+    change[1:] = (sets[1:] != sets[:-1]) | (tags[1:] != tags[:-1])
+    run_starts = np.flatnonzero(change)
+    run_ends = np.concatenate((run_starts[1:], [n]))
+    store_cum = np.concatenate(([0], np.cumsum(stores)))
+    last_store = np.maximum.accumulate(
+        np.where(stores, np.arange(n, dtype=np.int64), -1)
+    )
+    run_sets = sets[run_starts]
+    n_stores_r = store_cum[run_ends] - store_cum[run_starts]
+    last_off_r = last_store[run_ends - 1] - run_starts
+    first_store_r = stores[run_starts]
 
-        resident: dict[int, int] = {}
-        for set_index in np.unique(run_sets).tolist():
-            self._materialise(set_index, resident)
+    # -- pass 1: functional replay of the runs ------------------------------------
+    state = _FrameState(cache)
+    assoc = state.assoc
+    index_bits = state.index_bits
+    keys = (tags[run_starts].astype(np.int64) << index_bits) | run_sets
+    for set_index in np.unique(run_sets).tolist():
+        state.materialise(set_index)
 
-        key_list = keys.tolist()
-        ends_l = run_ends.tolist()
-        nst_l = n_stores_r.tolist()
-        sets_l = run_sets.tolist()
+    key_list = keys.tolist()
+    ends_l = run_ends.tolist()
+    nst_l = n_stores_r.tolist()
+    sets_l = run_sets.tolist()
+    first_store_l = first_store_r.tolist()
+    way_l = [0] * len(key_list)
+    miss_runs: list[int] = []
+    miss_wb: list[int] = []
+    evictions = 0
 
-        num_runs = len(key_list)
-        way_l = [0] * num_runs
-        miss_runs: list[int] = []
-        miss_wb: list[int] = []
+    tags_f, valid_f, dirty_f, pend_f = state.tags, state.valid, state.dirty, state.pend
+    rows, queues, nvalid_f = state.rows, state.queues, state.nvalid
+    resident = state.resident
+    resident_get = resident.get
+    claim_free, evict = state.claim_free, state.evict
+    # The L1s never record reads on their blocks, so the per-way
+    # unchecked-read exposure seen by victim selection is always zero.
+    zeros = [0] * assoc
 
-        assoc = self.assoc
-        index_bits = self.index_bits
-        tags_f = self.tags_f
-        valid_f = self.valid_f
-        dirty_f = self.dirty_f
-        pend_f = self.pend_f
-        rows = self.rows
-        queues = self.queues
-        resident_get = resident.get
-        way_range = range(assoc)
-
-        def handle_miss(r: int, key: int, end: int) -> int:
-            """Shared miss path: victim choice, eviction bookkeeping, fill."""
-            set_index = sets_l[r]
-            base = set_index * assoc
-            frame = -1
-            for candidate in way_range:
-                if not valid_f[base + candidate]:
-                    frame = base + candidate
-                    break
-            wb_tag = -1
-            if frame < 0:
-                row = rows[set_index]
-                if self.position_mode:
-                    frame = base + self.policy.soa_victim_positions(
-                        self.pol_globals,
-                        row,
-                        pend_f[base : base + assoc],
-                        self.tick_base,
-                        self.zeros,
-                    )
-                else:
-                    if self.ordered_mode:
-                        queue = queues[set_index]
-                        if queue:
-                            self.policy.compact_on_access_batch(
-                                self.pol_globals, row, queue
-                            )
-                            queue.clear()
-                    frame = base + self.pol_victim(self.pol_globals, row, self.zeros)
-                self.evictions += 1
-                if dirty_f[frame]:
-                    self.dirty_evictions += 1
-                    wb_tag = tags_f[frame]
-                del resident[(tags_f[frame] << index_bits) | set_index]
-            else:
-                valid_f[frame] = True
-            tags_f[frame] = key >> index_bits
-            # Write-allocate: an incoming store dirties the fresh line.
-            dirty_f[frame] = bool(first_store_l[r])
-            resident[key] = frame
-            way_l[r] = frame
-            miss_runs.append(r)
-            miss_wb.append(wb_tag)
-            return frame
-
-        first_store_l = first_store_r.tolist()
-        if self.position_mode:
-            # The common case (LRU-family policy): a hit run is one dict
-            # probe plus one deferred last-touch position store.
-            for r, (key, end, nst) in enumerate(zip(key_list, ends_l, nst_l)):
-                frame = resident_get(key)
-                if frame is None:
-                    frame = handle_miss(r, key, end)
-                else:
-                    way_l[r] = frame
-                pend_f[frame] = end - 1
-                if nst:
-                    dirty_f[frame] = True
+    def handle_miss(r: int, key: int) -> int:
+        """Shared miss path: victim choice, eviction bookkeeping, fill."""
+        nonlocal evictions
+        set_index = sets_l[r]
+        wb_tag = -1
+        if nvalid_f[set_index] < assoc:
+            frame = claim_free(set_index)
         else:
-            starts_l = run_starts.tolist()
-            for r, (key, end, nst) in enumerate(zip(key_list, ends_l, nst_l)):
-                frame = resident_get(key)
-                hit = frame is not None
+            frame = evict(set_index, zeros)
+            evictions += 1
+            if dirty_f[frame]:
+                wb_tag = tags_f[frame]
+        tags_f[frame] = key >> index_bits
+        # Write-allocate: an incoming store dirties the fresh line.
+        dirty_f[frame] = bool(first_store_l[r])
+        resident[key] = frame
+        way_l[r] = frame
+        miss_runs.append(r)
+        miss_wb.append(wb_tag)
+        return frame
+
+    if state.position_mode:
+        # The common case (LRU-family policy): a hit run is one dict
+        # probe plus one deferred last-touch position store.
+        for r, (key, end, nst) in enumerate(zip(key_list, ends_l, nst_l)):
+            frame = resident_get(key)
+            if frame is None:
+                frame = handle_miss(r, key)
+            else:
+                way_l[r] = frame
+            pend_f[frame] = end - 1
+            if nst:
+                dirty_f[frame] = True
+    else:
+        policy = state.policy
+        pol_globals = state.pol_globals
+        pol_access = policy.compact_on_access
+        pol_fill = policy.compact_on_fill
+        ordered_mode = state.ordered_mode
+        fill_only_mode = state.fill_only_mode
+        starts_l = run_starts.tolist()
+        for r, (key, end, nst) in enumerate(zip(key_list, ends_l, nst_l)):
+            frame = resident_get(key)
+            hit = frame is not None
+            if not hit:
+                frame = handle_miss(r, key)
+            else:
+                way_l[r] = frame
+            if nst:
+                dirty_f[frame] = True
+            set_index = sets_l[r]
+            way = frame - set_index * assoc
+            if ordered_mode:
+                queue = queues[set_index]
+                if not queue or queue[-1] != way:
+                    queue.append(way)
+            elif fill_only_mode:
                 if not hit:
-                    frame = handle_miss(r, key, end)
+                    pol_fill(pol_globals, rows[set_index], way)
+            else:
+                row = rows[set_index]
+                if hit:
+                    pol_access(pol_globals, row, way)
                 else:
-                    way_l[r] = frame
-                if nst:
-                    dirty_f[frame] = True
-                set_index = sets_l[r]
-                way = frame - set_index * assoc
-                if self.ordered_mode:
-                    queue = queues[set_index]
-                    if not queue or queue[-1] != way:
-                        queue.append(way)
-                elif self.fill_only_mode:
-                    if not hit:
-                        self.pol_fill(self.pol_globals, rows[set_index], way)
-                else:
-                    row = rows[set_index]
-                    if hit:
-                        self.pol_access(self.pol_globals, row, way)
-                    else:
-                        self.pol_fill(self.pol_globals, row, way)
-                    tail = end - starts_l[r] - 1
-                    if tail:
-                        self.policy.compact_on_access_batch(
-                            self.pol_globals, row, [way] * tail
-                        )
+                    pol_fill(pol_globals, row, way)
+                tail = end - starts_l[r] - 1
+                if tail:
+                    policy.compact_on_access_batch(pol_globals, row, [way] * tail)
+    state.flush(n)
 
-        miss_idx = np.array(miss_runs, dtype=np.int64)
-        self._runs = (
-            np.array(way_l, dtype=np.int64),
-            run_starts,
-            run_ends,
-            n_stores_r,
-            last_off_r,
-            first_store_r,
-            miss_idx,
+    # -- pass 2: vectorised counters and block fields -----------------------------
+    run_frame = np.array(way_l, dtype=np.int64)
+    miss_idx = np.array(miss_runs, dtype=np.int64)
+    wb_tags = np.array(miss_wb, dtype=np.int64)
+    miss_mask = np.zeros(len(run_frame), dtype=bool)
+    miss_mask[miss_idx] = True
+    demand_writes = int(n_stores_r.sum())
+    demand_reads = n - demand_writes
+    n_miss = int(miss_idx.size)
+    write_misses = int(np.count_nonzero(first_store_r[miss_idx]))
+    read_misses = n_miss - write_misses
+    stats = cache.stats
+    stats.demand_reads += demand_reads
+    stats.demand_writes += demand_writes
+    stats.read_hits += demand_reads - read_misses
+    stats.read_misses += read_misses
+    stats.write_hits += demand_writes - write_misses
+    stats.write_misses += write_misses
+    stats.fills += n_miss
+    stats.evictions += evictions
+    stats.dirty_evictions += int(np.count_nonzero(wb_tags >= 0))
+    # One data-array write per fill plus one per store, minus the store
+    # folded into a write-allocate fill (same arithmetic as the per-access
+    # object path, summed instead of accumulated).
+    stats.data_way_writes += demand_writes + n_miss - write_misses
+    stats.tag_comparisons += n * assoc
+    fills_l = np.bincount(run_frame[miss_mask], minlength=state.num_frames).tolist()
+
+    # Final recency tick per frame: the last run that updated it — a fill
+    # stamps start+1, a store run stamps the last store's position+1, a
+    # store run over a fill overwrites the fill stamp.
+    tick0 = cache._tick  # noqa: SLF001 - engine-internal state sync
+    tick_map: dict[int, int] = {}
+    has_store_r = n_stores_r > 0
+    upd = miss_mask | has_store_r
+    if upd.any():
+        tick_vals = (
+            tick0
+            + run_starts[upd]
+            + np.where(has_store_r[upd], last_off_r[upd] + 1, 1)
         )
-        miss_starts = run_starts[miss_idx]
-        return (
-            sub_positions[miss_starts],
-            run_sets[miss_idx],
-            np.array(miss_wb, dtype=np.int64),
-        )
+        uniq_f, first_idx = np.unique(run_frame[upd][::-1], return_index=True)
+        tick_map = dict(zip(uniq_f.tolist(), tick_vals[::-1][first_idx].tolist()))
 
-    def finalize(self) -> None:
-        """Pass 2: vectorised counters/fields, folded back into the cache."""
-        policy = self.policy
-        assoc = self.assoc
-        tick_map: dict[int, int] = {}
-        fills_l: list[int] | None = None
-        stats = self.cache.stats
-
-        if self._runs is not None:
-            (
-                run_frame,
-                run_starts,
-                run_ends,
-                n_stores_r,
-                last_off_r,
-                first_store_r,
-                miss_idx,
-            ) = self._runs
-            num_runs = len(run_frame)
-            miss_mask = np.zeros(num_runs, dtype=bool)
-            miss_mask[miss_idx] = True
-            run_len = run_ends - run_starts
-            n_loads_r = run_len - n_stores_r
-
-            demand_reads = int(n_loads_r.sum())
-            demand_writes = int(n_stores_r.sum())
-            n_miss = int(miss_idx.size)
-            write_misses = int(np.count_nonzero(first_store_r[miss_idx]))
-            read_misses = n_miss - write_misses
-            stats.demand_reads += demand_reads
-            stats.demand_writes += demand_writes
-            stats.read_hits += demand_reads - read_misses
-            stats.read_misses += read_misses
-            stats.write_hits += demand_writes - write_misses
-            stats.write_misses += write_misses
-            stats.fills += n_miss
-            # One data-array write per fill plus one per store, minus the
-            # store folded into a write-allocate fill (same arithmetic as
-            # the per-access object path, summed instead of accumulated).
-            stats.data_way_writes += demand_writes + n_miss - write_misses
-
-            fills_l = np.bincount(
-                run_frame[miss_mask], minlength=self.num_frames
-            ).tolist()
-
-            # Final recency tick per frame: the last run that updated it —
-            # a fill stamps start+1, a store run stamps the last store's
-            # position+1, a store run over a fill overwrites the fill stamp.
-            has_store_r = n_stores_r > 0
-            upd = miss_mask | has_store_r
-            if upd.any():
-                frames_u = run_frame[upd]
-                tick_vals = (
-                    self.tick0
-                    + run_starts[upd]
-                    + np.where(has_store_r[upd], last_off_r[upd] + 1, 1)
-                )
-                rev = frames_u[::-1]
-                uniq_f, first_idx = np.unique(rev, return_index=True)
-                tick_map = dict(
-                    zip(uniq_f.tolist(), tick_vals[::-1][first_idx].tolist())
-                )
-
-        for set_index in self.touched_sets:
-            row = self.rows[set_index]
-            if self.position_mode:
-                base = set_index * assoc
-                policy.soa_apply_last_positions(
-                    row, self.pend_f[base : base + assoc], self.tick_base
-                )
-            elif self.ordered_mode and self.queues[set_index]:
-                policy.compact_on_access_batch(
-                    self.pol_globals, row, self.queues[set_index]
-                )
-            policy.import_set_state(set_index, row)
-            blocks = self.cache.cache_set(set_index).blocks
-            base = set_index * assoc
-            for way, block in enumerate(blocks):
-                f = base + way
-                block.tag = self.tags_f[f]
-                block.valid = self.valid_f[f]
-                block.dirty = self.dirty_f[f]
-                if fills_l is not None:
-                    block.fills += fills_l[f]
-                tick = tick_map.get(f)
-                if tick is not None:
-                    block.last_access_tick = tick
-        if self.position_mode:
-            policy.soa_commit(self.tick_base, self.acc)
-        stats.evictions += self.evictions
-        stats.dirty_evictions += self.dirty_evictions
-        stats.tag_comparisons += self.acc * self.assoc
-        self.cache._tick = self.tick0 + self.acc  # noqa: SLF001
+    for set_index in state.touched_sets:
+        base = set_index * assoc
+        for way, block in enumerate(cache.cache_set(set_index).blocks):
+            f = base + way
+            block.tag = tags_f[f]
+            block.valid = valid_f[f]
+            block.dirty = dirty_f[f]
+            block.fills += fills_l[f]
+            tick = tick_map.get(f)
+            if tick is not None:
+                block.last_access_tick = tick
+    cache._tick = tick0 + n  # noqa: SLF001 - engine-internal state sync
+    return sub_positions[run_starts[miss_idx]], run_sets[miss_idx], wb_tags
 
 
 def filter_through_l1_soa(
@@ -1598,16 +1578,16 @@ def filter_through_l1_soa(
     data_writes = int(np.count_nonzero(d_stores))
     data_reads = int(d_positions.size) - data_writes
 
-    i_filter = _L1FilterSoA(l1i)
-    d_filter = _L1FilterSoA(l1d)
-    i_pos, _, i_wb_tag = i_filter.replay(
-        i_positions, i_batch.indices, i_batch.tags, np.zeros(i_positions.size, dtype=bool)
+    i_pos, _, i_wb_tag = _replay_l1(
+        l1i,
+        i_positions,
+        i_batch.indices,
+        i_batch.tags,
+        np.zeros(i_positions.size, dtype=bool),
     )
-    d_pos, d_sets, d_wb_tag = d_filter.replay(
-        d_positions, d_batch.indices, d_batch.tags, d_stores
+    d_pos, d_sets, d_wb_tag = _replay_l1(
+        l1d, d_positions, d_batch.indices, d_batch.tags, d_stores
     )
-    i_filter.finalize()
-    d_filter.finalize()
     # Only the data side can evict dirty lines (the instruction stream
     # never stores), which the assert pins down.
     assert not i_wb_tag.size or int(i_wb_tag.max()) < 0, "L1I emitted a write-back"
@@ -1646,26 +1626,23 @@ def filter_through_l1_soa(
     return l2_codes, l2_addresses
 
 
-def _record_restores(
-    cache,
-    count,
-    assoc,
-    order_by_set,
-    sorted_read,
-    reads_per_set,
-    rr,
-    seg_frames,
-    seg_starts,
-    f_s,
-    pos_s,
-    kind_s,
-    setter,
-    setter_ones,
-    init_ones,
-    init_valid,
-    frame,
-    hit_mask,
-) -> None:
+class _EventStreams(NamedTuple):
+    """The pass-2 columns :func:`_record_restores` rebuilds its stream from."""
+
+    read_positions: np.ndarray  # read positions sorted by (set, position)
+    read_offsets: np.ndarray  # per-set offsets into read_positions
+    pair_counts: np.ndarray  # per frame: reads of its set while resident
+    start_rank: np.ndarray  # per frame: set read rank when it became resident
+    f_s: np.ndarray  # frame-chronological events: frame
+    pos_s: np.ndarray  # ... access position
+    setter: np.ndarray  # ... whether the event sets the ones count
+    setter_ones: np.ndarray  # ... the ones count it sets
+    init_ones: np.ndarray  # per frame: ones count before the replay
+    frame: np.ndarray  # per access: frame hit or filled
+    hit_mask: np.ndarray  # per access: hit
+
+
+def _record_restores(cache, streams: _EventStreams) -> None:
     """Rebuild the restore scheme's per-(read, way) rewrite stream.
 
     Every demand read restores all currently valid ways of its set — the
@@ -1674,44 +1651,28 @@ def _record_restores(
     sequence from the frame event streams and records the write-failure
     probabilities in one batch.
     """
-    num_frames = len(init_ones)
-    # Each frame is restored by every read of its slot from the moment it is
-    # resident: rank > R(first fill) for frames filled during the replay,
-    # every read for initially valid frames.
-    first_fill_rank = np.zeros(num_frames, dtype=np.int64)
-    fill_flags = kind_s == 2
-    num_events = len(kind_s)
-    filled_frames = np.zeros(num_frames, dtype=bool)
-    if fill_flags.any():
-        first_idx = np.where(
-            fill_flags, np.arange(num_events, dtype=np.int64), num_events
-        )
-        first_fill_seg = np.minimum.reduceat(first_idx, seg_starts)
-        valid_seg = first_fill_seg < num_events
-        rr_evt = rr[pos_s]
-        first_fill_rank[seg_frames[valid_seg]] = rr_evt[
-            first_fill_seg[valid_seg]
-        ]
-        filled_frames[np.unique(f_s[fill_flags])] = True
-    start_rank = np.where(init_valid, 0, first_fill_rank)
-    resident_frames = init_valid | filled_frames
-
-    set_of_frame = np.arange(num_frames, dtype=np.int64) // assoc
-    pair_counts = np.where(
-        resident_frames, reads_per_set[set_of_frame] - start_rank, 0
-    )
-    pair_counts = np.maximum(pair_counts, 0)
+    (
+        read_positions,
+        read_offsets,
+        pair_counts,
+        start_rank,
+        f_s,
+        pos_s,
+        setter,
+        setter_ones,
+        init_ones,
+        frame,
+        hit_mask,
+    ) = streams
     total_pairs = int(pair_counts.sum())
-    restore_model = cache.write_error_model
     if total_pairs == 0:
         return
-
-    # Read positions sorted by (slot, position), with per-slot offsets.
-    read_positions = order_by_set[sorted_read]
-    read_offsets = np.concatenate(([0], np.cumsum(reads_per_set)))
+    count = len(frame)
+    assoc = cache.cache.associativity
+    restore_model = cache.write_error_model
     frames_idx = np.flatnonzero(pair_counts > 0)
     counts_nz = pair_counts[frames_idx]
-    starts_flat = read_offsets[set_of_frame[frames_idx]] + start_rank[frames_idx]
+    starts_flat = read_offsets[frames_idx // assoc] + start_rank[frames_idx]
     setter_sel = np.flatnonzero(setter)
     setter_keys = (
         f_s[setter_sel] * (2 * count + 2) + pos_s[setter_sel] * 2

@@ -351,8 +351,7 @@ class Span:
     telemetry is on.  That is what lets one primitive replace the ad-hoc
     ``perf_counter`` pairs: the timing and the event are the same object.
 
-    Usable as a context manager or, where ``with``-reindenting a long
-    kernel would obscure the diff, via the explicit :meth:`start` /
+    Usable as a context manager or via the explicit :meth:`start` /
     :meth:`finish` pair.
     """
 

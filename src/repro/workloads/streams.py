@@ -49,7 +49,7 @@ from typing import Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from ..errors import TraceError
-from .trace import _KIND_INDEX, KIND_ORDER, AccessKind, Trace
+from .trace import _KIND_INDEX, _MAX_ADDRESS, KIND_ORDER, AccessKind, Trace
 
 #: Default replay segment length (accesses per segment).  One segment of a
 #: million accesses costs ~9 MB of decoded arrays — small enough to bound
@@ -252,7 +252,12 @@ class BinaryTraceSource:
         name_end = _HEADER.size + name_len
         if name_end > len(self._map):
             raise TraceError(f"{self._path}: truncated binary trace name")
-        stored_name = bytes(self._map[_HEADER.size : name_end]).decode("utf-8")
+        try:
+            stored_name = bytes(self._map[_HEADER.size : name_end]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceError(
+                f"{self._path}: binary trace name is not valid UTF-8: {exc}"
+            ) from exc
         self.name = name if name is not None else (stored_name or self._path.stem)
         self._count = count
         self._data_start = name_end + _pad_to_8(name_len)
@@ -370,6 +375,10 @@ def _parse_address(token: str) -> int:
     address = int(token, 16)
     if address < 0:
         raise ValueError("trace addresses must be non-negative")
+    if address > _MAX_ADDRESS:
+        raise ValueError(
+            f"trace address {token} does not fit in a signed 64-bit integer"
+        )
     return address
 
 

@@ -34,6 +34,9 @@ import numpy as np
 
 from ..errors import TraceError
 
+#: Largest trace address: addresses decode to int64 columns.
+_MAX_ADDRESS = int(np.iinfo(np.int64).max)
+
 
 class AccessKind(str, enum.Enum):
     """Kind of one memory reference."""
@@ -85,6 +88,8 @@ class TraceRecord:
     def __post_init__(self) -> None:
         if self.address < 0:
             raise TraceError("trace addresses must be non-negative")
+        if self.address > _MAX_ADDRESS:
+            raise TraceError("trace addresses must fit in a signed 64-bit integer")
 
     @property
     def is_write(self) -> bool:
@@ -147,7 +152,7 @@ class Trace:
         if address_column.size:
             if address_column.min() < 0:
                 raise TraceError("trace addresses must be non-negative")
-            if address_column.max() > np.iinfo(np.int64).max:
+            if address_column.max() > _MAX_ADDRESS:
                 raise TraceError("trace addresses must fit in a signed 64-bit integer")
         kind_column = kind_column.astype(np.int8)
         address_column = address_column.astype(np.int64)

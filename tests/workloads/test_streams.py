@@ -171,6 +171,13 @@ class TestBinaryFormat:
         with pytest.raises(TraceError, match="version 99"):
             open_trace(path)
 
+    def test_non_utf8_stored_name_raises_trace_error(self, tmp_path):
+        path = tmp_path / "badname.bin"
+        name = b"\xff\xfe"
+        path.write_bytes(struct.pack("<8sIIQ", _MAGIC, 1, len(name), 0) + name)
+        with pytest.raises(TraceError, match=r"badname\.bin.*UTF-8"):
+            open_trace(path)
+
     def test_segment_accesses_must_be_positive(self, tmp_path):
         path = tmp_path / "trace.bin"
         l2_trace(10).save_binary(path)
@@ -237,6 +244,23 @@ class TestTextFormats:
         text.write_text("R 0x40\nR -0x40\n")
         with pytest.raises(TraceError, match=r"bad\.txt:2.*non-negative"):
             open_trace(text, format="text")
+
+    @pytest.mark.parametrize(
+        "address", ("8000000000000000", "ffffffffffffffffffff"), ids=("2^63", "20-digit")
+    )
+    @pytest.mark.parametrize(
+        "fmt, template",
+        (("text", "R 0x{}"), ("din", "0 {}"), ("lackey", "L {},4")),
+        ids=("text", "din", "lackey"),
+    )
+    def test_address_beyond_int64_names_path_and_line(
+        self, tmp_path, fmt, template, address
+    ):
+        path = tmp_path / f"huge.{fmt}"
+        path.write_text(template.format("40") + "\n" + template.format(address) + "\n")
+        with pytest.raises(TraceError, match=r"huge\.\w+:2.*64-bit"):
+            source = open_trace(path, format=fmt)
+            list(source.segments(10))
 
     def test_unknown_text_format_rejected(self, tmp_path):
         path = tmp_path / "t.txt"

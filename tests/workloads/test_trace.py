@@ -224,6 +224,12 @@ class TestTraceIO:
         with pytest.raises(TraceError, match="bad.txt:2.*non-negative"):
             Trace.load(path)
 
+    def test_load_address_beyond_int64_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("L 0x10\nL 0x8000000000000000\n")
+        with pytest.raises(TraceError, match="bad.txt:2.*64-bit"):
+            Trace.load(path)
+
     def test_save_creates_parent_directories(self, tmp_path):
         trace = Trace(name="deep", records=[TraceRecord(AccessKind.L2_READ, 0x40)])
         path = tmp_path / "results" / "traces" / "deep.txt"
