@@ -29,31 +29,20 @@ single source of truth for its behaviour:
   :meth:`ReplacementPolicy.compact_victim`, which operate on (globals,
   set state) and nothing else.
 
-The classic object hooks (`on_fill`, `on_access`, `victim`) are implemented
-*in terms of* the compact transitions by the base class, so the
-:class:`~repro.cache.cache.SetAssociativeCache` object path and the batched
-engine in :mod:`repro.sim.fastpath` (which replays the compact state
-directly) can never disagree.  A subclass that overrides the object hooks
-directly opts out of that guarantee and is rejected by the fast path —
-unless it sets :attr:`ReplacementPolicy.supports_compact_state` to ``True``,
-promising that its overrides still route every state change through the
-compact transitions.
+The object hooks (`on_fill`, `on_access`, `victim`) are implemented *in
+terms of* the compact transitions by the base class; they are what the
+:class:`~repro.cache.cache.SetAssociativeCache` object path drives.
 
-Two batched layers sit on top of the scalar transitions for the
-structure-of-arrays kernel in :mod:`repro.sim.soa`:
-
-* :meth:`ReplacementPolicy.compact_on_access_batch` /
-  :meth:`ReplacementPolicy.compact_on_fill_batch` apply a *sequence* of
-  transitions to one set.  The defaults loop over the scalar hooks (so any
-  compact-capable policy is batchable); the built-ins override them with
-  true vector forms where the policy's math allows (e.g. LRU collapses a
-  batch to one tick bump plus a last-touch scatter).
-* The ``soa_*`` protocol describes how the SoA kernel may defer transitions
-  across interleaved sets (see :attr:`ReplacementPolicy.soa_mode`).  For
-  timestamp policies whose tick advances exactly once per access the
-  deferred form is *position arithmetic*: the timestamp written by the
-  transition at global access position ``p`` is ``base + p + 1``, so the
-  kernel only has to remember each way's last touch position.
+The batched engine in :mod:`repro.sim.fastpath` replays exactly the five
+built-in policies of :data:`BUILTIN_POLICIES` (exact types) through the
+structure-of-arrays kernel in :mod:`repro.sim.soa`; any other policy,
+including a subclass of a built-in, runs on the reference loop.  Each
+built-in declares how that kernel defers its transitions with two class
+constants, ``soa_mode`` and ``victim_uses_exposure`` (documented where
+:class:`repro.sim.soa._FrameState` reads them), and carries the hooks its
+mode needs: the position-arithmetic trio of :class:`_PositionTickMixin` for
+the timestamp policies (LRU, LER), and
+:meth:`TreePLRUPolicy.compact_on_access_batch` for tree PLRU.
 """
 
 from __future__ import annotations
@@ -72,45 +61,10 @@ class ReplacementPolicy(abc.ABC):
 
     Concrete policies implement the compact-state protocol (`_set_row`,
     `compact_on_access`, `compact_on_fill`, `compact_victim`); the object
-    hooks below delegate to it.
+    hooks below delegate to it.  Any subclass runs on the reference loop;
+    the fast path replays only the exact classes in
+    :data:`BUILTIN_POLICIES`.
     """
-
-    #: Third-party subclasses that override the object hooks may set this to
-    #: ``True`` to promise that every state change still flows through the
-    #: compact transitions; :func:`repro.sim.supports_fast_path` then accepts
-    #: them instead of rejecting the override.
-    supports_compact_state = False
-
-    #: How the structure-of-arrays kernel may schedule this policy's
-    #: transitions relative to the interleaved access stream:
-    #:
-    #: * ``"immediate"`` — apply every transition scalar, in trace order
-    #:   (always correct; the safe default for opt-in third-party policies).
-    #: * ``"position"`` — the tick advances exactly once per access (hit or
-    #:   fill), so the timestamp written at global access position ``p`` is
-    #:   ``soa_tick_base() + p + 1``; transitions may be deferred per set and
-    #:   realised from each way's *last* touch position
-    #:   (:meth:`soa_apply_last_positions`), victims chosen over the mixed
-    #:   stored/deferred timestamps (:meth:`soa_victim_positions`, whose
-    #:   base implementation delegates to :meth:`compact_victim`), and
-    #:   :meth:`soa_commit` settles the global tick once at the end.
-    #: * ``"ordered"`` — transitions touch no policy-global state,
-    #:   ``compact_on_fill`` is equivalent to ``compact_on_access``, and
-    #:   consecutive duplicate transitions are idempotent (applying a run
-    #:   of same-way touches once equals applying it N times); the kernel
-    #:   may defer a set's transitions, collapse consecutive duplicates,
-    #:   and replay the rest in order via :meth:`compact_on_access_batch`
-    #:   before a victim decision or export.
-    #: * ``"fill-only"`` — ``compact_on_access`` is a no-op; only fills (and,
-    #:   for random policies, victim draws) mutate state, and both are
-    #:   applied scalar in trace order.
-    soa_mode = "immediate"
-
-    #: Whether :meth:`compact_victim` reads the per-way unchecked-read
-    #: exposure argument.  When ``False`` the SoA kernel may skip computing
-    #: live exposures at victim time.  Kept ``True`` in the base class so
-    #: opt-in third-party policies are always handed real values.
-    victim_uses_exposure = True
 
     def __init__(self, num_sets: int, associativity: int) -> None:
         if num_sets <= 0 or associativity <= 0:
@@ -200,80 +154,6 @@ class ReplacementPolicy(abc.ABC):
                 (used by exposure-aware policies such as LER).
         """
 
-    # -- batched transitions ----------------------------------------------------
-
-    def compact_on_access_batch(self, global_state: list, set_state, ways) -> None:
-        """Apply ``compact_on_access`` for every way in ``ways``, in order.
-
-        The default is the literal loop over the scalar transition, so the
-        batch form is exact for any compact-capable policy; built-ins
-        override it with vector forms where their math collapses.
-        """
-        on_access = self.compact_on_access
-        for way in ways:
-            on_access(global_state, set_state, way)
-
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Apply ``compact_on_fill`` for every way in ``ways``, in order."""
-        on_fill = self.compact_on_fill
-        for way in ways:
-            on_fill(global_state, set_state, way)
-
-    # -- structure-of-arrays deferral protocol (mode "position") ----------------
-
-    def soa_tick_base(self) -> int:
-        """The tick base for position arithmetic (mode ``"position"`` only).
-
-        A replay that starts when the policy's tick is ``base`` writes the
-        timestamp ``base + p + 1`` at global access position ``p``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not use position-based transitions"
-        )
-
-    def soa_apply_last_positions(self, set_state, last_positions, base: int) -> None:
-        """Realise deferred transitions from per-way last touch positions.
-
-        Args:
-            set_state: The set's compact state row.
-            last_positions: Per-way global access position of the way's most
-                recent (deferred) transition, or ``-1`` for untouched ways.
-            base: The tick base returned by :meth:`soa_tick_base`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not use position-based transitions"
-        )
-
-    def soa_commit(self, base: int, num_accesses: int) -> None:
-        """Settle the policy-global tick after a position-based replay.
-
-        Args:
-            base: The tick base returned by :meth:`soa_tick_base`.
-            num_accesses: Accesses replayed (each one transition).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not use position-based transitions"
-        )
-
-    def soa_victim_positions(
-        self, global_state: list, set_state, last_positions, base: int, unchecked_reads
-    ) -> int:
-        """Choose a victim without flushing deferred position transitions.
-
-        Part of the ``"position"`` protocol: equivalent to applying
-        ``last_positions`` via :meth:`soa_apply_last_positions` and then
-        calling :meth:`compact_victim`.  This base implementation builds the
-        effective timestamps — ``base + p + 1`` for a way with a deferred
-        touch, the stored row value otherwise — and delegates to
-        :meth:`compact_victim`, so any position-mode policy gets a correct
-        victim for free; policies may override it with a fused form.
-        """
-        effective = [
-            base + position + 1 if position >= 0 else set_state[way]
-            for way, position in enumerate(last_positions)
-        ]
-        return self.compact_victim(global_state, effective, unchecked_reads)
-
     # -- object hooks (driven by SetAssociativeCache) --------------------------
 
     def on_access(self, set_index: int, way: int) -> None:
@@ -307,33 +187,14 @@ class ReplacementPolicy(abc.ABC):
         return None
 
 
-def _timestamp_batch(global_state: list, set_state, ways) -> None:
-    """Vector form of a run of timestamp transitions (LRU/LER/FIFO ticks).
-
-    A batch of ``n`` transitions advances the tick by ``n`` and leaves each
-    touched way stamped with the tick of its *last* occurrence — exactly the
-    result of the scalar loop, computed with one pass over the unique ways.
-    """
-    count = len(ways)
-    if count == 0:
-        return
-    tick = global_state[0]
-    global_state[0] = tick + count
-    if count <= 8:
-        for offset, way in enumerate(ways):
-            set_state[way] = tick + offset + 1
-        return
-    arr = np.asarray(ways)
-    unique_ways, reversed_first = np.unique(arr[::-1], return_index=True)
-    last_offsets = count - 1 - reversed_first
-    for way, offset in zip(unique_ways.tolist(), last_offsets.tolist()):
-        set_state[way] = tick + offset + 1
-
-
 class _PositionTickMixin:
-    """Position-arithmetic deferral for policies that tick once per access."""
+    """Position-arithmetic deferral for policies that tick once per access.
 
-    soa_mode = "position"
+    The tick advances exactly once per access (hit or fill), so a replay
+    that starts at tick ``base`` writes the timestamp ``base + p + 1`` at
+    global access position ``p``; the SoA kernel only has to remember each
+    way's last touch position.
+    """
 
     def soa_tick_base(self) -> int:
         """The current tick; position ``p`` maps to ``base + p + 1``."""
@@ -349,6 +210,24 @@ class _PositionTickMixin:
         """One transition per access: the final tick is ``base + n``."""
         self._globals[0] = base + num_accesses
 
+    def soa_victim_positions(
+        self, global_state: list, set_state, last_positions, base: int, unchecked_reads
+    ) -> int:
+        """Choose a victim without flushing deferred position transitions.
+
+        Equivalent to applying ``last_positions`` via
+        :meth:`soa_apply_last_positions` and then calling
+        :meth:`compact_victim`: builds the effective timestamps — ``base + p +
+        1`` for a way with a deferred touch, the stored row value otherwise —
+        and delegates to :meth:`compact_victim`.  LRU overrides it with a
+        fused form.
+        """
+        effective = [
+            base + position + 1 if position >= 0 else set_state[way]
+            for way, position in enumerate(last_positions)
+        ]
+        return self.compact_victim(global_state, effective, unchecked_reads)
+
 
 class LRUPolicy(_PositionTickMixin, ReplacementPolicy):
     """True least-recently-used replacement.
@@ -356,6 +235,7 @@ class LRUPolicy(_PositionTickMixin, ReplacementPolicy):
     Compact state: per-set last-use timestamps; global state ``[tick]``.
     """
 
+    soa_mode = "position"
     victim_uses_exposure = False
 
     def __init__(self, num_sets: int, associativity: int) -> None:
@@ -375,14 +255,6 @@ class LRUPolicy(_PositionTickMixin, ReplacementPolicy):
     def compact_on_fill(self, global_state: list, set_state, way: int) -> None:
         """A fill counts as a use."""
         self.compact_on_access(global_state, set_state, way)
-
-    def compact_on_access_batch(self, global_state: list, set_state, ways) -> None:
-        """Vector form: one tick bump plus a last-touch stamp per way."""
-        _timestamp_batch(global_state, set_state, ways)
-
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Fills are uses, so the batch form is the same."""
-        _timestamp_batch(global_state, set_state, ways)
 
     def compact_victim(self, global_state: list, set_state, unchecked_reads) -> int:
         """The least recently used way (first one on timestamp ties)."""
@@ -438,13 +310,6 @@ class FIFOPolicy(ReplacementPolicy):
         global_state[0] = tick
         set_state[way] = tick
 
-    def compact_on_access_batch(self, global_state: list, set_state, ways) -> None:
-        """Vector form: accesses are no-ops, so a batch of them is too."""
-
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Vector form: one tick bump plus a last-fill stamp per way."""
-        _timestamp_batch(global_state, set_state, ways)
-
     def compact_victim(self, global_state: list, set_state, unchecked_reads) -> int:
         """The oldest fill (first one on timestamp ties)."""
         if type(set_state) is list:
@@ -470,12 +335,6 @@ class RandomPolicy(ReplacementPolicy):
 
     def _set_row(self, set_index: int):
         return self._empty_row
-
-    def compact_on_access_batch(self, global_state: list, set_state, ways) -> None:
-        """Vector form: random replacement keeps no access state."""
-
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Vector form: random replacement keeps no fill state."""
 
     def export_global_state(self) -> list:
         """Snapshot the generator's bit-generator state (a plain dict)."""
@@ -564,10 +423,6 @@ class TreePLRUPolicy(ReplacementPolicy):
             if touched.size:
                 set_state[node] = bits[touched[-1]]
 
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Fills are uses, so the batch form is the same."""
-        self.compact_on_access_batch(global_state, set_state, ways)
-
     def compact_on_access(self, global_state: list, set_state, way: int) -> None:
         """Flip the tree bits along the accessed way's path."""
         associativity = self._associativity
@@ -617,6 +472,7 @@ class LERPolicy(_PositionTickMixin, ReplacementPolicy):
     recency (tracked like LRU) as the tie-breaker.
     """
 
+    soa_mode = "position"
     victim_uses_exposure = True
 
     def __init__(self, num_sets: int, associativity: int) -> None:
@@ -637,14 +493,6 @@ class LERPolicy(_PositionTickMixin, ReplacementPolicy):
         """A fill counts as a use."""
         self.compact_on_access(global_state, set_state, way)
 
-    def compact_on_access_batch(self, global_state: list, set_state, ways) -> None:
-        """Vector form: one tick bump plus a last-touch stamp per way."""
-        _timestamp_batch(global_state, set_state, ways)
-
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Fills are uses, so the batch form is the same."""
-        _timestamp_batch(global_state, set_state, ways)
-
     def compact_victim(self, global_state: list, set_state, unchecked_reads) -> int:
         """The most disturbance-exposed way; older last use breaks ties."""
         best_way = 0
@@ -656,6 +504,11 @@ class LERPolicy(_PositionTickMixin, ReplacementPolicy):
                 best_key = key
                 best_way = way
         return best_way
+
+
+#: The policies the fast path replays, as exact types: a subclass may
+#: override a transition the SoA kernel's mode shortcuts bypass.
+BUILTIN_POLICIES = (LRUPolicy, FIFOPolicy, RandomPolicy, TreePLRUPolicy, LERPolicy)
 
 
 def build_replacement_policy(

@@ -223,7 +223,10 @@ def recv_frame(
         mac, body = body[: FrameAuth.MAC_BYTES], body[FrameAuth.MAC_BYTES :]
         if not auth.verify(mac, body):
             raise FrameAuthError("frame failed HMAC verification")
-    message = json.loads(body.decode("utf-8"))
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CampaignError(f"malformed protocol frame ({exc})") from exc
     if not isinstance(message, dict) or "type" not in message:
         raise CampaignError("malformed protocol frame (no 'type')")
     emit_counter(
@@ -285,7 +288,7 @@ def _send_corrupted(
         with socket.create_connection((host, port), timeout=timeout_s) as sock:
             sock.sendall(_LENGTH.pack(len(body)) + body)
             recv_frame(sock)
-    except (OSError, CampaignError, json.JSONDecodeError, UnicodeDecodeError):
+    except (OSError, CampaignError):
         pass
 
 
@@ -355,7 +358,7 @@ def load_checkpoint(path: str | Path) -> dict[str, Any] | None:
         return None
     try:
         state = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CampaignError(f"unreadable coordinator checkpoint {path}: {exc}") from exc
     if (
         not isinstance(state, dict)
@@ -739,13 +742,13 @@ class Coordinator:
                     # not be able to disturb the campaign.
                     emit_event("coordinator.auth_reject")
                     return
-                except (CampaignError, json.JSONDecodeError, UnicodeDecodeError):
+                except CampaignError:
                     emit_event("coordinator.frame_reject")
                     return
                 if message is None:
                     return
                 send_frame(conn, self._dispatch(message), self._auth)
-        except (OSError, CampaignError, json.JSONDecodeError):
+        except (OSError, CampaignError):
             # A broken worker connection never takes the coordinator down;
             # the lease mechanism covers whatever the worker was holding.
             pass

@@ -104,7 +104,7 @@ class ShardedResultStore(BaseResultStore):
     def _read_manifest(self, manifest_path: Path) -> dict:
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CampaignError(f"unreadable store manifest {manifest_path}: {exc}") from exc
         if (
             not isinstance(manifest, dict)

@@ -207,7 +207,14 @@ def load_jsonl_records(path: Path, lines: dict[str, str]) -> None:
 
 def _load_jsonl_once(path: Path, lines: dict[str, str]) -> bool:
     """One load pass; ``False`` when a racing writer forces a re-read."""
-    raw = path.read_text(encoding="utf-8")
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # A whole-file read decodes in one call: ``exc.object`` is the file.
+        line_number = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CampaignError(
+            f"{path}:{line_number}: not UTF-8 text ({exc.reason})"
+        ) from exc
     consumed = 0
     for line_number, line in enumerate(raw.splitlines(keepends=True), start=1):
         complete = line.endswith("\n")

@@ -27,14 +27,14 @@ binomial functions are element-for-element identical to the scalar ones the
 harness in ``tests/sim/test_engine_equivalence.py`` asserts this field by
 field for every scheme x replacement policy x trace level.
 
-The fast path supports every protection scheme (conventional, REAP, serial,
-restore, and the patrol-scrubbing baseline) over every built-in replacement
-policy.  :func:`supports_fast_path` reports whether a cache qualifies — the
-remaining exclusions are custom :class:`~repro.core.ProtectedCache`
-subclasses and replacement policies that override the object hooks instead
-of the compact-state transitions; :func:`repro.sim.run_l2_trace` with
-``engine="auto"`` falls back to the reference loop (with a one-line warning)
-when they appear.
+The fast path replays exactly the five built-in protection schemes
+(conventional, REAP, serial, restore, and the patrol-scrubbing baseline)
+over the five built-in replacement policies
+(:data:`repro.cache.replacement.BUILTIN_POLICIES`), as exact types.
+:func:`supports_fast_path` reports whether a cache qualifies; anything
+else, a subclass of a built-in included, makes
+:func:`repro.sim.run_l2_trace` with ``engine="auto"`` fall back to the
+reference loop (with a one-line warning).
 
 One deliberate behavioural difference: the reference loop validates records
 as it consumes them, so a malformed trace leaves the cache partially
@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cache import CacheHierarchy
-from ..cache.replacement import ReplacementPolicy
+from ..cache.replacement import BUILTIN_POLICIES
 from ..config import SimulationConfig
 from ..core.conventional import ConventionalCache
 from ..core.protected import ProtectedCache
@@ -72,27 +72,6 @@ _SCHEME_MODES = {
     ScrubbingCache: _CONVENTIONAL,  # scrubbing adds a patrol pass per access
 }
 
-#: Replacement-policy object hooks that must route through the compact-state
-#: transitions for the fast path to be equivalent by construction.
-_POLICY_HOOKS = ("on_access", "on_fill", "victim")
-
-
-def _policy_reason(policy) -> str:
-    """Why a replacement policy is not fast-path capable ('' if it is)."""
-    if not isinstance(policy, ReplacementPolicy):
-        return f"replacement policy {type(policy).__name__}"
-    if policy.supports_compact_state:
-        # Third-party opt-in: the policy promises its object-hook overrides
-        # still route every state change through the compact transitions.
-        return ""
-    for hook in _POLICY_HOOKS:
-        if getattr(type(policy), hook) is not getattr(ReplacementPolicy, hook):
-            return (
-                f"replacement policy {type(policy).__name__} (overrides "
-                f"{hook}() instead of the compact-state transitions)"
-            )
-    return ""
-
 
 def supports_fast_path(cache: ProtectedCache) -> tuple[bool, str]:
     """Whether the batched engine can replay traces for ``cache``.
@@ -103,9 +82,9 @@ def supports_fast_path(cache: ProtectedCache) -> tuple[bool, str]:
     """
     if type(cache) not in _SCHEME_MODES:
         return False, f"scheme {cache.scheme_name()!r} ({type(cache).__name__})"
-    reason = _policy_reason(cache.cache.replacement)
-    if reason:
-        return False, reason
+    policy = cache.cache.replacement
+    if type(policy) not in BUILTIN_POLICIES:
+        return False, f"replacement policy {type(policy).__name__} (not a built-in)"
     return True, ""
 
 

@@ -10,11 +10,10 @@ passes, each timed by its own telemetry span:
    lean Python loop decides hit/miss, victim and eviction for every access
    — the only genuinely order-dependent work — while *deferring*
    everything else, and returns a frozen :class:`FunctionalProduct`.
-   Replacement transitions are deferred through the policy's SoA protocol
-   (:attr:`repro.cache.replacement.ReplacementPolicy.soa_mode`): timestamp
-   policies collapse to one "last touch position" store per access,
-   tree/stateless policies to a queued way, and unknown compact-capable
-   policies fall back to exact scalar calls.  Unless the policy's victim
+   Replacement transitions are deferred through the policy's SoA mode
+   (see :class:`_FrameState`): timestamp policies collapse to one "last
+   touch position" store per access, tree PLRU to a queued way, and
+   FIFO/Random apply only their fills.  Unless the policy's victim
    choice reads exposure (LER) or the scheme scrubs, the product does not
    depend on the scheme or on ``p_cell``.
 2. :func:`reliability_pass` (``kernel.pass2``, vectorised): with the
@@ -65,13 +64,6 @@ import numpy as np
 
 from ..cache import CacheHierarchy
 from ..cache.cache import SetAssociativeCache
-from ..cache.replacement import (
-    FIFOPolicy,
-    LERPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-)
 from ..core.restore import RestoreCache
 from ..core.scrubbing import ScrubbingCache
 from ..reliability.binomial import (
@@ -86,44 +78,6 @@ from ..telemetry import span as telemetry_span
 #: Delivery-kind codes; :data:`repro.sim.fastpath._SCHEME_MODES` maps each
 #: scheme to one of the first three.
 _CONVENTIONAL, _REAP, _SERIAL, _WRITEBACK = 0, 1, 2, 3
-
-#: Policies whose SoA-mode shortcuts are maintained together with their
-#: compact transitions; exact types only (a subclass may override either).
-_BUILTIN_SOA_POLICIES = (
-    LRUPolicy,
-    LERPolicy,
-    FIFOPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-)
-
-
-def effective_soa_scheduling(policy) -> tuple[str, bool]:
-    """The (soa_mode, victim_uses_exposure) pair the kernel may trust.
-
-    A non-``"immediate"`` mode lets the kernel replace the scalar compact
-    transitions with mode-specific shortcuts (position arithmetic, no-op
-    accesses, deferred ordered replay).  That is only sound when the policy
-    is an exact built-in — whose shortcuts are maintained in lockstep with
-    its transitions — or when the policy's *own* class declares
-    ``soa_mode``, vouching for the combination deliberately.  A subclass
-    that overrides a compact transition while merely inheriting its
-    parent's mode would otherwise have the override silently bypassed, so
-    everything else degrades to exact scalar replay.  The exposure flag is
-    widened to ``True`` (always hand the victim hook real exposures) under
-    the same rule.
-    """
-    mode = policy.soa_mode
-    exposure = policy.victim_uses_exposure
-    if type(policy) in _BUILTIN_SOA_POLICIES:
-        return mode, exposure
-    own = type(policy).__dict__
-    if "soa_mode" not in own:
-        mode = "immediate"
-    if "victim_uses_exposure" not in own:
-        exposure = True
-    return mode, exposure
-
 
 def _patrol_visit_schedule(
     credit: float, rate: float, count: int
@@ -362,33 +316,48 @@ class _FrameState:
     per touched set by :meth:`materialise`.  All resident lines share one
     dict keyed by the packed (tag, set) address and valued with the frame
     id, so a hit is a single dict probe plus a couple of flat-list stores.
-    Replacement transitions are deferred through the policy's SoA mode:
-    ``pend`` holds last-touch positions in ``"position"`` mode and
-    ``queues`` the touched ways per set in ``"ordered"`` mode, until
-    :meth:`flush` applies them.  Block fields are left to each caller's own
-    write-back.
+    Block fields are left to each caller's own write-back.
+
+    Replacement transitions are scheduled by the policy's ``soa_mode``, a
+    class constant of each of the five built-in policies (the only ones the
+    fast path admits):
+
+    * ``"position"`` (LRU, LER) — the tick advances exactly once per access,
+      so ``pend`` keeps each frame's last touch position; victims are chosen
+      over the mixed stored/deferred timestamps
+      (``soa_victim_positions``) and :meth:`flush` realises the positions
+      (``soa_apply_last_positions``) and settles the tick (``soa_commit``).
+    * ``"ordered"`` (tree PLRU) — transitions touch no policy-global state,
+      a fill equals an access and consecutive duplicates are idempotent, so
+      ``queues`` keeps each set's touched ways and replays them in order
+      (``compact_on_access_batch``) before a victim decision or the flush.
+    * ``"fill-only"`` (FIFO, Random) — accesses are no-ops; fills (and
+      Random's victim draws) are applied scalar, in trace order.
+
+    The policy's ``victim_uses_exposure`` (only LER's is true) says whether
+    its victim choice reads the per-way unchecked-read exposure; when it is
+    false the callers skip tracking live exposures.
     """
 
     __slots__ = (
         "substrate", "assoc", "index_bits", "num_frames", "policy", "pol_globals",
-        "uses_exposure", "position_mode", "ordered_mode", "fill_only_mode",
-        "tick_base", "tags", "valid", "dirty", "pend", "nvalid", "init_nvalid",
-        "materialised", "rows", "queues", "touched_sets", "resident",
+        "uses_exposure", "position_mode", "ordered_mode", "tick_base", "tags",
+        "valid", "dirty", "pend", "nvalid", "init_nvalid", "materialised",
+        "rows", "queues", "touched_sets", "resident",
     )
 
     def __init__(self, substrate: SetAssociativeCache) -> None:
         num_sets = substrate.num_sets
         policy = substrate.replacement
-        soa_mode, self.uses_exposure = effective_soa_scheduling(policy)
         self.substrate = substrate
         self.assoc = substrate.associativity
         self.index_bits = num_sets.bit_length() - 1
         self.num_frames = num_frames = num_sets * self.assoc
         self.policy = policy
         self.pol_globals = policy.compact_globals()
-        self.position_mode = soa_mode == "position"
-        self.ordered_mode = soa_mode == "ordered"
-        self.fill_only_mode = soa_mode == "fill-only"
+        self.uses_exposure = policy.victim_uses_exposure
+        self.position_mode = policy.soa_mode == "position"
+        self.ordered_mode = policy.soa_mode == "ordered"
         self.tick_base = policy.soa_tick_base() if self.position_mode else 0
         self.tags = [0] * num_frames
         self.valid = [False] * num_frames
@@ -565,12 +534,10 @@ def functional_pass(
     num_sets = substrate.num_sets
     policy = state.policy
     pol_globals = state.pol_globals
-    pol_access = policy.compact_on_access
     pol_fill = policy.compact_on_fill
     uses_exposure = state.uses_exposure
     position_mode = state.position_mode
     ordered_mode = state.ordered_mode
-    fill_only_mode = state.fill_only_mode
     tags_l, valid_l, dirty_l, pend_l = state.tags, state.valid, state.dirty, state.pend
     materialised, rows, queues = state.materialised, state.rows, state.queues
     resident, nvalid_l = state.resident, state.nvalid
@@ -702,10 +669,6 @@ def functional_pass(
                     pend_l[hit_frame] = i
                 elif ordered_mode:
                     queues[set_index].append(hit_frame - set_index * assoc)
-                elif not fill_only_mode:
-                    pol_access(
-                        pol_globals, rows[set_index], hit_frame - set_index * assoc
-                    )
             else:
                 handle_miss(i, set_index, key, code)
 
@@ -1452,14 +1415,10 @@ def _replay_l1(
             if nst:
                 dirty_f[frame] = True
     else:
-        policy = state.policy
         pol_globals = state.pol_globals
-        pol_access = policy.compact_on_access
-        pol_fill = policy.compact_on_fill
+        pol_fill = state.policy.compact_on_fill
         ordered_mode = state.ordered_mode
-        fill_only_mode = state.fill_only_mode
-        starts_l = run_starts.tolist()
-        for r, (key, end, nst) in enumerate(zip(key_list, ends_l, nst_l)):
+        for r, (key, nst) in enumerate(zip(key_list, nst_l)):
             frame = resident_get(key)
             hit = frame is not None
             if not hit:
@@ -1474,18 +1433,8 @@ def _replay_l1(
                 queue = queues[set_index]
                 if not queue or queue[-1] != way:
                     queue.append(way)
-            elif fill_only_mode:
-                if not hit:
-                    pol_fill(pol_globals, rows[set_index], way)
-            else:
-                row = rows[set_index]
-                if hit:
-                    pol_access(pol_globals, row, way)
-                else:
-                    pol_fill(pol_globals, row, way)
-                tail = end - starts_l[r] - 1
-                if tail:
-                    policy.compact_on_access_batch(pol_globals, row, [way] * tail)
+            elif not hit:
+                pol_fill(pol_globals, rows[set_index], way)
     state.flush(n)
 
     # -- pass 2: vectorised counters and block fields -----------------------------

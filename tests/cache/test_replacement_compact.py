@@ -231,12 +231,39 @@ class TestExportImportRoundTrips:
             obj.import_set_state(-1, [])
 
 
-class TestBatchedTransitions:
-    """Batched transitions equal N scalar transitions, for every policy.
+def apply_as_kernel(obj: ReplacementPolicy, row, ways, fill=False) -> None:
+    """Apply one run of transitions to ``row`` as the SoA kernel schedules them.
 
-    Batch sizes straddle the vector-form thresholds (the timestamp policies
-    switch representation above 8 ways, tree PLRU above 16), so both the
-    scalar-loop defaults and the true vector overrides are exercised.
+    The policy's ``soa_mode`` decides: ``"position"`` keeps each way's last
+    touch position and realises it at the flush (a fill counts as a use),
+    ``"ordered"`` replays the run with ``compact_on_access_batch`` (a fill
+    equals an access), and ``"fill-only"`` drops accesses and applies fills
+    one by one.
+    """
+    if obj.soa_mode == "position":
+        base = obj.soa_tick_base()
+        last_positions = [-1] * len(row)
+        for position, way in enumerate(ways):
+            last_positions[way] = position
+        obj.soa_apply_last_positions(row, last_positions, base)
+        obj.soa_commit(base, len(ways))
+    elif obj.soa_mode == "ordered":
+        obj.compact_on_access_batch(obj.compact_globals(), row, ways)
+    else:
+        assert obj.soa_mode == "fill-only"
+        if fill:
+            for way in ways:
+                obj.compact_on_fill(obj.compact_globals(), row, way)
+
+
+class TestBatchedTransitions:
+    """The kernel's deferred schedule equals N scalar transitions, per policy.
+
+    Each policy's ``soa_mode`` fixes how the SoA kernel defers a run of
+    hits and fills (:func:`apply_as_kernel`); the deferred run must leave
+    the same row and global state as the scalar transitions in trace order.
+    Batch sizes straddle tree PLRU's vector-form threshold (above 16 ways),
+    so both its scalar loop and its per-node vector form are exercised.
     """
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -253,9 +280,7 @@ class TestBatchedTransitions:
             batched_row = batched.export_set_state(set_index)
             for way in ways:
                 scalar.compact_on_access(scalar.compact_globals(), scalar_row, way)
-            batched.compact_on_access_batch(
-                batched.compact_globals(), batched_row, ways
-            )
+            apply_as_kernel(batched, batched_row, ways)
             assert list(scalar_row) == list(batched_row), (policy, ways)
             scalar.import_set_state(set_index, scalar_row)
             batched.import_set_state(set_index, batched_row)
@@ -274,9 +299,7 @@ class TestBatchedTransitions:
             batched_row = batched.export_set_state(set_index)
             for way in ways:
                 scalar.compact_on_fill(scalar.compact_globals(), scalar_row, way)
-            batched.compact_on_fill_batch(
-                batched.compact_globals(), batched_row, ways
-            )
+            apply_as_kernel(batched, batched_row, ways, fill=True)
             assert list(scalar_row) == list(batched_row), (policy, ways)
             scalar.import_set_state(set_index, scalar_row)
             batched.import_set_state(set_index, batched_row)
@@ -291,15 +314,15 @@ class TestBatchedTransitions:
         set_index = 3
         ways = [rng.randrange(ASSOC) for _ in range(24)]
         whole_row = whole.export_set_state(set_index)
-        whole.compact_on_access_batch(whole.compact_globals(), whole_row, ways)
+        apply_as_kernel(whole, whole_row, ways)
         whole.import_set_state(set_index, whole_row)
 
         split_row = split.export_set_state(set_index)
-        split.compact_on_access_batch(split.compact_globals(), split_row, ways[:11])
+        apply_as_kernel(split, split_row, ways[:11])
         split.import_set_state(set_index, split_row)
         split.import_global_state(split.export_global_state())
         split_row = split.export_set_state(set_index)
-        split.compact_on_access_batch(split.compact_globals(), split_row, ways[11:])
+        apply_as_kernel(split, split_row, ways[11:])
         split.import_set_state(set_index, split_row)
         assert_same_state(policy, whole, split)
 
@@ -308,8 +331,10 @@ class TestBatchedTransitions:
         obj = build(policy, seed=2)
         before_globals = obj.export_global_state()
         row = obj.export_set_state(0)
-        obj.compact_on_access_batch(obj.compact_globals(), row, [])
-        obj.compact_on_fill_batch(obj.compact_globals(), row, [])
+        before_row = list(row)
+        apply_as_kernel(obj, row, [])
+        apply_as_kernel(obj, row, [], fill=True)
+        assert list(row) == before_row
         obj.import_set_state(0, row)
         assert obj.export_global_state() == before_globals
 
@@ -378,12 +403,3 @@ class TestPositionProtocol:
                 lazy.compact_globals(), lazy_row, pend, base, exposures
             )
             assert actual == expected, (policy, touched)
-
-    def test_non_position_policies_reject_the_protocol(self):
-        plru = build(ReplacementPolicyName.PLRU)
-        with pytest.raises(NotImplementedError):
-            plru.soa_tick_base()
-        with pytest.raises(NotImplementedError):
-            plru.soa_apply_last_positions([], [], 0)
-        with pytest.raises(NotImplementedError):
-            plru.soa_commit(0, 0)

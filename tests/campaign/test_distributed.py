@@ -66,6 +66,16 @@ class TestFrameProtocol:
             with pytest.raises(CampaignError, match="no 'type'"):
                 recv_frame(right)
 
+    @pytest.mark.parametrize(
+        "body", (b"\xff\xfe", b"{not json"), ids=("non-utf8", "non-json")
+    )
+    def test_undecodable_body_rejected(self, body):
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(len(body).to_bytes(4, "big") + body)
+            with pytest.raises(CampaignError, match="malformed protocol frame"):
+                recv_frame(right)
+
     def test_oversized_length_prefix_rejected(self):
         left, right = socket.socketpair()
         with left, right:

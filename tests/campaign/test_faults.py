@@ -309,12 +309,13 @@ class TestCheckpointResume:
         assert load_checkpoint(tmp_path / "absent.json") is None
 
     @pytest.mark.parametrize(
-        "content", ["not json", '{"kind": "something-else"}', '[1,2,3]']
+        "content",
+        [b"not json", b'{"kind": "something-else"}', b"[1,2,3]", b"\xff\xfe"],
     )
     def test_load_checkpoint_garbage_fails_loudly(self, tmp_path, content):
         path = tmp_path / "ckpt.json"
-        path.write_text(content)
-        with pytest.raises(CampaignError):
+        path.write_bytes(content)
+        with pytest.raises(CampaignError, match="ckpt.json"):
             load_checkpoint(path)
 
     def test_recover_diffs_against_store_not_checkpoint(self):

@@ -120,6 +120,12 @@ class TestShardedStore:
         with pytest.raises(CampaignError, match="manifest"):
             ShardedResultStore(directory)
 
+    def test_non_utf8_manifest_raises(self, tmp_path):
+        ShardedResultStore(tmp_path / "store")
+        (tmp_path / "store" / "store.json").write_bytes(b"\xff\xfe\n")
+        with pytest.raises(CampaignError, match="unreadable store manifest"):
+            ShardedResultStore(tmp_path / "store")
+
     def test_file_path_rejected(self, tmp_path):
         path = tmp_path / "store.jsonl"
         path.write_text("")
@@ -192,6 +198,12 @@ class TestFailureRecovery:
         content = shard.read_text()
         shard.write_text("not json at all\n" + content, encoding="utf-8")
         with pytest.raises(CampaignError, match="invalid JSON"):
+            ShardedResultStore(tmp_path / "store")
+
+    def test_non_utf8_shard_line_raises(self, tmp_path):
+        ShardedResultStore(tmp_path / "store", shard_width=2)
+        (tmp_path / "store" / "shard-ab.jsonl").write_bytes(b"\xff\xfe\n")
+        with pytest.raises(CampaignError, match=r"shard-ab\.jsonl:1: not UTF-8"):
             ShardedResultStore(tmp_path / "store")
 
     def test_final_line_without_newline_but_valid_is_repaired(self, tmp_path):

@@ -112,6 +112,13 @@ class TestResultStore:
         with pytest.raises(CampaignError, match="invalid JSON"):
             ResultStore(path)
 
+    def test_rejects_non_utf8_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore(path).put(make_job(), make_comparison())
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(CampaignError, match=r"store\.jsonl:2: not UTF-8"):
+            ResultStore(path)
+
     def test_rejects_record_without_key(self, tmp_path):
         path = tmp_path / "store.jsonl"
         path.write_text('{"schema": 1}\n')

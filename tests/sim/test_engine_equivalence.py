@@ -31,9 +31,10 @@ import warnings
 
 import pytest
 
-from repro.cache.replacement import LRUPolicy
+from repro.cache.replacement import BUILTIN_POLICIES, LRUPolicy
 from repro.config import ReadPathMode
 from repro.core import ConventionalCache
+from repro.errors import SimulationError
 from repro.sim import (
     run_cpu_trace,
     run_l2_trace,
@@ -477,7 +478,7 @@ class TestAutoEngine:
         )
         supported, reason = supports_fast_path(cache)
         assert supported is False
-        assert "TweakedLRU" in reason and "on_access" in reason
+        assert "TweakedLRU" in reason
 
     def test_auto_cpu_trace_matches_reference(self):
         sim_config = small_hierarchy_config()
@@ -494,35 +495,6 @@ class TestAutoEngine:
         assert_hierarchies_equivalent(ref_h, auto_h)
 
 
-class _ThirdPartyAuditingLRU(LRUPolicy):
-    """A third-party-style policy that opts into the fast path.
-
-    It overrides the object hooks (to count them, as an external plug-in
-    might for instrumentation) but routes every state change through the
-    compact transitions, and promises as much via
-    ``supports_compact_state`` — so :func:`supports_fast_path` accepts it
-    instead of rejecting the overrides.  It deliberately does not inherit
-    LRU's position-mode shortcut: the SoA kernel must fall back to exact
-    scalar transitions for it.
-    """
-
-    supports_compact_state = True
-    soa_mode = "immediate"
-
-    def __init__(self, num_sets, associativity):
-        super().__init__(num_sets, associativity)
-        self.audited_accesses = 0
-        self.audited_fills = 0
-
-    def on_access(self, set_index, way):
-        self.audited_accesses += 1
-        super().on_access(set_index, way)
-
-    def on_fill(self, set_index, way):
-        self.audited_fills += 1
-        super().on_fill(set_index, way)
-
-
 def _with_policy(cache, policy_class):
     """Swap a cache's replacement policy for a freshly-built ``policy_class``."""
     substrate = cache.cache
@@ -532,105 +504,54 @@ def _with_policy(cache, policy_class):
     return cache
 
 
-class TestCustomPolicyOptIn:
-    """``supports_compact_state`` lets third-party policies into the fast path."""
+class _PositionRedeclaringLRU(LRUPolicy):
+    """An LRU subclass that re-declares its parent's SoA mode."""
 
-    def test_opt_in_policy_is_accepted(self):
-        cache = _with_policy(build_cache("reap", seed=1), _ThirdPartyAuditingLRU)
-        supported, reason = supports_fast_path(cache)
-        assert supported is True and reason == ""
+    soa_mode = "position"
 
-    @pytest.mark.parametrize("scheme", ("conventional", "reap"))
-    @over_fast_segmenting
-    def test_opt_in_policy_is_replayed_identically(self, scheme, segment_accesses):
-        trace = profile_trace("mcf", 7)
-        ref_cache = _with_policy(build_cache(scheme, seed=7), _ThirdPartyAuditingLRU)
-        fast_cache = _with_policy(build_cache(scheme, seed=7), _ThirdPartyAuditingLRU)
-        reference = run_l2_trace(ref_cache, trace, engine="reference")
-        fast = run_l2_trace(
-            fast_cache, trace, engine="fast", segment_accesses=segment_accesses
-        )
-        assert_results_equivalent(reference, fast)
-        assert_caches_equivalent(ref_cache, fast_cache)
-        # The object path audited its hooks; the batched engines bypass them
-        # but land in the identical compact state (asserted above).
-        assert ref_cache.cache.replacement.audited_accesses > 0
 
-    def test_opt_out_subclass_is_still_rejected(self):
-        class UnmarkedLRU(_ThirdPartyAuditingLRU):
-            supports_compact_state = False
+class _MRUPolicy(LRUPolicy):
+    """Evicts the most recently used way by overriding ``compact_victim``.
 
-        cache = _with_policy(build_cache("conventional", seed=1), UnmarkedLRU)
-        supported, reason = supports_fast_path(cache)
+    The fast path would replay it as LRU if it trusted the inherited
+    position mode, whose fused victim shortcut ignores the override.
+    """
+
+    def compact_victim(self, global_state, set_state, unchecked_reads):
+        return max(range(len(set_state)), key=list(set_state).__getitem__)
+
+
+#: Policies outside the fast path's exact-type gate: an unchanged subclass
+#: of every built-in, a subclass re-declaring its mode, and an override.
+_NON_BUILTIN_POLICIES = (
+    *(type(f"Plain{cls.__name__}", (cls,), {}) for cls in BUILTIN_POLICIES),
+    _PositionRedeclaringLRU,
+    _MRUPolicy,
+)
+
+
+class TestNonBuiltinPoliciesTakeTheReferenceLoop:
+    """The fast path replays the five built-in policies as exact types only."""
+
+    @pytest.mark.parametrize(
+        "policy_class", _NON_BUILTIN_POLICIES, ids=lambda cls: cls.__name__
+    )
+    def test_rejected_by_fast_and_auto_matches_reference(self, policy_class):
+        name = policy_class.__name__
+        trace = profile_trace("mcf", 5, length=1_500)
+        ref_cache = _with_policy(build_cache("reap", seed=5), policy_class)
+        auto_cache = _with_policy(build_cache("reap", seed=5), policy_class)
+        supported, reason = supports_fast_path(auto_cache)
         assert supported is False
-        assert "UnmarkedLRU" in reason
-
-    @over_fast_segmenting
-    def test_compact_override_without_mode_declaration_stays_exact(
-        self, segment_accesses
-    ):
-        """A subclass overriding a compact transition must not inherit the
-        parent's SoA shortcuts: MRU below would be silently replayed as LRU
-        if the kernel trusted the inherited position mode."""
-
-        class MRUPolicy(LRUPolicy):
-            def compact_victim(self, global_state, set_state, unchecked_reads):
-                return max(
-                    range(len(set_state)), key=list(set_state).__getitem__
-                )
-
-        trace = profile_trace("mcf", 5)
-        ref_cache = _with_policy(build_cache("reap", seed=5), MRUPolicy)
-        fast_cache = _with_policy(build_cache("reap", seed=5), MRUPolicy)
-        assert supports_fast_path(fast_cache)[0] is True
+        assert name in reason
+        # Rejected before any state is touched (the equality below shows it).
+        with pytest.raises(SimulationError, match=name):
+            run_l2_trace(auto_cache, trace, engine="fast")
         reference = run_l2_trace(ref_cache, trace, engine="reference")
-        fast = run_l2_trace(
-            fast_cache, trace, engine="fast", segment_accesses=segment_accesses
-        )
-        assert_results_equivalent(reference, fast)
-        assert_caches_equivalent(ref_cache, fast_cache)
-
-    @over_fast_segmenting
-    def test_third_party_position_mode_policy(self, segment_accesses):
-        """A policy implementing the documented position protocol (without
-        the built-ins' fused victim shortcut) replays exactly: the base
-        class supplies ``soa_victim_positions`` via ``compact_victim``."""
-
-        class DeclaredPositionLRU(LRUPolicy):
-            soa_mode = "position"
-            # Deliberately drop the fused shortcut: the base-class generic
-            # must carry a policy that only implements the documented trio.
-            soa_victim_positions = (
-                __import__("repro.cache.replacement", fromlist=["ReplacementPolicy"])
-                .ReplacementPolicy.soa_victim_positions
-            )
-
-        trace = profile_trace("gcc", 6)
-        ref_cache = _with_policy(build_cache("reap", seed=6), DeclaredPositionLRU)
-        fast_cache = _with_policy(build_cache("reap", seed=6), DeclaredPositionLRU)
-        reference = run_l2_trace(ref_cache, trace, engine="reference")
-        fast = run_l2_trace(
-            fast_cache, trace, engine="fast", segment_accesses=segment_accesses
-        )
-        assert_results_equivalent(reference, fast)
-        assert_caches_equivalent(ref_cache, fast_cache)
-
-    def test_subclass_declaring_its_own_mode_is_trusted(self):
-        """A subclass that re-declares ``soa_mode`` vouches deliberately."""
-        from repro.sim.soa import effective_soa_scheduling
-
-        class RenamedLRU(LRUPolicy):
-            soa_mode = "position"
-
-        class PlainSubclassLRU(LRUPolicy):
-            pass
-
-        assert effective_soa_scheduling(LRUPolicy(4, 2)) == ("position", False)
-        assert effective_soa_scheduling(RenamedLRU(4, 2)) == ("position", True)
-        assert effective_soa_scheduling(PlainSubclassLRU(4, 2)) == (
-            "immediate",
-            True,
-        )
+        with pytest.warns(RuntimeWarning, match="fell back to the reference loop"):
+            auto = run_l2_trace(auto_cache, trace, engine="auto")
+        assert_results_equivalent(reference, auto)
+        assert_caches_equivalent(ref_cache, auto_cache)
 
 
 class TestFallbackWarningOncePerCallSite:
