@@ -29,6 +29,7 @@ from pathlib import Path
 from conftest import bench_num_accesses, bench_settings
 from repro.core import build_protected_cache
 from repro.sim import run_l2_trace
+from repro.sim.soa import clear_pass1_memo
 from repro.workloads import FIGURE3_WORKLOADS, generate_l2_trace, get_profile
 
 #: The default Fig. 5 workload mix used for the throughput comparison.
@@ -61,6 +62,8 @@ def _run_mix(settings, traces, engine: str, scheme: str = "reap") -> float:
             data_profile=settings.data_profile(index + 1),
             seed=index + 1,
         )
+        # A memo hit would skip pass 1; every timed replay runs the whole kernel.
+        clear_pass1_memo()
         run_l2_trace(cache, trace, engine=engine)
     return time.perf_counter() - start
 

@@ -150,6 +150,10 @@ class SetAssociativeCache:
             raise CacheError(f"set index {index} out of range")
         return self._sets[index]
 
+    def untouched(self) -> bool:
+        """``True`` while the cache is as built: tick 0 and no set materialised."""
+        return self._tick == 0 and self._sets.count(None) == len(self._sets)
+
     def blocks_in_set(self, index: int) -> list[CacheBlock]:
         """Return the blocks of the set at ``index``."""
         return self.cache_set(index).blocks

@@ -247,6 +247,13 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise CampaignError("campaign name must be non-empty")
+        # tuple() of a bare string would split it into one-letter names.
+        for name in ("workloads", "alternatives"):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                raise CampaignError(
+                    f"campaign {name} must be a list of names, not the string {value!r}"
+                )
         object.__setattr__(self, "workloads", tuple(self.workloads))
         if not self.workloads:
             raise CampaignError("campaign needs at least one workload")
@@ -270,6 +277,11 @@ class CampaignSpec:
                     f"{sorted(SWEEPABLE_FIELDS)}, or a dotted path into "
                     "'l2_config' / 'mtj' (e.g. 'l2_config.associativity', "
                     "'l2_config.ecc.kind')"
+                )
+            if isinstance(values, str):
+                raise CampaignError(
+                    f"sweep for {parameter!r} must be a list of values, "
+                    f"not the string {values!r}"
                 )
             values = tuple(values)
             if not values:
@@ -341,13 +353,12 @@ class CampaignSpec:
         try:
             return cls(
                 name=data["name"],
-                workloads=tuple(data["workloads"]),
+                workloads=data["workloads"],
                 base_settings=ExperimentSettings.from_dict(data.get("base_settings", {})),
                 baseline=data.get("baseline", ProtectionScheme.CONVENTIONAL.value),
-                alternatives=tuple(data.get("alternatives", ("reap",))),
+                alternatives=data.get("alternatives", ("reap",)),
                 sweep=tuple(
-                    (parameter, tuple(values))
-                    for parameter, values in data.get("sweep", ())
+                    (parameter, values) for parameter, values in data.get("sweep", ())
                 ),
                 stride_seed=bool(data.get("stride_seed", True)),
             )

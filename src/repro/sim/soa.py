@@ -25,6 +25,19 @@ passes, each timed by its own telemetry span:
    delivery windows, the evicted-block exposures, the final per-block
    counters and the recency ticks without touching Python per access.
 
+Pass 1 is memoised at its one call site, :func:`replay_l2_soa`, for cold
+starts only (:func:`memoised_functional_pass`): when the substrate is still
+untouched (no set materialised, tick 0), the product and the policy's end
+state are looked up by exactly what pass 1 reads — the policy class, the
+geometry, the policy's global state (ticks, Random's generator), the
+decoded columns (by digest, confirmed by exact equality), the scheme class
+and mode when LER's victim choice reads exposure, and the patrol rate and
+walk state under scrubbing.  So the schemes and ``p_cell`` points of a
+sweep replay pass 1 once per distinct cold input.  Every warm start (a
+later segment, a prefix-warmed cache) bypasses the memo.  The memo is
+process-local and holds :data:`PASS1_MEMO_ENTRIES` entries; the
+``kernel.pass1`` span reports ``memo="hit"|"miss"|"bypass"``.
+
 Bit-identical to the reference loop by construction:
 
 * the per-access ones-count samples are drawn with
@@ -57,7 +70,10 @@ policy and trace level to enforce all of this field by field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from collections import OrderedDict
+from contextlib import suppress
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -474,6 +490,129 @@ class FunctionalProduct:
     scrub_state: tuple | None  # patrol (credit, cursor, scrubbed lines) after
 
 
+#: Entry cap of the pass-1 memo; a ``p_cell`` sweep keeps two live entries
+#: (the scrubbing product and everyone else's).
+PASS1_MEMO_ENTRIES = 4
+
+
+class _Pass1Entry(NamedTuple):
+    """One memoised cold-start pass 1: its input columns and end state."""
+
+    columns: tuple  # read-only copies of (codes, set_indices, tags)
+    product: FunctionalProduct  # read-only arrays, tuple lists
+    rows: np.ndarray  # policy row per touched set (product order), after the flush
+    policy_globals: tuple  # export_global_state() after the flush
+
+
+#: Process-local memo, least recently used first.  Threads share it without a
+#: lock (a forked worker could inherit one held): each access is one dict
+#: call, and a recency bump or eviction that loses a race is skipped.
+_pass1_memo: OrderedDict[tuple, _Pass1Entry] = OrderedDict()
+
+
+def clear_pass1_memo() -> None:
+    """Forget every memoised pass-1 product (e.g. before timing the kernel)."""
+    _pass1_memo.clear()
+
+
+def _pass1_key(cache, scheme_mode: int, columns: tuple) -> tuple:
+    """Everything :func:`functional_pass` reads from a cold cache.
+
+    The columns enter by digest; a hit is confirmed against the entry's
+    stored columns, so a collision can never serve a wrong product.
+    """
+    substrate = cache.cache
+    policy = substrate.replacement
+    digest = hashlib.blake2b(digest_size=16)
+    for column in columns:
+        digest.update(column.dtype.str.encode())
+        digest.update(np.ascontiguousarray(column))
+    return (
+        type(policy),
+        substrate.num_sets,
+        substrate.associativity,
+        # Plain ticks, or Random's bit-generator state (and with it the seed).
+        repr(policy.export_global_state()),
+        (type(cache), scheme_mode) if policy.victim_uses_exposure else None,
+        (
+            (cache.scrub_rate, cache.patrol_walk_state())
+            if type(cache) is ScrubbingCache
+            else None
+        ),
+        digest.digest(),
+    )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def memoised_functional_pass(
+    cache, codes: np.ndarray, set_indices: np.ndarray, tags: np.ndarray, scheme_mode: int
+) -> tuple[FunctionalProduct, str]:
+    """:func:`functional_pass`, served from the memo on a repeated cold start.
+
+    A cache that is :meth:`~repro.cache.cache.SetAssociativeCache.untouched`
+    starts pass 1 from nothing but the key of :func:`_pass1_key`, so its
+    product and end policy state can be shared by every replay of the same
+    columns: across schemes (unless the victim choice reads exposure) and
+    across ``p_cell``.  A hit re-applies the stored policy rows and globals,
+    exactly what :meth:`_FrameState.flush` would have written; the shared
+    product is read-only, and pass 2 materialises the sets it touches.  A
+    warm cache always runs pass 1.
+
+    Returns:
+        ``(product, outcome)`` with ``outcome`` one of ``"hit"``, ``"miss"``
+        and ``"bypass"`` (not a cold start).
+    """
+    substrate = cache.cache
+    if not substrate.untouched():
+        return functional_pass(cache, codes, set_indices, tags, scheme_mode), "bypass"
+    policy = substrate.replacement
+    columns = (codes, set_indices, tags)
+    key = _pass1_key(cache, scheme_mode, columns)
+    entry = _pass1_memo.get(key)
+    if entry is not None and all(
+        np.array_equal(stored, column) for stored, column in zip(entry.columns, columns)
+    ):
+        # Replays on other threads may evict the entry meanwhile; the entry
+        # itself is immutable, so only the recency bump can miss.
+        with suppress(KeyError):
+            _pass1_memo.move_to_end(key)
+        for set_index, row in zip(entry.product.touched_sets, entry.rows):
+            policy.import_set_state(set_index, row)
+        policy.import_global_state(entry.policy_globals)
+        return entry.product, "hit"
+    product = functional_pass(cache, codes, set_indices, tags, scheme_mode)
+    for field in fields(product):
+        value = getattr(product, field.name)
+        if isinstance(value, np.ndarray):
+            _read_only(value)
+    product = replace(
+        product,
+        touched_sets=tuple(product.touched_sets),
+        tags=tuple(product.tags),
+        valid=tuple(product.valid),
+        dirty=tuple(product.dirty),
+    )
+    _pass1_memo[key] = _Pass1Entry(
+        columns=tuple(_read_only(np.array(column)) for column in columns),
+        product=product,
+        rows=_read_only(
+            np.array(
+                [policy.export_set_state(s) for s in product.touched_sets],
+                dtype=np.int64,
+            )
+        ),
+        policy_globals=tuple(policy.export_global_state()),
+    )
+    with suppress(KeyError):
+        while len(_pass1_memo) > PASS1_MEMO_ENTRIES:
+            _pass1_memo.popitem(last=False)
+    return product, "miss"
+
+
 def replay_l2_soa(
     cache,
     codes: np.ndarray,
@@ -501,8 +640,11 @@ def replay_l2_soa(
     # the per-access sample() calls of the scalar loops.
     samples = np.asarray(cache.data_profile.sample_many(count), dtype=np.int64)
     scheme = cache.scheme_name()
-    with telemetry_span("kernel.pass1", scheme=scheme, accesses=count):
-        functional = functional_pass(cache, codes, set_indices, tags, scheme_mode)
+    with telemetry_span("kernel.pass1", scheme=scheme, accesses=count) as timed:
+        functional, outcome = memoised_functional_pass(
+            cache, codes, set_indices, tags, scheme_mode
+        )
+        timed.add(memo=outcome)
     with telemetry_span("kernel.pass2", scheme=scheme, accesses=count):
         reliability_pass(cache, codes, set_indices, scheme_mode, functional, samples)
 

@@ -164,6 +164,8 @@ class TelemetryStats:
     engine_selections: dict[str, int] = field(default_factory=dict)
     #: fallback reason -> occurrence count, from ``engine.fallback`` events.
     fallbacks: dict[str, int] = field(default_factory=dict)
+    #: pass-1 memo outcome (hit/miss/bypass) -> count, from ``kernel.pass1``.
+    pass1_memo: dict[str, int] = field(default_factory=dict)
     campaign: CampaignStats = field(default_factory=CampaignStats)
     distributed: DistributedStats = field(default_factory=DistributedStats)
     artifact_cache: ArtifactCacheStats = field(default_factory=ArtifactCacheStats)
@@ -221,6 +223,10 @@ class TelemetryAggregator:
         elif name == "job.execute":
             campaign.job_elapsed_s += duration
             campaign.accesses += int(event.get("accesses", 0) or 0)
+        elif name == "kernel.pass1" and "memo" in event:
+            memo = self.stats.pass1_memo
+            outcome = str(event["memo"])
+            memo[outcome] = memo.get(outcome, 0) + 1
 
     def _fold_counter(
         self, name: str, event: Mapping[str, Any], value: float
@@ -345,6 +351,12 @@ def render_telemetry_stats(stats: TelemetryStats) -> str:
                 ["span", "scheme", "count", "total s", "mean ms", "max ms"],
                 phase_rows,
             )
+        )
+
+    if stats.pass1_memo:
+        rows = [[outcome, count] for outcome, count in sorted(stats.pass1_memo.items())]
+        sections.append(
+            "pass-1 memo\n" + format_table(["outcome", "passes"], rows)
         )
 
     campaign = stats.campaign

@@ -480,15 +480,24 @@ class TextTraceSource:
         self.close()
 
 
+def _require_file(path: Path) -> None:
+    """Raise :class:`TraceError` unless ``path`` names an existing file."""
+    if not path.exists():
+        raise TraceError(f"trace file not found: {path}")
+    if path.is_dir():
+        raise TraceError(f"{path}: is a directory, not a trace file")
+
+
 def detect_format(path: str | Path) -> str:
     """Detect a trace file's format from its magic or first significant line.
 
     Returns one of ``"binary"``, ``"text"``, ``"din"`` or ``"lackey"``.
 
     Raises:
-        TraceError: if no supported format matches.
+        TraceError: if ``path`` is not a file or no supported format matches.
     """
     path = Path(path)
+    _require_file(path)
     with path.open("rb") as handle:
         head = handle.read(len(_MAGIC))
     if head == _MAGIC:
@@ -533,8 +542,7 @@ def open_trace(
             f"unknown trace format {format!r}; choose one of {FORMAT_CHOICES}"
         )
     path = Path(path)
-    if not path.exists():
-        raise TraceError(f"trace file not found: {path}")
+    _require_file(path)
     if format == "auto":
         format = detect_format(path)
     if format == "binary":

@@ -332,25 +332,34 @@ class Trace:
         """Read a trace written by :meth:`save`.
 
         Raises:
-            TraceError: on malformed lines.
+            TraceError: on malformed lines, non-UTF-8 bytes, or a path that
+                is not a readable file.
         """
         path = Path(path)
         trace = cls(name=name or path.stem)
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise TraceError(
-                        f"{path}:{line_number}: expected '<kind> <address>', got {line!r}"
-                    )
-                try:
-                    kind = AccessKind(parts[0])
-                    address = int(parts[1], 16)
-                    record = TraceRecord(kind=kind, address=address)
-                except (TraceError, ValueError) as exc:
-                    raise TraceError(f"{path}:{line_number}: {exc}") from exc
-                trace.append(record)
+        try:
+            handle = path.open("r", encoding="utf-8")
+        except OSError as exc:
+            raise TraceError(f"{path}: cannot read trace file: {exc.strerror}") from exc
+        with handle:
+            try:
+                for line_number, line in enumerate(handle, start=1):
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    parts = line.split()
+                    if len(parts) != 2:
+                        raise TraceError(
+                            f"{path}:{line_number}: expected '<kind> <address>', "
+                            f"got {line!r}"
+                        )
+                    try:
+                        kind = AccessKind(parts[0])
+                        address = int(parts[1], 16)
+                        record = TraceRecord(kind=kind, address=address)
+                    except (TraceError, ValueError) as exc:
+                        raise TraceError(f"{path}:{line_number}: {exc}") from exc
+                    trace.append(record)
+            except UnicodeDecodeError as exc:
+                raise TraceError(f"{path}: trace file is not UTF-8 text: {exc}") from exc
         return trace

@@ -214,6 +214,37 @@ class TestDottedSweepPaths:
         with pytest.raises(CampaignError):
             CampaignSpec(name="t", workloads=(), base_settings=fast_settings())
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        (
+            ("workloads", {"workloads": "gcc"}),
+            ("alternatives", {"alternatives": "reap"}),
+            ("'p_cell'", {"sweep": (("p_cell", "1e-9"),)}),
+            ("'p_cell'", {"sweep": {"p_cell": "1e-9"}}),
+        ),
+    )
+    def test_rejects_bare_string_lists(self, field, overrides):
+        arguments = dict(name="t", workloads=("gcc",), base_settings=fast_settings())
+        arguments.update(overrides)
+        with pytest.raises(CampaignError, match=f"{field} must be a list"):
+            CampaignSpec(**arguments)
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        (
+            ("workloads", {"workloads": "gcc"}),
+            ("alternatives", {"alternatives": "reap"}),
+            ("'p_cell'", {"sweep": [["p_cell", "1e-9"]]}),
+        ),
+    )
+    def test_from_dict_rejects_bare_string_lists(self, field, overrides):
+        data = CampaignSpec(
+            name="t", workloads=("gcc",), base_settings=fast_settings()
+        ).to_dict()
+        data.update(overrides)
+        with pytest.raises(CampaignError, match=f"{field} must be a list"):
+            CampaignSpec.from_dict(data)
+
     def test_dict_roundtrip(self):
         spec = CampaignSpec(
             name="round",

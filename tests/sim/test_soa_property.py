@@ -8,7 +8,9 @@ arbitrary segment cuts — and asserts the fast engine leaves exactly the
 reference engine's result and cache state, field by field.  Tiny sets and
 tag spaces force the corner cases the grids rarely reach: single-way sets,
 one-set caches, immediate evictions, long concealed-read runs and segment
-boundaries between any two accesses.
+boundaries between any two accesses.  Each example is replayed on a second
+fresh cache too, whose cold first segment is served from the pass-1 memo,
+so the memo's hit path meets the same corner cases.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from equivalence_utils import (
     EQUIVALENCE_SCHEMES,
     assert_caches_equivalent,
     assert_results_equivalent,
+    build_cache,
     run_both_engines,
     small_l2,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.sim import run_l2_trace
+from repro.telemetry import MemorySink, telemetry
 from repro.workloads.trace import _KIND_INDEX, AccessKind
 
 BLOCK_BYTES = 64
@@ -144,3 +149,14 @@ def test_soa_equals_reference(scenario):
     )
     assert_results_equivalent(reference_result, fast_result)
     assert_caches_equivalent(reference_cache, fast_cache)
+
+    memo_cache = build_cache(
+        scenario.scheme, config=config, ones_count=scenario.ones_count, **extra
+    )
+    sink = MemorySink()
+    with telemetry(sink):
+        memo_result = run_l2_trace(memo_cache, CutSource(scenario), engine="fast")
+    first_pass1 = next(e for e in sink.events if e["name"] == "kernel.pass1")
+    assert first_pass1["memo"] == "hit"
+    assert_results_equivalent(reference_result, memo_result)
+    assert_caches_equivalent(reference_cache, memo_cache)

@@ -44,6 +44,20 @@ class TestSpanAggregation:
         assert stats.spans[("kernel.pass1", "conventional")].count == 1
         assert stats.spans[("kernel.pass2", "reap")].count == 1
 
+    def test_pass1_memo_outcomes_are_tallied_and_rendered(self):
+        stats = aggregate_telemetry(
+            [
+                span_event("kernel.pass1", 0.2, scheme="reap", memo="miss"),
+                span_event("kernel.pass1", 0.01, scheme="reap", memo="hit"),
+                span_event("kernel.pass1", 0.01, scheme="restore", memo="hit"),
+                span_event("kernel.pass1", 0.1, scheme="reap", memo="bypass"),
+                span_event("kernel.pass1", 0.1, scheme="reap"),  # older logs
+            ]
+        )
+        assert stats.pass1_memo == {"miss": 1, "hit": 2, "bypass": 1}
+        section = render_telemetry_stats(stats).split("pass-1 memo\n")[1]
+        assert "hit" in section and "2" in section
+
     def test_schemeless_spans_roll_up_under_empty_scheme(self):
         stats = aggregate_telemetry([span_event("job.execute", 1.0)])
         assert stats.spans[("job.execute", "")].count == 1

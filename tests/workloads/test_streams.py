@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -299,6 +300,19 @@ class TestDetectionAndOpen:
             open_trace(tmp_path / "x", format="parquet")
         with pytest.raises(TraceError, match="not found"):
             open_trace(tmp_path / "missing.bin")
+
+    @pytest.mark.parametrize("format", ("auto", "binary", "text"))
+    def test_directory_raises_trace_error(self, tmp_path, format):
+        with pytest.raises(TraceError, match=f"{re.escape(str(tmp_path))}: is a directory"):
+            open_trace(tmp_path, format=format)
+        with pytest.raises(TraceError, match=f"{re.escape(str(tmp_path))}: is a directory"):
+            read_trace(tmp_path, format=format)
+
+    def test_detect_format_rejects_directory_and_missing_file(self, tmp_path):
+        with pytest.raises(TraceError, match="is a directory"):
+            detect_format(tmp_path)
+        with pytest.raises(TraceError, match="not found"):
+            detect_format(tmp_path / "missing.txt")
 
     def test_read_trace_roundtrips_generated_trace(self, tmp_path):
         from repro.config import paper_l2_config

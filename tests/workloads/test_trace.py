@@ -1,5 +1,7 @@
 """Tests for trace containers and file I/O."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,20 @@ class TestTraceIO:
         path.write_text("L 0x10\nL 0x8000000000000000\n")
         with pytest.raises(TraceError, match="bad.txt:2.*64-bit"):
             Trace.load(path)
+
+    def test_load_non_utf8_bytes_names_path(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"L 0x10\n\xff\xfe 0x20\n")
+        with pytest.raises(TraceError, match="bad.txt: trace file is not UTF-8"):
+            Trace.load(path)
+
+    def test_load_directory_names_path(self, tmp_path):
+        with pytest.raises(TraceError, match=f"{re.escape(str(tmp_path))}: cannot read trace file"):
+            Trace.load(tmp_path)
+
+    def test_load_missing_file_names_path(self, tmp_path):
+        with pytest.raises(TraceError, match="missing.txt: cannot read trace file"):
+            Trace.load(tmp_path / "missing.txt")
 
     def test_save_creates_parent_directories(self, tmp_path):
         trace = Trace(name="deep", records=[TraceRecord(AccessKind.L2_READ, 0x40)])
