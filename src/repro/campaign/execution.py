@@ -1,14 +1,14 @@
 """Process-agnostic job payloads: the unit every execution backend moves.
 
-A payload is a plain dictionary — ``{"job": <JobSpec dict>, "engine": ...}``
-— that serialises identically under pickling (process pools) and JSON
-framing (the TCP protocol), so the same job produces the same bytes no
-matter which backend carries it.  The engine choice (and the optional
-``artifact_cache`` directory) rides along *outside* the job spec: it
-selects how the job is simulated, never what it computes, so it is not part
-of the job identity or store key.  Unknown payload fields are ignored, so a
-payload from an older coordinator or checkpoint (which may still carry a
-``"kernel"`` field) executes unchanged.
+A payload is a plain dictionary — ``{"job": <JobSpec dict>}`` — that
+serialises identically under pickling (process pools) and JSON framing (the
+TCP protocol), so the same job produces the same bytes no matter which
+backend carries it.  The optional ``artifact_cache`` directory rides along
+*outside* the job spec: it selects where decoded traces are cached, never
+what the job computes, so it is not part of the job identity or store key.
+Unknown payload fields are ignored, so a payload from an older coordinator
+or checkpoint (which may still carry ``"engine"`` or ``"kernel"`` fields)
+executes unchanged.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ from ..workloads.artifacts import ARTIFACT_CACHE_ENV, ArtifactCache
 from .spec import JobSpec
 
 
-def payload_for(
-    job: JobSpec,
-    engine: str = "auto",
-    artifact_cache: str | None = None,
-) -> dict[str, Any]:
+def payload_for(job: JobSpec, artifact_cache: str | None = None) -> dict[str, Any]:
     """Build the transportable payload for one job."""
-    payload: dict[str, Any] = {"job": job.to_dict(), "engine": engine}
+    payload: dict[str, Any] = {"job": job.to_dict()}
     if artifact_cache is not None:
         payload["artifact_cache"] = str(artifact_cache)
     return payload
@@ -63,8 +59,8 @@ def execute_payload(payload: dict[str, Any]) -> tuple[str, dict[str, Any], float
 
     The elapsed seconds come from a ``job.execute`` telemetry span, which
     measures unconditionally: with telemetry enabled the same timing also
-    lands in the event stream (annotated with the workload, sweep point and
-    engine request), so there is exactly one clock per job.
+    lands in the event stream (annotated with the workload and sweep point),
+    so there is exactly one clock per job.
     """
     from ..sim.experiment import compare_schemes
     from .faults import fault_point
@@ -76,7 +72,6 @@ def execute_payload(payload: dict[str, Any]) -> tuple[str, dict[str, Any], float
         "job.execute",
         workload=job.workload,
         point=job.point_label,
-        engine=payload.get("engine", "auto"),
         accesses=job_accesses(job),
     )
     with execute_span:
@@ -85,7 +80,6 @@ def execute_payload(payload: dict[str, Any]) -> tuple[str, dict[str, Any], float
             baseline=job.baseline,
             alternatives=job.alternatives,
             settings=job.settings,
-            engine=payload.get("engine", "auto"),
             artifact_cache=_payload_artifact_cache(payload),
         )
     return job.key, comparison_to_dict(comparison), execute_span.duration_s

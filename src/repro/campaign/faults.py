@@ -20,7 +20,7 @@ three:
   installs a process-wide injector in spawned workers from the
   ``REPRO_FAULT_PLAN`` environment variable (a JSON plan).
 
-Faults are an operational knob like the engine or the artifact cache: they
+Faults are an operational knob like the backend or the artifact cache: they
 select *how unreliably* a campaign executes, never what it computes, so
 they are not part of job identity and a faulted campaign that converges
 fills a store byte-identical to an unfaulted serial run — the property the

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..errors import CampaignError
-from ..sim.engine import ENGINE_CHOICES
 from ..sim.results import WorkloadComparison
 from ..telemetry import emit_event, span
 from .backend import ExecutionBackend, resolve_backend
@@ -84,17 +83,12 @@ class CampaignRunner:
             :class:`~repro.campaign.ShardedResultStore` interchangeably.
         jobs: Worker processes for the default local backend; ``1`` (the
             default) runs serially in-process.
-        engine: Simulation engine every job runs under (``"reference"``,
-            ``"fast"`` or ``"auto"``, the default).  Engines are numerically
-            identical, so store entries stay byte-identical across engine
-            choices and the engine is deliberately *not* part of the job key.
         backend: Execution backend — an
             :class:`~repro.campaign.backend.ExecutionBackend` instance, or
             one of the spellings ``"serial"``, ``"local"``,
-            ``"tcp://HOST:PORT"``.  Like the engine, the backend
-            selects *where* jobs run, never *what* they compute, so it is
-            not part of job identity and all backends fill stores with
-            byte-identical entries.
+            ``"tcp://HOST:PORT"``.  The backend selects *where* jobs run,
+            never *what* they compute, so it is not part of job identity
+            and all backends fill stores with byte-identical entries.
         artifact_cache: Optional artifact-cache directory rode along with
             every payload (see :mod:`repro.workloads.artifacts`): workers
             serve decoded traces from it so a sweep decodes each workload
@@ -108,7 +102,6 @@ class CampaignRunner:
         spec: CampaignSpec | Sequence[JobSpec],
         store: BaseResultStore | None = None,
         jobs: int = 1,
-        engine: str = "auto",
         backend: str | ExecutionBackend | None = None,
         artifact_cache: str | Path | None = None,
     ) -> None:
@@ -122,13 +115,8 @@ class CampaignRunner:
             raise CampaignError("campaign expanded to zero jobs")
         if jobs < 1:
             raise CampaignError("jobs must be >= 1")
-        if engine not in ENGINE_CHOICES:
-            raise CampaignError(
-                f"unknown engine {engine!r}; choose one of {ENGINE_CHOICES}"
-            )
         self._store = store
         self._backend = resolve_backend(backend, jobs)
-        self._engine = engine
         self._artifact_cache = (
             str(artifact_cache) if artifact_cache is not None else None
         )
@@ -158,7 +146,6 @@ class CampaignRunner:
             jobs=len(self._jobs_list),
             workers=self._backend.workers,
             backend=self._backend.name,
-            engine=self._engine,
         ).start()
         by_key: dict[str, JobOutcome] = {}
         pending: dict[str, JobSpec] = {}
@@ -182,11 +169,7 @@ class CampaignRunner:
         try:
             if pending:
                 payloads = [
-                    payload_for(
-                        job,
-                        engine=self._engine,
-                        artifact_cache=self._artifact_cache,
-                    )
+                    payload_for(job, artifact_cache=self._artifact_cache)
                     for job in pending.values()
                 ]
                 for key, result, elapsed in self._backend.execute(payloads):
@@ -266,7 +249,6 @@ def run_campaign(
     store: BaseResultStore | str | Path | None = None,
     jobs: int = 1,
     progress: Callable[[JobOutcome], None] | None = None,
-    engine: str = "auto",
     backend: str | ExecutionBackend | None = None,
     artifact_cache: str | Path | None = None,
 ) -> CampaignResult:
@@ -279,9 +261,6 @@ def run_campaign(
             ``None`` for no persistence.
         jobs: Worker processes for the default local backend.
         progress: Optional per-job completion callback.
-        engine: Simulation engine for every executed job; engines are
-            numerically identical, so the store stays consistent across
-            engine choices.
         backend: Execution backend instance or spelling (``"serial"``,
             ``"local"``, ``"tcp://HOST:PORT"``); never part of job identity.
         artifact_cache: Optional artifact-cache directory shared across
@@ -296,7 +275,6 @@ def run_campaign(
         spec,
         store=store,
         jobs=jobs,
-        engine=engine,
         backend=backend,
         artifact_cache=artifact_cache,
     ).run(progress=progress)

@@ -286,7 +286,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             spec,
             store=store,
             jobs=args.jobs,
-            engine=args.engine,
             backend=backend,
             artifact_cache=args.artifact_cache,
         )
@@ -541,17 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default="reap",
         help="comma-separated alternative schemes (default: reap)",
-    )
-    campaign.add_argument(
-        "--engine",
-        type=str,
-        choices=["reference", "fast", "auto"],
-        default="auto",
-        help="simulation engine: the batched fast path ('auto', the default, "
-        "covers every scheme and replacement policy and warns before falling "
-        "back to the reference loop on custom caches), 'fast' (error on "
-        "unsupported), or the per-record 'reference' loop; engines are "
-        "numerically identical",
     )
     campaign.add_argument(
         "--sweep",

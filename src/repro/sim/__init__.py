@@ -11,7 +11,9 @@ Public surface:
 * :func:`replay_l2_segments` / :func:`run_cpu_trace_fast` /
   :func:`supports_fast_path` — the batched engine and its capability probe.
 * :func:`compare_schemes`, :class:`ExperimentRunner`, :func:`sweep`,
-  :class:`ExperimentSettings` — experiment orchestration.
+  :class:`ExperimentSettings` — experiment orchestration; always on the
+  fast path (the default engine of the two trace runners above), with no
+  engine option.
 * :class:`SchemeRunResult`, :class:`WorkloadComparison`, :func:`format_table`
   — results and console tables.
 """

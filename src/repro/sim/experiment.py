@@ -159,7 +159,6 @@ def run_workload(
     settings: ExperimentSettings | None = None,
     trace: Trace | None = None,
     sim_config: SimulationConfig | None = None,
-    engine: str = "auto",
     artifact_cache=None,
 ):
     """Run one (workload, scheme) pair and return (result, protected cache).
@@ -175,11 +174,6 @@ def run_workload(
             otherwise (always resolve the trace once and pass it in when
             comparing schemes, so both see the identical access stream).
         sim_config: Simulation configuration for the time base.
-        engine: Simulation engine (``"reference"``, ``"fast"`` or
-            ``"auto"``, the default); see :func:`repro.sim.run_l2_trace`.
-            Both engines produce numerically identical results, so the
-            choice never affects experiment outcomes; ``"auto"`` warns and
-            falls back to the reference loop for unsupported caches.
         artifact_cache: Optional artifact-cache spec consulted when the
             trace is resolved here (see :func:`_resolve_trace`); results
             are byte-identical with the cache cold, warm or disabled.
@@ -201,7 +195,6 @@ def run_workload(
         cache,
         trace,
         config=sim_config,
-        engine=engine,
         segment_accesses=settings.segment_accesses,
     )
     return result, cache
@@ -213,7 +206,6 @@ def compare_schemes(
     alternatives: Sequence[ProtectionScheme | str] = (ProtectionScheme.REAP,),
     settings: ExperimentSettings | None = None,
     sim_config: SimulationConfig | None = None,
-    engine: str = "auto",
     artifact_cache=None,
 ) -> WorkloadComparison:
     """Run one workload through a baseline and alternative schemes.
@@ -221,10 +213,8 @@ def compare_schemes(
     The trace is resolved once (generated from the profile, served from the
     artifact cache, or opened from ``settings.trace_file``) and replayed
     identically for every scheme so the comparison isolates the protection
-    mechanism.  ``engine`` selects the simulation engine per
-    :func:`repro.sim.run_l2_trace`; results are numerically identical
-    across engines, and ``artifact_cache`` (like the engine) is an
-    operational knob that never changes results or identities.
+    mechanism.  ``artifact_cache`` is an operational knob that never
+    changes results or identities.
     """
     settings = settings or ExperimentSettings()
     profile = get_profile(workload) if isinstance(workload, str) else workload
@@ -235,7 +225,6 @@ def compare_schemes(
         settings=settings,
         trace=trace,
         sim_config=sim_config,
-        engine=engine,
     )
     alternative_results = []
     for scheme in alternatives:
@@ -245,7 +234,6 @@ def compare_schemes(
             settings=settings,
             trace=trace,
             sim_config=sim_config,
-            engine=engine,
         )
         alternative_results.append(result)
     return WorkloadComparison(
@@ -264,7 +252,6 @@ class ExperimentRunner:
         settings: ExperimentSettings | None = None,
         baseline: ProtectionScheme | str = ProtectionScheme.CONVENTIONAL,
         alternatives: Sequence[ProtectionScheme | str] = (ProtectionScheme.REAP,),
-        engine: str = "auto",
     ) -> None:
         """Create a runner.
 
@@ -273,10 +260,6 @@ class ExperimentRunner:
             settings: Shared experiment settings.
             baseline: Scheme every alternative is normalised against.
             alternatives: Schemes to evaluate against the baseline.
-            engine: Simulation engine used for every run (``"reference"``,
-                ``"fast"`` or ``"auto"``, the default); results are
-                numerically identical either way, so the engine is not part
-                of any job identity.
         """
         self._workloads = [
             get_profile(w) if isinstance(w, str) else w for w in workloads
@@ -286,7 +269,6 @@ class ExperimentRunner:
         self._settings = settings or ExperimentSettings()
         self._baseline = baseline
         self._alternatives = tuple(alternatives)
-        self._engine = engine
 
     @property
     def workloads(self) -> list[SPECWorkloadProfile]:
@@ -337,13 +319,7 @@ class ExperimentRunner:
         job_progress = None
         if progress is not None:
             job_progress = lambda outcome: progress(outcome.job.workload)  # noqa: E731
-        result = run_campaign(
-            spec,
-            store=store,
-            jobs=jobs,
-            progress=job_progress,
-            engine=self._engine,
-        )
+        result = run_campaign(spec, store=store, jobs=jobs, progress=job_progress)
         return result.comparisons
 
     def _run_direct(
@@ -357,7 +333,6 @@ class ExperimentRunner:
                 baseline=self._baseline,
                 alternatives=self._alternatives,
                 settings=replace(self._settings, seed=self._settings.seed + index),
-                engine=self._engine,
             )
             comparisons.append(comparison)
             if progress is not None:
@@ -373,7 +348,6 @@ def sweep(
     alternatives: Sequence[ProtectionScheme | str] = (ProtectionScheme.REAP,),
     jobs: int = 1,
     store=None,
-    engine: str = "auto",
     settings: ExperimentSettings | None = None,
 ) -> list[tuple[object, WorkloadComparison]]:
     """Sweep one parameter and compare schemes at each point.
@@ -398,8 +372,6 @@ def sweep(
         jobs: Worker processes to fan the points out over (default serial).
         store: Optional :class:`repro.campaign.ResultStore` (or path) used
             to cache and resume the sweep.
-        engine: Simulation engine used at every point (default ``"auto"``;
-            results are numerically identical across engines).
         settings: Base settings the dotted-path form starts from (defaults
             to :class:`ExperimentSettings`); ignored when
             ``build_settings`` is a callable.
@@ -430,7 +402,6 @@ def sweep(
                     baseline=baseline,
                     alternatives=alternatives,
                     settings=build_settings(value),
-                    engine=engine,
                 ),
             )
             for value in parameter_values
@@ -447,7 +418,7 @@ def sweep(
                 point=(("sweep_index", index), ("value", point_value)),
             )
         )
-    result = run_campaign(job_specs, store=store, jobs=jobs, engine=engine)
+    result = run_campaign(job_specs, store=store, jobs=jobs)
     return [
         (value, outcome.comparison)
         for value, outcome in zip(parameter_values, result.outcomes)

@@ -101,20 +101,22 @@ def _export_l1_state(hierarchy: CacheHierarchy) -> dict:
     replacement policy's per-set rows and global state, the cache tick and
     statistics counters, plus the hierarchy-level reference counts — the
     complete observable end state of :func:`filter_through_l1_soa` on a
-    fresh hierarchy.
+    fresh hierarchy.  Every value is JSON-native (per-set entries are
+    ``[set_index, ...]`` pairs, not int-keyed dicts), so the artifact cache
+    stores it as plain JSON.
     """
     state: dict = {}
     for side in ("l1i", "l1d"):
         cache = getattr(hierarchy, side)
         policy = cache.replacement
-        sets: dict[int, list] = {}
-        rows: dict[int, list] = {}
+        sets: list[list] = []
+        rows: list[list] = []
         for set_index in range(cache.num_sets):
             cache_set = cache.peek_set(set_index)
             if cache_set is None:
                 continue
-            sets[set_index] = [dict(vars(block)) for block in cache_set.blocks]
-            rows[set_index] = policy.export_set_state(set_index)
+            sets.append([set_index, [dict(vars(block)) for block in cache_set.blocks]])
+            rows.append([set_index, policy.export_set_state(set_index)])
         state[side] = {
             "sets": sets,
             "rows": rows,
@@ -132,11 +134,11 @@ def _apply_l1_state(hierarchy: CacheHierarchy, state: dict) -> None:
         cache = getattr(hierarchy, side)
         policy = cache.replacement
         saved = state[side]
-        for set_index, blocks_saved in saved["sets"].items():
+        for set_index, blocks_saved in saved["sets"]:
             blocks = cache.cache_set(set_index).blocks
             for block, fields in zip(blocks, blocks_saved):
                 block.__dict__.update(fields)
-        for set_index, row in saved["rows"].items():
+        for set_index, row in saved["rows"]:
             policy.import_set_state(set_index, row)
         policy.import_global_state(saved["globals"])
         cache._tick = saved["tick"]  # noqa: SLF001 - engine-internal state sync

@@ -14,7 +14,7 @@ worker machine in a content-hash-keyed, mmap-backed cache:
   replay, so results are byte-identical with the cache cold, warm, or
   disabled.
 * **L1-filtered L2 streams** are stored as a binary trace of the realised
-  L2 requests plus a pickled end-state sidecar (L1 block fields, policy
+  L2 requests plus a JSON end-state sidecar (L1 block fields, policy
   state, statistics), keyed by :meth:`Trace.content_hash` + the L1
   configuration + the seed — so sweeping the L1 configuration naturally
   keys separate entries instead of reusing a stale stream.
@@ -30,14 +30,14 @@ to uncached operation with a single deduplicated warning per directory.
 The cache location is an operational knob — CLI ``--artifact-cache`` or the
 ``REPRO_ARTIFACT_CACHE`` environment variable — and never enters job
 identity: :class:`~repro.campaign.spec.JobSpec` keys and experiment
-settings are unchanged by it, exactly like the engine selection.
+settings are unchanged by it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
-import pickle
 import tempfile
 import warnings
 from dataclasses import asdict
@@ -293,8 +293,10 @@ class ArtifactCache:
     ) -> tuple[np.ndarray, np.ndarray, Any] | None:
         """Load a filtered stream: ``(codes, addresses, state)`` or ``None``.
 
-        ``codes`` are the engine's L2 codes (0 read, 1 write-back);
-        ``state`` is the opaque end-state object stored alongside.
+        ``codes`` are the L2 codes (0 read, 1 write-back); ``state`` is
+        the JSON end-state value stored alongside.  The sidecar is only
+        ever parsed as JSON, so a hostile file in a shared cache directory
+        reads as a miss and can never run code.
         """
         stream_path, state_path = self._stream_paths(key)
         if not (stream_path.is_file() and state_path.is_file()):
@@ -309,23 +311,12 @@ class ArtifactCache:
             else:
                 kinds = np.zeros(0, dtype=np.int8)
                 addresses = np.zeros(0, dtype=np.int64)
-            with state_path.open("rb") as handle:
-                state = pickle.load(handle)
-        except (
-            TraceError,
-            OSError,
-            ValueError,
-            KeyError,
-            EOFError,
-            AttributeError,
-            ImportError,
-            IndexError,
-            pickle.UnpicklingError,
-        ):
+            state = json.loads(state_path.read_bytes())
+        except (TraceError, OSError, ValueError, RecursionError):
             _emit("l1-stream", "error")
             return None
         # Stored kinds are the L2-level KIND_ORDER indices (3 read, 4
-        # write-back); map back to the engines' 0/1 codes.
+        # write-back); map back to the kernel's 0/1 codes.
         codes = (kinds - 3).astype(np.int8)
         nbytes = stream_path.stat().st_size + state_path.stat().st_size
         _emit("l1-stream", "hit", nbytes=nbytes)
@@ -341,10 +332,12 @@ class ArtifactCache:
     ) -> bool:
         """Persist a filtered stream and its end state; False on degrade."""
         try:
-            blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # Unpicklable policy state (e.g. an exotic replacement policy):
-            # skip caching rather than fail the run.
+            blob = json.dumps(
+                state, sort_keys=True, separators=(",", ":"), allow_nan=False
+            ).encode("ascii")
+        except (TypeError, ValueError):
+            # State JSON cannot represent: skip caching rather than fail
+            # the run.
             _emit("l1-stream", "skip")
             return False
         kinds = (np.asarray(codes, dtype=np.int8) + 3).astype(np.int8)

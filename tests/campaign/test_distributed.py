@@ -67,7 +67,9 @@ class TestFrameProtocol:
                 recv_frame(right)
 
     @pytest.mark.parametrize(
-        "body", (b"\xff\xfe", b"{not json"), ids=("non-utf8", "non-json")
+        "body",
+        (b"\xff\xfe", b"{not json", b"[" * 100_000),
+        ids=("non-utf8", "non-json", "nested"),
     )
     def test_undecodable_body_rejected(self, body):
         left, right = socket.socketpair()

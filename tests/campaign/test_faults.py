@@ -310,7 +310,13 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize(
         "content",
-        [b"not json", b'{"kind": "something-else"}', b"[1,2,3]", b"\xff\xfe"],
+        [
+            b"not json",
+            b'{"kind": "something-else"}',
+            b"[1,2,3]",
+            b"\xff\xfe",
+            pytest.param(b"[" * 100_000, id="nested"),
+        ],
     )
     def test_load_checkpoint_garbage_fails_loudly(self, tmp_path, content):
         path = tmp_path / "ckpt.json"

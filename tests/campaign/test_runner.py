@@ -1,5 +1,7 @@
 """Tests for campaign execution: caching, fan-out determinism, delegation."""
 
+import json
+
 import pytest
 
 from campaign_test_utils import fast_settings
@@ -8,14 +10,24 @@ from repro.campaign import (
     CampaignSpec,
     JobSpec,
     ResultStore,
+    canonical_json,
+    comparison_to_dict,
     comparisons_at_point,
     figure5_from_store,
     missing_jobs,
     render_campaign_summary,
     run_campaign,
 )
+from repro.core import build_protected_cache
 from repro.errors import CampaignError
-from repro.sim import ExperimentRunner, compare_schemes, sweep
+from repro.sim import (
+    ExperimentRunner,
+    WorkloadComparison,
+    compare_schemes,
+    run_l2_trace,
+    sweep,
+)
+from repro.workloads import generate_l2_trace, get_profile
 
 
 def small_spec(workloads=("gcc", "mcf"), num_accesses=800, **kwargs):
@@ -234,55 +246,63 @@ class TestBackendSwitch:
         assert rerun.comparisons == result.comparisons
 
 
-class TestEngineSwitch:
-    def test_fast_engine_store_entries_byte_identical(self, tmp_path):
-        reference_store = ResultStore(tmp_path / "reference.jsonl")
-        fast_store = ResultStore(tmp_path / "fast.jsonl")
-        run_campaign(small_spec(), store=reference_store, engine="reference")
-        run_campaign(small_spec(), store=fast_store, engine="fast")
-        reference_lines = (tmp_path / "reference.jsonl").read_text().splitlines()
-        fast_lines = (tmp_path / "fast.jsonl").read_text().splitlines()
-        assert sorted(reference_lines) == sorted(fast_lines)
-
-    def test_fast_engine_results_match_reference(self):
-        reference = run_campaign(small_spec(), engine="reference")
-        fast = run_campaign(small_spec(), engine="fast")
-        assert reference.comparisons == fast.comparisons
-
-    def test_auto_engine_parallel_matches_serial_reference(self, tmp_path):
-        serial = run_campaign(small_spec(), engine="reference")
-        parallel = run_campaign(small_spec(), jobs=2, engine="auto")
+class TestFastPathCampaigns:
+    def test_parallel_matches_serial(self):
+        serial = run_campaign(small_spec())
+        parallel = run_campaign(small_spec(), jobs=2)
         assert serial.comparisons == parallel.comparisons
 
-    def test_engine_not_part_of_job_identity(self, tmp_path):
-        store = ResultStore(tmp_path / "store.jsonl")
-        first = run_campaign(small_spec(), store=store, engine="fast")
-        second = run_campaign(small_spec(), store=store, engine="reference")
-        assert first.executed == 2
-        assert second.executed == 0
-        assert second.cached == 2
+    def test_store_result_bytes_equal_reference_oracle(self, tmp_path):
+        """Campaigns always run the fast path, yet the stored ``result`` is
+        byte-identical to one built from ``run_l2_trace(engine="reference")``
+        runs of the baseline and REAP over the same trace."""
+        settings = fast_settings(num_accesses=800)
+        job = JobSpec(workload="gcc", settings=settings)
+        store_path = tmp_path / "store.jsonl"
+        run_campaign([job], store=store_path)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(CampaignError, match="unknown engine"):
-            CampaignRunner(small_spec(), engine="warp")
+        trace = generate_l2_trace(
+            get_profile("gcc"),
+            settings.l2_config,
+            settings.num_accesses,
+            seed=settings.seed,
+        )
 
-    def test_experiment_runner_fast_engine_matches(self):
-        settings = fast_settings(num_accesses=600)
-        reference = ExperimentRunner(["gcc"], settings=settings).run()
-        fast = ExperimentRunner(["gcc"], settings=settings, engine="fast").run()
-        assert reference == fast
+        def reference_run(scheme):
+            cache = build_protected_cache(
+                scheme,
+                settings.l2_config,
+                mtj=settings.mtj,
+                p_cell=settings.p_cell,
+                data_profile=settings.data_profile(settings.seed),
+                seed=settings.seed,
+                track_accumulation=settings.track_accumulation,
+            )
+            return run_l2_trace(cache, trace, engine="reference")
 
-    def test_legacy_kernel_field_in_payload_is_ignored(self):
-        """Payloads from older coordinators or checkpoints may carry a
-        ``"kernel"`` field; it selects nothing and changes nothing."""
+        expected = comparison_to_dict(
+            WorkloadComparison(
+                workload="gcc",
+                baseline=reference_run("conventional"),
+                alternatives=(reference_run("reap"),),
+            )
+        )
+        (line,) = store_path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(line)["result"] == expected
+        assert f'"result":{canonical_json(expected)},' in line
+
+    def test_legacy_engine_and_kernel_fields_in_payload_are_ignored(self):
+        """Payloads from older coordinators or checkpoints may carry
+        ``"engine"`` and ``"kernel"`` fields; they select nothing and change
+        nothing."""
         from repro.campaign.execution import execute_payload, payload_for
 
         job = small_spec(workloads=("gcc",)).jobs()[0]
         payload = payload_for(job)
-        assert "kernel" not in payload
+        assert payload == {"job": job.to_dict()}
         key, comparison, _ = execute_payload(payload)
         legacy_key, legacy_comparison, _ = execute_payload(
-            {**payload, "kernel": "loop"}
+            {**payload, "engine": "reference", "kernel": "loop"}
         )
         assert legacy_key == key == job.key
         assert legacy_comparison == comparison

@@ -120,9 +120,12 @@ class TestShardedStore:
         with pytest.raises(CampaignError, match="manifest"):
             ShardedResultStore(directory)
 
-    def test_non_utf8_manifest_raises(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content", (b"\xff\xfe\n", b"[" * 100_000), ids=("non-utf8", "nested")
+    )
+    def test_undecodable_manifest_raises(self, tmp_path, content):
         ShardedResultStore(tmp_path / "store")
-        (tmp_path / "store" / "store.json").write_bytes(b"\xff\xfe\n")
+        (tmp_path / "store" / "store.json").write_bytes(content)
         with pytest.raises(CampaignError, match="unreadable store manifest"):
             ShardedResultStore(tmp_path / "store")
 
@@ -191,12 +194,15 @@ class TestFailureRecovery:
         reloaded = ShardedResultStore(tmp_path / "store")
         assert len(reloaded) == 2
 
-    def test_complete_corrupt_line_raises(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line", ("not json at all", "[" * 100_000), ids=("non-json", "nested")
+    )
+    def test_complete_corrupt_line_raises(self, tmp_path, line):
         store = ShardedResultStore(tmp_path / "store", shard_width=1)
         fill_store(store, WORKLOADS[:1])
         shard = store.shard_paths()[0]
         content = shard.read_text()
-        shard.write_text("not json at all\n" + content, encoding="utf-8")
+        shard.write_text(line + "\n" + content, encoding="utf-8")
         with pytest.raises(CampaignError, match="invalid JSON"):
             ShardedResultStore(tmp_path / "store")
 
@@ -216,12 +222,15 @@ class TestFailureRecovery:
         assert len(reloaded) == 1
         assert path.read_text().endswith("\n")
 
-    def test_plain_store_truncated_tail_recovers_too(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tail", ('{"tail', "[" * 100_000), ids=("cut", "nested")
+    )
+    def test_plain_store_truncated_tail_recovers_too(self, tmp_path, tail):
         store = ResultStore(tmp_path / "store.jsonl")
         job = make_job()
         store.put(job, make_comparison())
         path = tmp_path / "store.jsonl"
-        path.write_text(path.read_text() + '{"tail', encoding="utf-8")
+        path.write_text(path.read_text() + tail, encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="truncated"):
             recovered = ResultStore(path)
         assert len(recovered) == 1

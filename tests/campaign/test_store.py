@@ -106,9 +106,12 @@ class TestResultStore:
         store.put(make_job(), make_comparison())
         assert store.path.exists()
 
-    def test_rejects_invalid_json_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line", ("not json", "[" * 100_000), ids=("non-json", "nested")
+    )
+    def test_rejects_invalid_json_line(self, tmp_path, line):
         path = tmp_path / "store.jsonl"
-        path.write_text("not json\n")
+        path.write_text(line + "\n")
         with pytest.raises(CampaignError, match="invalid JSON"):
             ResultStore(path)
 

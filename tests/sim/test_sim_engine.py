@@ -1,11 +1,21 @@
 """Tests for the trace-driven simulation engine."""
 
+import warnings
+from dataclasses import replace
+
 import pytest
 
-from repro.config import CacheLevelConfig, SimulationConfig
+from repro.config import CacheLevelConfig, ReplacementPolicyName, SimulationConfig
 from repro.core import DataValueProfile, ProtectionScheme, build_protected_cache
 from repro.errors import SimulationError
-from repro.sim import run_cpu_trace, run_l2_trace, simulated_time_for
+from repro.sim import (
+    ExperimentSettings,
+    compare_schemes,
+    run_cpu_trace,
+    run_l2_trace,
+    simulated_time_for,
+    supports_fast_path,
+)
 from repro.telemetry import MemorySink, telemetry
 from repro.workloads import (
     AccessKind,
@@ -107,8 +117,6 @@ class TestRunL2Trace:
             run_l2_trace(custom, trace, engine="fast")
 
     def test_fast_engine_supports_scrubbing_and_all_policies(self):
-        from repro.sim import supports_fast_path
-
         scrubbing = build_protected_cache(
             ProtectionScheme.SCRUBBING, small_l2(), p_cell=1e-8,
             data_profile=DataValueProfile.constant(100),
@@ -157,6 +165,30 @@ class TestRunL2Trace:
         result = run_l2_trace(make_cache(), trace)
         assert result.mttf.expected_failures == pytest.approx(result.expected_failures)
         assert result.failure_rate_per_access >= 0
+
+
+class TestExperimentsTakeTheFastPath:
+    """Experiments and campaigns have no engine choice: they rely on every
+    cache ``build_protected_cache`` can make being fast-path capable.  A new
+    scheme or policy the kernel cannot replay fails here by name instead of
+    silently slowing campaigns down to the reference loop."""
+
+    @pytest.mark.parametrize("policy", list(ReplacementPolicyName))
+    @pytest.mark.parametrize("scheme", list(ProtectionScheme))
+    def test_every_buildable_cache_is_fast_path_capable(self, scheme, policy):
+        config = replace(small_l2(), replacement=policy)
+        cache = build_protected_cache(scheme, config, p_cell=1e-8)
+        assert supports_fast_path(cache) == (True, "")
+
+        settings = ExperimentSettings(l2_config=config, p_cell=1e-8, num_accesses=300)
+        sink = MemorySink()
+        with telemetry(sink), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            compare_schemes("gcc", baseline=scheme, alternatives=(), settings=settings)
+        names = [event["name"] for event in sink.events]
+        assert "engine.fallback" not in names
+        engines = [e["engine"] for e in sink.events if e["name"] == "sim.engine"]
+        assert engines == ["fast"]
 
 
 class TestRunCpuTrace:

@@ -148,17 +148,25 @@ class TestFileSinkRoundTrip:
         assert len(lines) == 5
         assert [json.loads(line)["index"] for line in lines] == list(range(5))
 
-    def test_truncated_tail_tolerated(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tail",
+        ('{"ts": 1.0, "kind": "event", "na', "[" * 100_000),
+        ids=("cut", "nested"),
+    )
+    def test_truncated_tail_tolerated(self, tmp_path, tail):
         path = tmp_path / "events.jsonl"
         with telemetry(path):
             emit_event("kept")
         with path.open("a") as handle:
-            handle.write('{"ts": 1.0, "kind": "event", "na')  # writer died
+            handle.write(tail)  # writer died
         assert [e["name"] for e in read_events(path)] == ["kept"]
 
-    def test_malformed_mid_file_raises(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line", ("not json", "[" * 100_000), ids=("non-json", "nested")
+    )
+    def test_malformed_mid_file_raises(self, tmp_path, line):
         path = tmp_path / "events.jsonl"
-        path.write_text('not json\n{"ts": 1.0, "kind": "event", "name": "x"}\n')
+        path.write_text(line + '\n{"ts": 1.0, "kind": "event", "name": "x"}\n')
         with pytest.raises(TelemetryError, match="malformed telemetry line 1"):
             list(read_events(path))
 

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.config import CacheLevelConfig, HierarchyConfig
+from repro.config import (
+    CacheLevelConfig,
+    HierarchyConfig,
+    ReplacementPolicyName,
+    SimulationConfig,
+)
 from repro.telemetry import MemorySink, telemetry
 from repro.workloads import (
     ARTIFACT_CACHE_ENV,
@@ -18,6 +25,7 @@ from repro.workloads import (
     Trace,
     generate_l2_trace,
     get_profile,
+    hot_loop_trace,
 )
 from repro.workloads.artifacts import _reset_warned_roots
 
@@ -181,7 +189,7 @@ class TestTruncationFuzz:
         self, tmp_path
     ):
         """Same property for both l1-stream files: any truncation of the
-        stream or its pickled sidecar loads as ``None``, and re-storing
+        stream or its JSON sidecar loads as ``None``, and re-storing
         restores the original bytes."""
         cache = ArtifactCache(tmp_path)
         key = cache.l1_stream_key("a" * 64, small_hierarchy(), seed=4)
@@ -341,7 +349,7 @@ class TestL1StreamCache:
             assert cache.load_l1_stream(key) is None
         assert ("l1-stream", "error") in artifact_events(sink)
 
-    def test_unpicklable_state_skips_caching(self, tmp_path):
+    def test_unserialisable_state_skips_caching(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = cache.l1_stream_key("a" * 64, small_hierarchy(), seed=4)
         codes, addresses, _ = self.sample_stream()
@@ -366,16 +374,79 @@ class TestL1StreamCache:
         codes, addresses, state = loaded
         assert codes.size == 0 and addresses.size == 0 and state == {}
 
-    def test_state_pickle_round_trips_policy_state(self, tmp_path):
-        """The pickled sidecar carries arbitrary picklable policy state."""
+    def test_state_json_round_trips_policy_state(self, tmp_path):
+        """The JSON sidecar carries built-in policy state exactly:
+        ``[set_index, row]`` pairs and PCG64's plain state dict, whose
+        128-bit integers survive the round trip."""
         cache = ArtifactCache(tmp_path)
         key = cache.l1_stream_key("a" * 64, small_hierarchy(), seed=4)
         codes, addresses, _ = self.sample_stream()
         state = {
-            "rows": {0: [3, 1, 2, 0]},
-            "globals": np.random.default_rng(1).bit_generator.state,
+            "rows": [[0, [3, 1, 2, 0]]],
+            "globals": [np.random.default_rng(1).bit_generator.state],
         }
         assert cache.store_l1_stream(key, "unit", codes, addresses, state)
+        _, state_path = cache._stream_paths(key)
+        assert json.loads(state_path.read_bytes()) == state
         loaded = cache.load_l1_stream(key)
         assert loaded is not None
-        assert loaded[2] == pickle.loads(pickle.dumps(state))
+        assert loaded[2] == state
+
+    @pytest.mark.parametrize("policy", list(ReplacementPolicyName))
+    def test_builtin_l1_policy_end_state_is_cached(self, tmp_path, policy):
+        """Every built-in L1 policy's end state is JSON-native, so the
+        filtered stream is stored on the first run and served warm after."""
+        from repro.core import build_protected_cache
+        from repro.sim import run_cpu_trace
+
+        hierarchy = small_hierarchy()
+        config = SimulationConfig(
+            hierarchy=replace(
+                hierarchy,
+                l1i=replace(hierarchy.l1i, replacement=policy),
+                l1d=replace(hierarchy.l1d, replacement=policy),
+            )
+        )
+        trace = hot_loop_trace(num_accesses=600, data_bytes=8 * 1024, seed=3)
+        sink = MemorySink()
+        with telemetry(sink):
+            for _ in range(2):
+                run_cpu_trace(
+                    build_protected_cache("reap", small_l2(), p_cell=1e-8),
+                    trace,
+                    config=config,
+                    artifact_cache=tmp_path,
+                )
+        assert artifact_events(sink) == [
+            ("l1-stream", "miss"),
+            ("l1-stream", "store"),
+            ("l1-stream", "hit"),
+        ]
+
+    def test_pickled_sidecar_is_never_unpickled(self, tmp_path):
+        """A sidecar planted in a shared cache directory cannot run code:
+        a pickle whose load would call a function reads as a miss."""
+        cache = ArtifactCache(tmp_path)
+        key = cache.l1_stream_key("a" * 64, small_hierarchy(), seed=4)
+        codes, addresses, state = self.sample_stream()
+        assert cache.store_l1_stream(key, "unit", codes, addresses, state)
+        _, state_path = cache._stream_paths(key)
+        state_path.write_bytes(pickle.dumps(_PlantedPayload()))
+        _PLANTED_CALLS.clear()
+        assert cache.load_l1_stream(key) is None
+        assert _PLANTED_CALLS == []
+
+
+#: Calls made by :func:`_record_planted_call`; stays empty unless a planted
+#: pickle is loaded.
+_PLANTED_CALLS: list[str] = []
+
+
+def _record_planted_call(tag: str) -> dict:
+    _PLANTED_CALLS.append(tag)
+    return {}
+
+
+class _PlantedPayload:
+    def __reduce__(self):
+        return _record_planted_call, ("planted",)
