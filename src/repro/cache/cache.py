@@ -11,11 +11,26 @@ store '1'), which is all the unidirectional read-disturbance model needs.
 The ones count of newly installed or overwritten blocks is supplied by the
 caller (normally sampled by the reliability engine from a configured data
 profile).
+
+Block state has two homes.  Every set starts in :class:`BlockColumns`:
+frame-indexed NumPy columns, one per :class:`~repro.cache.block.CacheBlock`
+field.  The first object access to a set (:meth:`SetAssociativeCache.cache_set`,
+and with it :meth:`~SetAssociativeCache.access` and
+:meth:`~SetAssociativeCache.blocks_in_set`) builds the set's
+:class:`CacheSet` from its column values; from then on those objects hold the
+set and its columns go stale.  The batched kernel in :mod:`repro.sim.soa`
+works on the columns alone, inside :meth:`SetAssociativeCache.synced_columns`,
+so a cold replay builds no block object at all.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from ..config import CacheLevelConfig, WritePolicy
 from ..errors import CacheError
@@ -73,6 +88,26 @@ class AccessResult:
         return self.address.index
 
 
+class BlockColumns(NamedTuple):
+    """Per-block state as frame-indexed columns (frame = set * ways + way).
+
+    One column per :class:`~repro.cache.block.CacheBlock` field, in field
+    order, so ``CacheBlock(*row)`` rebuilds a block from one frame's values.
+    """
+
+    tag: np.ndarray
+    valid: np.ndarray
+    dirty: np.ndarray
+    ones_count: np.ndarray
+    unchecked_reads: np.ndarray
+    reads_since_demand: np.ndarray
+    total_reads: np.ndarray
+    total_concealed_reads: np.ndarray
+    total_checks: np.ndarray
+    fills: np.ndarray
+    last_access_tick: np.ndarray
+
+
 class SetAssociativeCache:
     """Functional model of one set-associative cache level."""
 
@@ -85,12 +120,21 @@ class SetAssociativeCache:
         """
         self._config = config
         self._mapper = AddressMapper(config)
-        # Sets are materialised on first touch: an untouched set is
-        # indistinguishable from a freshly built all-invalid one, and large
-        # geometries would otherwise pay tens of thousands of block
-        # constructions per cache even when a workload touches a few dozen
-        # sets.
-        self._sets: list[CacheSet | None] = [None] * config.num_sets
+        # Every set starts in the columns (all-invalid, zero counters); the
+        # first object access to a set builds its blocks from them and moves
+        # it into ``_sets``.  Large geometries would otherwise pay tens of
+        # thousands of block constructions per cache even when a workload
+        # touches a few dozen sets, and the batched kernel gathers and
+        # scatters columns instead of walking objects.
+        num_frames = config.num_sets * config.associativity
+        flags = ("valid", "dirty")
+        self._columns = BlockColumns(
+            *(
+                np.zeros(num_frames, dtype=bool if name in flags else np.int64)
+                for name in BlockColumns._fields
+            )
+        )
+        self._sets: dict[int, CacheSet] = {}
         self._replacement: ReplacementPolicy = build_replacement_policy(
             config.replacement, config.num_sets, config.associativity, seed=seed
         )
@@ -129,30 +173,53 @@ class SetAssociativeCache:
         """Ways per set."""
         return self._config.associativity
 
+    @property
+    def columns(self) -> BlockColumns:
+        """The block columns, current for every set no :class:`CacheSet` holds.
+
+        Use :meth:`synced_columns` to read or write any set's state here.
+        """
+        return self._columns
+
     def cache_set(self, index: int) -> CacheSet:
-        """Return the set at ``index`` (materialising it on first touch)."""
-        if not 0 <= index < len(self._sets):
-            raise CacheError(f"set index {index} out of range")
-        cache_set = self._sets[index]
+        """Return the set at ``index``, building its blocks on first access."""
+        cache_set = self._sets.get(index)
         if cache_set is None:
-            cache_set = self._sets[index] = CacheSet(self._config.associativity)
+            if not 0 <= index < self._config.num_sets:
+                raise CacheError(f"set index {index} out of range")
+            frames = self.set_frames(index)
+            rows = zip(*(column[frames].tolist() for column in self._columns))
+            cache_set = self._sets[index] = CacheSet([CacheBlock(*row) for row in rows])
         return cache_set
 
-    def peek_set(self, index: int) -> CacheSet | None:
-        """Set at ``index`` if already materialised, ``None`` otherwise.
+    def set_frames(self, sets) -> np.ndarray:
+        """Frame ids of ``sets`` (one index or many), set-major."""
+        assoc = self._config.associativity
+        first_frames = np.asarray(sets, dtype=np.int64).reshape(-1, 1) * assoc
+        return (first_frames + np.arange(assoc)).ravel()
 
-        Unlike :meth:`cache_set` this never materialises: an untouched set
-        is all-invalid by construction, so callers scanning for resident
-        blocks (like the batched engines' patrol replay) can skip it
-        without paying for its block objects.
+    @contextmanager
+    def synced_columns(self) -> Iterator[BlockColumns]:
+        """The columns with every object-held set copied in, and back out after.
+
+        For batched replays that read and write block state as columns: a
+        :class:`~repro.cache.block.CacheBlock` a caller holds across the
+        replay shows its result afterwards.  Nothing is copied back if the
+        body raises.
         """
-        if not 0 <= index < len(self._sets):
-            raise CacheError(f"set index {index} out of range")
-        return self._sets[index]
+        columns = self._columns
+        held = [block for held_set in self._sets.values() for block in held_set.blocks]
+        frames = self.set_frames(list(self._sets))
+        for name, column in zip(BlockColumns._fields, columns):
+            column[frames] = [getattr(block, name) for block in held]
+        yield columns
+        for name, column in zip(BlockColumns._fields, columns):
+            for block, value in zip(held, column[frames].tolist()):
+                setattr(block, name, value)
 
     def untouched(self) -> bool:
-        """``True`` while the cache is as built: tick 0 and no set materialised."""
-        return self._tick == 0 and self._sets.count(None) == len(self._sets)
+        """``True`` while the cache is as built: tick 0 and no set held as objects."""
+        return self._tick == 0 and not self._sets
 
     def blocks_in_set(self, index: int) -> list[CacheBlock]:
         """Return the blocks of the set at ``index``."""
@@ -161,11 +228,21 @@ class SetAssociativeCache:
     def contains(self, address: int) -> bool:
         """``True`` when the block containing ``address`` is resident."""
         decomposed = self._mapper.decompose(address)
-        return self.cache_set(decomposed.index).lookup(decomposed.tag) is not None
+        cache_set = self._sets.get(decomposed.index)
+        if cache_set is not None:
+            return cache_set.lookup(decomposed.tag) is not None
+        frames = self.set_frames(decomposed.index)
+        columns = self._columns
+        matches = columns.valid[frames] & (columns.tag[frames] == decomposed.tag)
+        return bool(matches.any())
 
     def occupancy(self) -> int:
         """Total number of valid blocks."""
-        return sum(s.occupancy() for s in self._sets if s is not None)
+        unheld = np.ones(self.num_sets, dtype=bool)
+        unheld[list(self._sets)] = False
+        column_valid = self._columns.valid.reshape(self.num_sets, -1)[unheld]
+        held = sum(cache_set.occupancy() for cache_set in self._sets.values())
+        return held + int(np.count_nonzero(column_valid))
 
     # -- access path -----------------------------------------------------------
 
@@ -264,22 +341,32 @@ class SetAssociativeCache:
 
     def invalidate_all(self) -> None:
         """Invalidate every block (used between experiment phases)."""
-        for cache_set in self._sets:
-            if cache_set is None:
-                continue
+        for cache_set in self._sets.values():
             for block in cache_set.blocks:
                 block.invalidate()
+        columns = self._columns
+        columns.valid[:] = columns.dirty[:] = False
+        columns.unchecked_reads[:] = columns.reads_since_demand[:] = 0
+
+    def resident_sets(self) -> np.ndarray:
+        """Indices of the sets holding at least one valid block, ascending."""
+        held = self._sets
+        valid = self._columns.valid.reshape(self.num_sets, -1)
+        resident = [s for s in np.flatnonzero(valid.any(1)).tolist() if s not in held]
+        resident += [s for s, cache_set in held.items() if cache_set.occupancy()]
+        return np.array(sorted(resident), dtype=np.int64)
 
     def resident_blocks(self) -> list[tuple[int, int, CacheBlock]]:
-        """All valid blocks as (set_index, way, block) triples."""
-        resident = []
-        for set_index, cache_set in enumerate(self._sets):
-            if cache_set is None:
-                continue
-            for way, block in enumerate(cache_set.blocks):
-                if block.valid:
-                    resident.append((set_index, way, block))
-        return resident
+        """All valid blocks as (set_index, way, block) triples.
+
+        Builds the objects of every set holding a valid block.
+        """
+        return [
+            (set_index, way, block)
+            for set_index in self.resident_sets().tolist()
+            for way, block in enumerate(self.cache_set(set_index).blocks)
+            if block.valid
+        ]
 
     @property
     def write_policy(self) -> WritePolicy:

@@ -9,10 +9,10 @@ from .block import CacheBlock
 class CacheSet:
     """The blocks of one set of a set-associative cache."""
 
-    def __init__(self, associativity: int) -> None:
-        if associativity <= 0:
-            raise CacheError("associativity must be positive")
-        self._blocks = [CacheBlock() for _ in range(associativity)]
+    def __init__(self, blocks: list[CacheBlock]) -> None:
+        if not blocks:
+            raise CacheError("a set needs at least one way")
+        self._blocks = blocks
 
     @property
     def associativity(self) -> int:

@@ -15,9 +15,11 @@ extra policies here serve the ablation benches:
 Every policy is expressed through a *compact state* protocol that is the
 single source of truth for its behaviour:
 
-* per-set state is a small array (one row per set) exported and imported as
-  a plain list (:meth:`ReplacementPolicy.export_set_state` /
-  :meth:`ReplacementPolicy.import_set_state`);
+* per-set state is one row of a ``(num_sets, width)`` array
+  (:attr:`ReplacementPolicy.rows`), exported and imported per set as a
+  plain list (:meth:`ReplacementPolicy.export_set_state` /
+  :meth:`ReplacementPolicy.import_set_state`) or by fancy indexing of the
+  whole array for many sets at once;
 * policy-global scalars (the recency tick, the random generator) live in a
   small mutable list returned by
   :meth:`ReplacementPolicy.compact_globals`, and can be snapshotted and
@@ -59,14 +61,14 @@ from .block import CacheBlock
 class ReplacementPolicy(abc.ABC):
     """Interface shared by all replacement policies.
 
-    Concrete policies implement the compact-state protocol (`_set_row`,
-    `compact_on_access`, `compact_on_fill`, `compact_victim`); the object
-    hooks below delegate to it.  Any subclass runs on the reference loop;
-    the fast path replays only the exact classes in
-    :data:`BUILTIN_POLICIES`.
+    Concrete policies implement the compact-state protocol (their
+    ``row_width``, `compact_on_access`, `compact_on_fill`,
+    `compact_victim`); the object hooks below delegate to it.  Any
+    subclass runs on the reference loop; the fast path replays only the
+    exact classes in :data:`BUILTIN_POLICIES`.
     """
 
-    def __init__(self, num_sets: int, associativity: int) -> None:
+    def __init__(self, num_sets: int, associativity: int, row_width: int = 0) -> None:
         if num_sets <= 0 or associativity <= 0:
             raise ReplacementError("num_sets and associativity must be positive")
         self._num_sets = num_sets
@@ -74,6 +76,8 @@ class ReplacementPolicy(abc.ABC):
         #: Live policy-global state shared by the object path and the batched
         #: engine; mutated in place by the compact transition functions.
         self._globals: list = []
+        #: Per-set compact state, one row per set.
+        self._rows = np.zeros((num_sets, row_width), dtype=np.int64)
 
     @property
     def num_sets(self) -> int:
@@ -93,9 +97,10 @@ class ReplacementPolicy(abc.ABC):
 
     # -- compact-state protocol ------------------------------------------------
 
-    @abc.abstractmethod
-    def _set_row(self, set_index: int):
-        """The mutable per-set state row backing ``set_index``."""
+    @property
+    def rows(self) -> np.ndarray:
+        """Every set's compact state, one row per set (mutable in place)."""
+        return self._rows
 
     def compact_globals(self) -> list:
         """The live policy-global state list (mutated in place by transitions).
@@ -122,13 +127,12 @@ class ReplacementPolicy(abc.ABC):
         :meth:`import_set_state` when the run finishes.
         """
         self._check(set_index)
-        row = self._set_row(set_index)
-        return row.tolist() if hasattr(row, "tolist") else list(row)
+        return self._rows[set_index].tolist()
 
     def import_set_state(self, set_index: int, state: list) -> None:
         """Write one set's compact state back into the policy's backing store."""
         self._check(set_index)
-        row = self._set_row(set_index)
+        row = self._rows[set_index]
         if len(state) != len(row):
             raise ReplacementError(
                 f"set state length {len(state)} != expected {len(row)}"
@@ -159,12 +163,12 @@ class ReplacementPolicy(abc.ABC):
     def on_access(self, set_index: int, way: int) -> None:
         """A block was accessed (hit)."""
         self._check(set_index, way)
-        self.compact_on_access(self._globals, self._set_row(set_index), way)
+        self.compact_on_access(self._globals, self._rows[set_index], way)
 
     def on_fill(self, set_index: int, way: int) -> None:
         """A block was filled (miss handling installed a new line)."""
         self._check(set_index, way)
-        self.compact_on_fill(self._globals, self._set_row(set_index), way)
+        self.compact_on_fill(self._globals, self._rows[set_index], way)
 
     def victim(self, set_index: int, blocks: list[CacheBlock]) -> int:
         """Choose the way to evict; invalid ways are preferred."""
@@ -175,7 +179,7 @@ class ReplacementPolicy(abc.ABC):
         return int(
             self.compact_victim(
                 self._globals,
-                self._set_row(set_index),
+                self._rows[set_index],
                 [block.unchecked_reads for block in blocks],
             )
         )
@@ -201,10 +205,13 @@ class _PositionTickMixin:
         return self._globals[0]
 
     def soa_apply_last_positions(self, set_state, last_positions, base: int) -> None:
-        """Stamp each touched way with the tick of its last deferred touch."""
-        for way, position in enumerate(last_positions):
-            if position >= 0:
-                set_state[way] = base + position + 1
+        """Stamp each touched way with the tick of its last deferred touch.
+
+        ``set_state`` and ``last_positions`` are one set's row or aligned
+        ``(sets, ways)`` blocks of rows.
+        """
+        positions = np.asarray(last_positions)
+        set_state[:] = np.where(positions >= 0, base + positions + 1, set_state)
 
     def soa_commit(self, base: int, num_accesses: int) -> None:
         """One transition per access: the final tick is ``base + n``."""
@@ -239,12 +246,8 @@ class LRUPolicy(_PositionTickMixin, ReplacementPolicy):
     victim_uses_exposure = False
 
     def __init__(self, num_sets: int, associativity: int) -> None:
-        super().__init__(num_sets, associativity)
+        super().__init__(num_sets, associativity, row_width=associativity)
         self._globals = [0]
-        self._last_use = np.zeros((num_sets, associativity), dtype=np.int64)
-
-    def _set_row(self, set_index: int):
-        return self._last_use[set_index]
 
     def compact_on_access(self, global_state: list, set_state, way: int) -> None:
         """Record a use timestamp."""
@@ -294,12 +297,8 @@ class FIFOPolicy(ReplacementPolicy):
     victim_uses_exposure = False
 
     def __init__(self, num_sets: int, associativity: int) -> None:
-        super().__init__(num_sets, associativity)
+        super().__init__(num_sets, associativity, row_width=associativity)
         self._globals = [0]
-        self._fill_time = np.zeros((num_sets, associativity), dtype=np.int64)
-
-    def _set_row(self, set_index: int):
-        return self._fill_time[set_index]
 
     def compact_on_access(self, global_state: list, set_state, way: int) -> None:
         """Accesses do not affect FIFO order."""
@@ -331,10 +330,6 @@ class RandomPolicy(ReplacementPolicy):
     def __init__(self, num_sets: int, associativity: int, seed: int = 1) -> None:
         super().__init__(num_sets, associativity)
         self._globals = [np.random.default_rng(seed)]
-        self._empty_row: list = []
-
-    def _set_row(self, set_index: int):
-        return self._empty_row
 
     def export_global_state(self) -> list:
         """Snapshot the generator's bit-generator state (a plain dict)."""
@@ -368,14 +363,10 @@ class TreePLRUPolicy(ReplacementPolicy):
     victim_uses_exposure = False
 
     def __init__(self, num_sets: int, associativity: int) -> None:
-        super().__init__(num_sets, associativity)
+        super().__init__(num_sets, associativity, row_width=max(associativity - 1, 1))
         if associativity & (associativity - 1):
             raise ReplacementError("tree PLRU requires a power-of-two associativity")
-        self._tree = np.zeros((num_sets, max(associativity - 1, 1)), dtype=np.int8)
         self._node_bit_by_way: np.ndarray | None = None
-
-    def _set_row(self, set_index: int):
-        return self._tree[set_index]
 
     def _path_table(self) -> np.ndarray:
         """``table[node][way]``: the bit an access to ``way`` writes at
@@ -476,12 +467,8 @@ class LERPolicy(_PositionTickMixin, ReplacementPolicy):
     victim_uses_exposure = True
 
     def __init__(self, num_sets: int, associativity: int) -> None:
-        super().__init__(num_sets, associativity)
+        super().__init__(num_sets, associativity, row_width=associativity)
         self._globals = [0]
-        self._last_use = np.zeros((num_sets, associativity), dtype=np.int64)
-
-    def _set_row(self, set_index: int):
-        return self._last_use[set_index]
 
     def compact_on_access(self, global_state: list, set_state, way: int) -> None:
         """Record a use timestamp for tie-breaking."""

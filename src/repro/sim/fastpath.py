@@ -47,6 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cache import CacheHierarchy
+from ..cache.cache import BlockColumns
 from ..cache.replacement import BUILTIN_POLICIES
 from ..config import SimulationConfig
 from ..core.conventional import ConventionalCache
@@ -97,29 +98,35 @@ def _require_fast_path(cache: ProtectedCache) -> None:
 def _export_l1_state(hierarchy: CacheHierarchy) -> dict:
     """Snapshot everything the L1 filter mutated, for the artifact cache.
 
-    Captures, per L1 side, the materialised sets' full block state, the
-    replacement policy's per-set rows and global state, the cache tick and
+    Captures, per L1 side, the full block state and replacement-policy row
+    of every set the filter touched (on a fresh hierarchy, exactly the sets
+    holding a valid line), the policy's global state, the cache tick and
     statistics counters, plus the hierarchy-level reference counts — the
     complete observable end state of :func:`filter_through_l1_soa` on a
-    fresh hierarchy.  Every value is JSON-native (per-set entries are
-    ``[set_index, ...]`` pairs, not int-keyed dicts), so the artifact cache
-    stores it as plain JSON.
+    fresh hierarchy.  Block state is read straight from the block columns.
+    Every value is JSON-native (per-set entries are ``[set_index, ...]``
+    pairs, not int-keyed dicts), so the artifact cache stores it as plain
+    JSON.
     """
     state: dict = {}
     for side in ("l1i", "l1d"):
         cache = getattr(hierarchy, side)
         policy = cache.replacement
-        sets: list[list] = []
-        rows: list[list] = []
-        for set_index in range(cache.num_sets):
-            cache_set = cache.peek_set(set_index)
-            if cache_set is None:
-                continue
-            sets.append([set_index, [dict(vars(block)) for block in cache_set.blocks]])
-            rows.append([set_index, policy.export_set_state(set_index)])
+        assoc = cache.associativity
+        touched = cache.resident_sets()
+        with cache.synced_columns() as columns:
+            values = [column[cache.set_frames(touched)].tolist() for column in columns]
+        blocks = [dict(zip(BlockColumns._fields, row)) for row in zip(*values)]
+        set_list = touched.tolist()
         state[side] = {
-            "sets": sets,
-            "rows": rows,
+            "sets": [
+                [set_index, blocks[slot * assoc : (slot + 1) * assoc]]
+                for slot, set_index in enumerate(set_list)
+            ],
+            "rows": [
+                [set_index, row]
+                for set_index, row in zip(set_list, policy.rows[touched].tolist())
+            ],
             "globals": policy.export_global_state(),
             "tick": cache._tick,  # noqa: SLF001 - engine-internal state sync
             "stats": dict(vars(cache.stats)),
@@ -134,10 +141,11 @@ def _apply_l1_state(hierarchy: CacheHierarchy, state: dict) -> None:
         cache = getattr(hierarchy, side)
         policy = cache.replacement
         saved = state[side]
-        for set_index, blocks_saved in saved["sets"]:
-            blocks = cache.cache_set(set_index).blocks
-            for block, fields in zip(blocks, blocks_saved):
-                block.__dict__.update(fields)
+        frames = cache.set_frames([set_index for set_index, _ in saved["sets"]])
+        blocks = [block for _, set_blocks in saved["sets"] for block in set_blocks]
+        with cache.synced_columns() as columns:
+            for name, column in zip(BlockColumns._fields, columns):
+                column[frames] = [block[name] for block in blocks]
         for set_index, row in saved["rows"]:
             policy.import_set_state(set_index, row)
         policy.import_global_state(saved["globals"])
@@ -263,8 +271,8 @@ def replay_l2_segments(cache: ProtectedCache, segments) -> int:
 
     Each segment is decoded and replayed in turn.  The kernel seeds every
     accumulator from live cache state on entry and folds everything back on
-    exit — block fields and ticks through the compact per-set protocol,
-    policy state through ``export_set_state``/``import_set_state``, energy
+    exit — block fields and ticks through the cache's block columns,
+    policy rows through the policy's ``rows`` array, energy
     partial sums from ``cache.energy``, reliability statistics through
     sequential array accumulation, tracker samples by append, patrol-scrub
     credit and cursor through the scrub-state export — so the end state

@@ -25,9 +25,20 @@ passes, each timed by its own telemetry span:
    delivery windows, the evicted-block exposures, the final per-block
    counters and the recency ticks without touching Python per access.
 
+Both passes work on the cache's block columns
+(:class:`repro.cache.cache.BlockColumns`), never on block objects, and only
+over the sets the stream touches: pass 1 gathers their tag/valid/dirty
+columns and policy rows, pass 2 the counters, and pass 2 scatters the final
+state back, each with one fancy index per column.  Every per-frame array is
+sized by the touched frames, numbered locally (slot ``k`` of the touched
+sets owns frames ``k * associativity + way``).  A replay runs inside
+:meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`, so a set a
+caller already holds as objects is copied into the columns on entry and back
+out on exit; a cold replay builds no block object at all.
+
 Pass 1 is memoised at its one call site, :func:`replay_l2_soa`, for cold
 starts only (:func:`memoised_functional_pass`): when the substrate is still
-untouched (no set materialised, tick 0), the product and the policy's end
+untouched (no set held as objects, tick 0), the product and the policy's end
 state are looked up by exactly what pass 1 reads — the policy class, the
 geometry, the policy's global state (ticks, Random's generator), the
 decoded columns (by digest, confirmed by exact equality), the scheme class
@@ -59,9 +70,8 @@ consecutive references of one L1 to the same block are guaranteed hits
 after the first, so each run costs one Python iteration instead of one per
 record.  The realised L2 stream is merged back in global order for the L2
 replay above.  Both functional loops keep their per-set state in one shared
-core, :class:`_FrameState`: flat frame-indexed lists, lazy set
-materialisation, the free-way scan, victim selection and the final policy
-flush.
+core, :class:`_FrameState`: the column gather, flat lists over the touched
+frames, the free-way scan, victim selection and the final policy flush.
 
 The differential harness in ``tests/sim/test_engine_equivalence.py`` sweeps
 this kernel against the reference engine across every scheme, replacement
@@ -73,7 +83,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from contextlib import suppress
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -218,24 +228,6 @@ def _patrol_visit_frames(
     return empty, empty, cursor
 
 
-def _initial_valid_frames(substrate, num_sets: int, assoc: int) -> np.ndarray:
-    """Frames holding a valid block before the replay, across the whole cache.
-
-    Unmaterialised substrate sets are all-invalid by construction and are
-    skipped without materialising them (:meth:`SetAssociativeCache.peek_set`).
-    """
-    frames = []
-    for set_index in range(num_sets):
-        cache_set = substrate.peek_set(set_index)
-        if cache_set is None:
-            continue
-        base = set_index * assoc
-        for way, block in enumerate(cache_set.blocks):
-            if block.valid:
-                frames.append(base + way)
-    return np.asarray(frames, dtype=np.int64)
-
-
 def _sequential_total(initial: float, values: np.ndarray, counts: np.ndarray) -> float:
     """Left-to-right sum of ``counts`` repeats of each addend, from ``initial``.
 
@@ -324,15 +316,18 @@ def resolve_probability_keys(
 
 
 class _FrameState:
-    """Flat, frame-indexed pass-1 state of one set-associative cache.
+    """Flat pass-1 state of one set-associative cache, over its touched sets.
 
     The core both functional replays share (:func:`functional_pass` for the
-    L2 and :func:`_replay_l1`).  Per-set state lives in flat Python lists
-    indexed by frame id (``set * associativity + way``), copied in lazily
-    per touched set by :meth:`materialise`.  All resident lines share one
-    dict keyed by the packed (tag, set) address and valued with the frame
-    id, so a hit is a single dict probe plus a couple of flat-list stores.
-    Block fields are left to each caller's own write-back.
+    L2 and :func:`_replay_l1`).  The sets a replay touches are gathered up
+    front from the substrate's block columns, in ascending set order, by one
+    fancy index per column.  Set ``sets[k]`` becomes *slot* ``k`` and owns
+    the local frames ``k * associativity + way``; every flat list here is
+    indexed by slot or by local frame, and ``frames`` maps a local frame
+    back to its global one for the caller's scatter.  All resident lines
+    share one dict keyed by the packed (tag, set) address and valued with
+    the local frame, so a hit is a single dict probe plus a couple of
+    flat-list stores.  Block fields are left to each caller's own scatter.
 
     Replacement transitions are scheduled by the policy's ``soa_mode``, a
     class constant of each of the five built-in policies (the only ones the
@@ -342,7 +337,8 @@ class _FrameState:
       so ``pend`` keeps each frame's last touch position; victims are chosen
       over the mixed stored/deferred timestamps
       (``soa_victim_positions``) and :meth:`flush` realises the positions
-      (``soa_apply_last_positions``) and settles the tick (``soa_commit``).
+      of all touched sets at once (``soa_apply_last_positions``) and
+      settles the tick (``soa_commit``).
     * ``"ordered"`` (tree PLRU) — transitions touch no policy-global state,
       a fill equals an access and consecutive duplicates are idempotent, so
       ``queues`` keeps each set's touched ways and replays them in order
@@ -350,77 +346,58 @@ class _FrameState:
     * ``"fill-only"`` (FIFO, Random) — accesses are no-ops; fills (and
       Random's victim draws) are applied scalar, in trace order.
 
-    The policy's ``victim_uses_exposure`` (only LER's is true) says whether
-    its victim choice reads the per-way unchecked-read exposure; when it is
-    false the callers skip tracking live exposures.
+    Policy rows move in and out as one batched index of the policy's
+    ``rows`` array.  The policy's ``victim_uses_exposure`` (only LER's is
+    true) says whether its victim choice reads the per-way unchecked-read
+    exposure; when it is false the callers skip tracking live exposures.
     """
 
     __slots__ = (
-        "substrate", "assoc", "index_bits", "num_frames", "policy", "pol_globals",
+        "assoc", "index_bits", "sets", "frames", "policy", "pol_globals",
         "uses_exposure", "position_mode", "ordered_mode", "tick_base", "tags",
-        "valid", "dirty", "pend", "nvalid", "init_nvalid", "materialised",
-        "rows", "queues", "touched_sets", "resident",
+        "valid", "dirty", "pend", "nvalid", "init_nvalid", "rows", "queues",
+        "resident",
     )
 
-    def __init__(self, substrate: SetAssociativeCache) -> None:
-        num_sets = substrate.num_sets
+    def __init__(self, substrate: SetAssociativeCache, sets: np.ndarray) -> None:
+        """Gather ``sets`` (ascending set indices) from the substrate's columns."""
+        columns = substrate.columns
         policy = substrate.replacement
-        self.substrate = substrate
-        self.assoc = substrate.associativity
-        self.index_bits = num_sets.bit_length() - 1
-        self.num_frames = num_frames = num_sets * self.assoc
+        self.assoc = assoc = substrate.associativity
+        self.index_bits = index_bits = substrate.num_sets.bit_length() - 1
+        self.sets = sets.tolist()
+        self.frames = frames = substrate.set_frames(sets)
         self.policy = policy
         self.pol_globals = policy.compact_globals()
         self.uses_exposure = policy.victim_uses_exposure
         self.position_mode = policy.soa_mode == "position"
         self.ordered_mode = policy.soa_mode == "ordered"
         self.tick_base = policy.soa_tick_base() if self.position_mode else 0
-        self.tags = [0] * num_frames
-        self.valid = [False] * num_frames
-        self.dirty = [False] * num_frames
-        self.pend = [-1] * num_frames if self.position_mode else None
-        self.nvalid = [0] * num_sets
-        self.init_nvalid = [0] * num_sets
-        self.materialised = [False] * num_sets
-        self.rows: list = [None] * num_sets
-        self.queues: list | None = [None] * num_sets if self.ordered_mode else None
-        self.touched_sets: list[int] = []
-        self.resident: dict[int, int] = {}
+        tags = columns.tag[frames]
+        valid = columns.valid[frames]
+        live = np.flatnonzero(valid)
+        keys = (tags[live] << index_bits) | frames[live] // assoc
+        self.resident: dict[int, int] = dict(zip(keys.tolist(), live.tolist()))
+        self.tags = tags.tolist()
+        self.valid = valid.tolist()
+        self.dirty = columns.dirty[frames].tolist()
+        self.init_nvalid = np.count_nonzero(valid.reshape(-1, assoc), axis=1)
+        self.nvalid = self.init_nvalid.tolist()
+        self.rows = policy.rows[sets].tolist()
+        self.pend = [-1] * len(frames) if self.position_mode else None
+        self.queues = [[] for _ in self.sets] if self.ordered_mode else None
 
-    def materialise(self, set_index: int) -> list:
-        """Copy one set's lines and policy row in; returns its blocks."""
-        blocks = self.substrate.cache_set(set_index).blocks
-        base = set_index * self.assoc
-        tags, valid, dirty = self.tags, self.valid, self.dirty
-        resident, index_bits = self.resident, self.index_bits
-        nvalid = 0
-        for way, block in enumerate(blocks):
-            f = base + way
-            tags[f] = block.tag
-            if block.valid:
-                valid[f] = True
-                resident[(block.tag << index_bits) | set_index] = f
-                nvalid += 1
-            dirty[f] = block.dirty
-        self.nvalid[set_index] = self.init_nvalid[set_index] = nvalid
-        self.rows[set_index] = self.policy.export_set_state(set_index)
-        if self.ordered_mode:
-            self.queues[set_index] = []
-        self.materialised[set_index] = True
-        self.touched_sets.append(set_index)
-        return blocks
-
-    def claim_free(self, set_index: int) -> int:
+    def claim_free(self, slot: int) -> int:
         """Mark a non-full set's first invalid frame valid and return it."""
         valid = self.valid
-        frame = set_index * self.assoc
+        frame = slot * self.assoc
         while valid[frame]:
             frame += 1
         valid[frame] = True
-        self.nvalid[set_index] += 1
+        self.nvalid[slot] += 1
         return frame
 
-    def evict(self, set_index: int, exposure: list) -> int:
+    def evict(self, slot: int, exposure: list) -> int:
         """Choose a full set's victim frame and drop its line's residency.
 
         ``exposure`` is the per-way unchecked-read count the policy's
@@ -428,9 +405,9 @@ class _FrameState:
         the policy picks over the mixed stored and deferred timestamps.
         """
         assoc = self.assoc
-        base = set_index * assoc
+        base = slot * assoc
         policy = self.policy
-        row = self.rows[set_index]
+        row = self.rows[slot]
         if self.position_mode:
             frame = base + policy.soa_victim_positions(
                 self.pol_globals,
@@ -441,52 +418,53 @@ class _FrameState:
             )
         else:
             if self.ordered_mode:
-                queue = self.queues[set_index]
+                queue = self.queues[slot]
                 if queue:
                     policy.compact_on_access_batch(self.pol_globals, row, queue)
                     queue.clear()
             frame = base + policy.compact_victim(self.pol_globals, row, exposure)
-        del self.resident[(self.tags[frame] << self.index_bits) | set_index]
+        del self.resident[(self.tags[frame] << self.index_bits) | self.sets[slot]]
         return frame
 
     def flush(self, num_accesses: int) -> None:
-        """Apply the deferred transitions and write the policy state back."""
+        """Apply the deferred transitions and write the policy rows back."""
         policy = self.policy
-        assoc = self.assoc
-        rows, pend, queues = self.rows, self.pend, self.queues
-        for set_index in self.touched_sets:
-            row = rows[set_index]
-            if self.position_mode:
-                base = set_index * assoc
-                policy.soa_apply_last_positions(
-                    row, pend[base : base + assoc], self.tick_base
-                )
-            elif self.ordered_mode and queues[set_index]:
-                policy.compact_on_access_batch(self.pol_globals, row, queues[set_index])
-            policy.import_set_state(set_index, row)
         if self.position_mode:
+            # Position mode never mutates the gathered rows.
+            rows = policy.rows[self.sets]
+            policy.soa_apply_last_positions(
+                rows, np.reshape(self.pend, rows.shape), self.tick_base
+            )
             policy.soa_commit(self.tick_base, num_accesses)
+        else:
+            rows = self.rows
+            if self.ordered_mode:
+                for row, queue in zip(rows, self.queues):
+                    if queue:
+                        policy.compact_on_access_batch(self.pol_globals, row, queue)
+        policy.rows[self.sets] = rows
 
 
 @dataclass(frozen=True)
 class FunctionalProduct:
     """What :func:`functional_pass` decided, as :func:`reliability_pass` reads it.
 
-    The per-frame columns are meaningful on the touched sets only; the
-    patrol fields are empty (``scrub_state`` is ``None``) without scrubbing.
+    Frames are local to the touched sets: ``touched_sets[k]`` owns frames
+    ``k * associativity + way`` (see :class:`_FrameState`).  The patrol
+    fields are empty (``scrub_state`` is ``None``) without scrubbing.
     """
 
-    frames: np.ndarray  # per access: frame id hit or filled
+    frames: np.ndarray  # per access: local frame hit or filled
     miss_positions: np.ndarray  # positions of the misses, ascending
     evicted: np.ndarray  # per access: the miss evicted a valid line
     evict_dirty: np.ndarray  # per access: ... and that line was dirty
-    init_nvalid: np.ndarray  # per set: valid ways before the replay
-    touched_sets: list  # materialised sets, in materialisation order
-    tags: list  # per frame, after the replay
-    valid: list
-    dirty: list
+    touched_sets: np.ndarray  # per slot: set index, ascending
+    init_nvalid: np.ndarray  # per slot: valid ways before the replay
+    tags: np.ndarray  # per local frame, after the replay
+    valid: np.ndarray
+    dirty: np.ndarray
     visit_positions: np.ndarray  # per patrol visit, chronological: position
-    visit_frames: np.ndarray  # ... and frame visited
+    visit_frames: np.ndarray  # ... and local frame visited
     scrub_state: tuple | None  # patrol (credit, cursor, scrubbed lines) after
 
 
@@ -499,7 +477,7 @@ class _Pass1Entry(NamedTuple):
     """One memoised cold-start pass 1: its input columns and end state."""
 
     columns: tuple  # read-only copies of (codes, set_indices, tags)
-    product: FunctionalProduct  # read-only arrays, tuple lists
+    product: FunctionalProduct  # read-only arrays
     rows: np.ndarray  # policy row per touched set (product order), after the flush
     policy_globals: tuple  # export_global_state() after the flush
 
@@ -557,10 +535,10 @@ def memoised_functional_pass(
     starts pass 1 from nothing but the key of :func:`_pass1_key`, so its
     product and end policy state can be shared by every replay of the same
     columns: across schemes (unless the victim choice reads exposure) and
-    across ``p_cell``.  A hit re-applies the stored policy rows and globals,
-    exactly what :meth:`_FrameState.flush` would have written; the shared
-    product is read-only, and pass 2 materialises the sets it touches.  A
-    warm cache always runs pass 1.
+    across ``p_cell``.  A hit re-applies the stored policy rows (one batched
+    assignment) and globals, exactly what :meth:`_FrameState.flush` would
+    have written; the shared product is read-only.  A warm cache always
+    runs pass 1.
 
     Returns:
         ``(product, outcome)`` with ``outcome`` one of ``"hit"``, ``"miss"``
@@ -580,8 +558,7 @@ def memoised_functional_pass(
         # itself is immutable, so only the recency bump can miss.
         with suppress(KeyError):
             _pass1_memo.move_to_end(key)
-        for set_index, row in zip(entry.product.touched_sets, entry.rows):
-            policy.import_set_state(set_index, row)
+        policy.rows[entry.product.touched_sets] = entry.rows
         policy.import_global_state(entry.policy_globals)
         return entry.product, "hit"
     product = functional_pass(cache, codes, set_indices, tags, scheme_mode)
@@ -589,22 +566,10 @@ def memoised_functional_pass(
         value = getattr(product, field.name)
         if isinstance(value, np.ndarray):
             _read_only(value)
-    product = replace(
-        product,
-        touched_sets=tuple(product.touched_sets),
-        tags=tuple(product.tags),
-        valid=tuple(product.valid),
-        dirty=tuple(product.dirty),
-    )
     _pass1_memo[key] = _Pass1Entry(
         columns=tuple(_read_only(np.array(column)) for column in columns),
         product=product,
-        rows=_read_only(
-            np.array(
-                [policy.export_set_state(s) for s in product.touched_sets],
-                dtype=np.int64,
-            )
-        ),
+        rows=_read_only(policy.rows[product.touched_sets]),
         policy_globals=tuple(policy.export_global_state()),
     )
     with suppress(KeyError):
@@ -640,13 +605,14 @@ def replay_l2_soa(
     # the per-access sample() calls of the scalar loops.
     samples = np.asarray(cache.data_profile.sample_many(count), dtype=np.int64)
     scheme = cache.scheme_name()
-    with telemetry_span("kernel.pass1", scheme=scheme, accesses=count) as timed:
-        functional, outcome = memoised_functional_pass(
-            cache, codes, set_indices, tags, scheme_mode
-        )
-        timed.add(memo=outcome)
-    with telemetry_span("kernel.pass2", scheme=scheme, accesses=count):
-        reliability_pass(cache, codes, set_indices, scheme_mode, functional, samples)
+    with cache.cache.synced_columns():
+        with telemetry_span("kernel.pass1", scheme=scheme, accesses=count) as timed:
+            functional, outcome = memoised_functional_pass(
+                cache, codes, set_indices, tags, scheme_mode
+            )
+            timed.add(memo=outcome)
+        with telemetry_span("kernel.pass2", scheme=scheme, accesses=count):
+            reliability_pass(cache, codes, scheme_mode, functional, samples)
 
 
 def functional_pass(
@@ -663,17 +629,27 @@ def functional_pass(
     scheme enters only through the exposure counters a policy's victim
     choice may read (LER) and through the patrol scrubber, so for every
     other combination the product is the same across schemes and
-    ``p_cell``.  Mutates the replacement policy and materialises the touched
-    sets, but leaves block fields to :func:`reliability_pass`.
+    ``p_cell``.  Mutates the replacement policy only: block state is read
+    from the substrate's columns (current inside
+    :meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`) and
+    written by :func:`reliability_pass`.
 
     Args are as for :func:`replay_l2_soa`; ``codes`` must be non-empty.
     """
     count = len(codes)
-    state = _FrameState(cache.cache)
-    substrate = state.substrate
-    assoc = state.assoc
+    substrate = cache.cache
+    assoc = substrate.associativity
+    columns = substrate.columns
+    restore = type(cache) is RestoreCache
+    scrubbing = type(cache) is ScrubbingCache
+    touched = np.unique(set_indices)
+    if scrubbing:
+        # The patrol also visits sets the stream does not access: any set
+        # holding a valid line.
+        touched = np.union1d(touched, substrate.resident_sets())
+    state = _FrameState(substrate, touched)
+    num_slots = len(touched)
     index_bits = state.index_bits
-    num_sets = substrate.num_sets
     policy = state.policy
     pol_globals = state.pol_globals
     pol_fill = policy.compact_on_fill
@@ -681,11 +657,9 @@ def functional_pass(
     position_mode = state.position_mode
     ordered_mode = state.ordered_mode
     tags_l, valid_l, dirty_l, pend_l = state.tags, state.valid, state.dirty, state.pend
-    materialised, rows, queues = state.materialised, state.rows, state.queues
+    rows, queues = state.rows, state.queues
     resident, nvalid_l = state.resident, state.nvalid
     claim_free, evict = state.claim_free, state.evict
-    restore = type(cache) is RestoreCache
-    scrubbing = type(cache) is ScrubbingCache
 
     # Exposure bookkeeping (only when a policy's victim choice reads it):
     # under the accumulating schemes the live unchecked count of a way is
@@ -693,18 +667,9 @@ def functional_pass(
     # self-scrubbing schemes it is the initial exposure until any reset.
     exp_is_rr = scheme_mode == _CONVENTIONAL and not restore
     exp_reads_reset = restore or scheme_mode == _REAP
-    exp_l = [0] * state.num_frames if uses_exposure else None
-    rr_l = [0] * num_sets if uses_exposure else None
+    exp_l = (-columns.unchecked_reads[state.frames]).tolist() if uses_exposure else None
+    rr_l = [0] * num_slots if uses_exposure else None
     zeros_exposure = [0] * assoc
-    if uses_exposure:
-
-        def materialise(set_index: int) -> None:
-            base = set_index * assoc
-            for way, block in enumerate(state.materialise(set_index)):
-                exp_l[base + way] = -block.unchecked_reads
-
-    else:
-        materialise = state.materialise
 
     way_arr = [0] * count
     miss_positions: list[int] = []
@@ -718,6 +683,8 @@ def functional_pass(
         scrub_credit, scrub_cursor, scrubbed_lines, total_frames = (
             cache.patrol_walk_state()
         )
+        slot_of = np.full(substrate.num_sets, -1, dtype=np.int64)
+        slot_of[touched] = np.arange(num_slots)
     # The patrol scrubber only interacts with the functional replay through
     # the exposure counters some policies' victim choice reads (LER).  For
     # every other policy the patrol rate is constant and the valid-frame set
@@ -730,15 +697,15 @@ def functional_pass(
     fill_log_frame: list[int] = []
 
     code_list = codes.tolist()
-    set_list = set_indices.tolist()
+    slot_list = np.searchsorted(touched, set_indices).tolist()
     # Packed (tag, set) keys for the shared residency dict.
     key_list = ((tags << index_bits) | set_indices).tolist()
 
-    def handle_miss(i: int, set_index: int, key: int, code: int) -> None:
+    def handle_miss(i: int, slot: int, key: int, code: int) -> None:
         """Shared miss path: victim choice, eviction bookkeeping, fill."""
         miss_positions.append(i)
-        if nvalid_l[set_index] < assoc:
-            victim = claim_free(set_index)
+        if nvalid_l[slot] < assoc:
+            victim = claim_free(slot)
             evicted_flags.append(False)
             evict_dirty_flags.append(False)
             if patrol_closed_form:
@@ -749,15 +716,15 @@ def functional_pass(
         else:
             exposure = zeros_exposure
             if uses_exposure:
-                base = set_index * assoc
+                base = slot * assoc
                 if exp_is_rr:
-                    rank = rr_l[set_index]
+                    rank = rr_l[slot]
                     exposure = [
                         rank - exp_base for exp_base in exp_l[base : base + assoc]
                     ]
-                elif not (exp_reads_reset and rr_l[set_index] > 0):
+                elif not (exp_reads_reset and rr_l[slot] > 0):
                     exposure = [-exp_base for exp_base in exp_l[base : base + assoc]]
-            victim = evict(set_index, exposure)
+            victim = evict(slot, exposure)
             evicted_flags.append(True)
             evict_dirty_flags.append(dirty_l[victim])
         tags_l[victim] = key >> index_bits
@@ -765,24 +732,19 @@ def functional_pass(
         resident[key] = victim
         way_arr[i] = victim
         if uses_exposure:
-            exp_l[victim] = rr_l[set_index] if exp_is_rr else 0
+            exp_l[victim] = rr_l[slot] if exp_is_rr else 0
         if position_mode:
             pend_l[victim] = i
         elif ordered_mode:
-            queues[set_index].append(victim - set_index * assoc)
+            queues[slot].append(victim - slot * assoc)
         else:
-            pol_fill(pol_globals, rows[set_index], victim - set_index * assoc)
+            pol_fill(pol_globals, rows[slot], victim - slot * assoc)
 
     resident_get = resident.get
     if position_mode and not uses_exposure:
         # The common case (LRU-family policy, no patrol scrubber): the hit
         # path is one dict probe plus two flat stores, with the replacement
-        # transition deferred as a last-touch position.  All touched sets
-        # are materialised up front so the loop never branches on it.
-        for set_index in np.flatnonzero(
-            np.bincount(set_indices, minlength=num_sets)
-        ).tolist():
-            materialise(set_index)
+        # transition deferred as a last-touch position.
         for i, (key, code) in enumerate(zip(key_list, code_list)):
             hit_frame = resident_get(key)
             if hit_frame is not None:
@@ -791,53 +753,44 @@ def functional_pass(
                 if code:
                     dirty_l[hit_frame] = True
             else:
-                handle_miss(i, set_list[i], key, code)
+                handle_miss(i, slot_list[i], key, code)
     else:
-        for i, (set_index, key, code) in enumerate(
-            zip(set_list, key_list, code_list)
-        ):
-            if not materialised[set_index]:
-                materialise(set_index)
+        if patrol_inline:
+            slot_of_l = slot_of.tolist()
+        for i, (slot, key, code) in enumerate(zip(slot_list, key_list, code_list)):
             if uses_exposure and code == 0:
-                rr_l[set_index] += 1
+                rr_l[slot] += 1
             hit_frame = resident_get(key)
             if hit_frame is not None:
                 way_arr[i] = hit_frame
                 if code:
                     dirty_l[hit_frame] = True
                 if uses_exposure:
-                    exp_l[hit_frame] = rr_l[set_index] if exp_is_rr else 0
+                    exp_l[hit_frame] = rr_l[slot] if exp_is_rr else 0
                 if position_mode:
                     pend_l[hit_frame] = i
                 elif ordered_mode:
-                    queues[set_index].append(hit_frame - set_index * assoc)
+                    queues[slot].append(hit_frame - slot * assoc)
             else:
-                handle_miss(i, set_index, key, code)
+                handle_miss(i, slot, key, code)
 
             if patrol_inline:
                 scrub_credit += scrub_rate
                 while scrub_credit >= 1.0:
                     scrub_credit -= 1.0
                     for _ in range(total_frames):
-                        patrol_frame = scrub_cursor
+                        s_set, s_way = divmod(scrub_cursor, assoc)
                         scrub_cursor = (scrub_cursor + 1) % total_frames
-                        s_set, s_way = divmod(patrol_frame, assoc)
-                        if materialised[s_set]:
-                            s_valid = valid_l[patrol_frame]
-                        else:
-                            s_valid = (
-                                substrate.cache_set(s_set).blocks[s_way].valid
-                            )
-                            if s_valid:
-                                materialise(s_set)
-                        if not s_valid:
+                        s_slot = slot_of_l[s_set]
+                        patrol_frame = s_slot * assoc + s_way
+                        if s_slot < 0 or not valid_l[patrol_frame]:
                             continue
                         vis_pos.append(i)
                         vis_frame.append(patrol_frame)
                         scrubbed_lines += 1
                         # A patrol check scrubs the visited way's exposure
                         # (patrol_inline implies uses_exposure).
-                        exp_l[patrol_frame] = rr_l[s_set] if exp_is_rr else 0
+                        exp_l[patrol_frame] = rr_l[s_slot] if exp_is_rr else 0
                         break
 
     if patrol_closed_form:
@@ -845,23 +798,20 @@ def functional_pass(
         # visit counts (exact credit arithmetic, cycle-detected) and the
         # monotone valid-frame intervals fix which frame each visit lands
         # on; both reconstruct vectorised, bit-identical to the inline walk.
+        # The walk runs over global frames.
         visits_per_access, scrub_credit = _patrol_visit_schedule(
             scrub_credit, scrub_rate, count
         )
-        vis_pos, vis_frame, scrub_cursor = _patrol_visit_frames(
+        vis_pos, visited, scrub_cursor = _patrol_visit_frames(
             visits_per_access,
             fill_log_pos,
-            fill_log_frame,
-            _initial_valid_frames(substrate, num_sets, assoc),
+            state.frames[fill_log_frame],
+            np.flatnonzero(columns.valid),
             scrub_cursor,
             total_frames,
         )
+        vis_frame = slot_of[visited // assoc] * assoc + visited % assoc
         scrubbed_lines += len(vis_frame)
-        # Patrol-visited sets join the touched set for pass 2's write-back,
-        # exactly as the inline walk materialises them on first visit.
-        for set_index in np.unique(vis_frame // assoc).tolist():
-            if not materialised[set_index]:
-                materialise(set_index)
 
     state.flush(count)
     miss_idx = np.array(miss_positions, dtype=np.int64)
@@ -874,11 +824,11 @@ def functional_pass(
         miss_positions=miss_idx,
         evicted=evicted,
         evict_dirty=evict_dirty,
-        init_nvalid=np.asarray(state.init_nvalid, dtype=np.int64),
-        touched_sets=state.touched_sets,
-        tags=tags_l,
-        valid=valid_l,
-        dirty=dirty_l,
+        touched_sets=touched,
+        init_nvalid=state.init_nvalid,
+        tags=np.array(tags_l, dtype=np.int64),
+        valid=np.array(valid_l, dtype=bool),
+        dirty=np.array(dirty_l, dtype=bool),
         visit_positions=np.asarray(vis_pos, dtype=np.int64),
         visit_frames=np.asarray(vis_frame, dtype=np.int64),
         scrub_state=(
@@ -890,7 +840,6 @@ def functional_pass(
 def reliability_pass(
     cache,
     codes: np.ndarray,
-    set_indices: np.ndarray,
     scheme_mode: int,
     functional: FunctionalProduct,
     samples: np.ndarray,
@@ -899,14 +848,14 @@ def reliability_pass(
 
     With the per-access ``(frame, miss, eviction)`` columns of
     ``functional`` known, every remaining quantity is closed-form over NumPy
-    arrays: statistics, tracker samples, deferred failure probabilities,
-    energy sums and the final per-block fields, all folded back into
-    ``cache``.
+    arrays sized by the touched sets: statistics, tracker samples, deferred
+    failure probabilities, energy sums and the final per-block fields.  The
+    initial block state is gathered from the substrate's columns and the
+    final state scattered back, one fancy index per column.
 
     Args:
         cache: The cache :func:`functional_pass` replayed.
         codes: Per-access kind codes (0 read, 1 write).
-        set_indices: Per-access set indices.
         scheme_mode: The scheme's delivery-kind code.
         functional: The functional pass's product for this stream.
         samples: One ones-count sample per access.
@@ -916,17 +865,18 @@ def reliability_pass(
     scrubbing = type(cache) is ScrubbingCache
     substrate = cache.cache
     assoc = substrate.associativity
-    num_sets = substrate.num_sets
+    # Sets and frames below are the touched ones, numbered by slot (see
+    # FunctionalProduct): ``set_indices`` holds each access's slot.
+    num_sets = len(functional.touched_sets)
     num_frames = num_sets * assoc
     engine = cache.engine
     rel_stats = engine.stats
     stats = substrate.stats
     totals = cache.energy
     frame = functional.frames
+    set_indices = frame // assoc
     evicted = functional.evicted
     evict_dirty = functional.evict_dirty
-    touched_sets = functional.touched_sets
-    tags_l, valid_l, dirty_l = functional.tags, functional.valid, functional.dirty
 
     is_read = np.asarray(codes) == 0
     miss_mask = np.zeros(count, dtype=bool)
@@ -995,32 +945,14 @@ def reliability_pass(
     else:
         visits_rank = np.zeros(0, dtype=np.int64)
 
-    # Initial (pre-replay) per-frame state, read from the untouched blocks.
-    init_ones = np.zeros(num_frames, dtype=np.int64)
-    init_unch = np.zeros(num_frames, dtype=np.int64)
-    init_rsd = np.zeros(num_frames, dtype=np.int64)
-    init_reads = np.zeros(num_frames, dtype=np.int64)
-    init_conc = np.zeros(num_frames, dtype=np.int64)
-    init_checks = np.zeros(num_frames, dtype=np.int64)
-    init_fills = np.zeros(num_frames, dtype=np.int64)
-    init_tick = np.zeros(num_frames, dtype=np.int64)
-    init_valid = np.zeros(num_frames, dtype=bool)
-    final_valid = np.zeros(num_frames, dtype=bool)
-    for set_index in touched_sets:
-        base = set_index * assoc
-        blocks = substrate.cache_set(set_index).blocks
-        for way_index, block in enumerate(blocks):
-            f = base + way_index
-            init_ones[f] = block.ones_count
-            init_unch[f] = block.unchecked_reads
-            init_rsd[f] = block.reads_since_demand
-            init_reads[f] = block.total_reads
-            init_conc[f] = block.total_concealed_reads
-            init_checks[f] = block.total_checks
-            init_fills[f] = block.fills
-            init_tick[f] = block.last_access_tick
-            init_valid[f] = block.valid
-            final_valid[f] = valid_l[f]
+    # Initial (pre-replay) per-frame state, gathered from the columns.
+    columns = substrate.columns
+    block_frames = substrate.set_frames(functional.touched_sets)
+    init_ones = columns.ones_count[block_frames]
+    init_unch = columns.unchecked_reads[block_frames]
+    init_rsd = columns.reads_since_demand[block_frames]
+    init_valid = columns.valid[block_frames]
+    final_valid = functional.valid
 
     # -- frame-chronological event streams ----------------------------------------
     # Own events: one per access (kind 0 delivery, 1 write hit, 2 fill).
@@ -1393,39 +1325,21 @@ def reliability_pass(
     final_tick = np.where(
         has_tick,
         np.where(tick_scheme_base, scheme_tick0, substrate_tick0) + tick_pos + 1,
-        init_tick,
+        columns.last_access_tick[block_frames],
     )
 
-    # -- write everything back (touched frames only) ------------------------------
-    touched_arr = np.asarray(touched_sets, dtype=np.int64)
-    touched_frames = np.repeat(touched_arr * assoc, assoc) + np.tile(
-        np.arange(assoc, dtype=np.int64), len(touched_sets)
-    )
-    final_ones_l = final_ones[touched_frames].tolist()
-    final_unch_l = final_unch[touched_frames].tolist()
-    final_rsd_l = final_rsd[touched_frames].tolist()
-    reads_l = (init_reads + reads_gain)[touched_frames].tolist()
-    conc_l = (init_conc + conc_gain)[touched_frames].tolist()
-    checks_l = (init_checks + checks_gain)[touched_frames].tolist()
-    fills_l = (init_fills + fills_per_frame)[touched_frames].tolist()
-    tick_l = final_tick[touched_frames].tolist()
-    for touch_index, set_index in enumerate(touched_sets):
-        base = set_index * assoc
-        compact_base = touch_index * assoc
-        blocks = substrate.cache_set(set_index).blocks
-        for way_index, block in enumerate(blocks):
-            f = compact_base + way_index
-            block.tag = tags_l[base + way_index]
-            block.valid = valid_l[base + way_index]
-            block.dirty = dirty_l[base + way_index]
-            block.ones_count = final_ones_l[f]
-            block.unchecked_reads = final_unch_l[f]
-            block.reads_since_demand = final_rsd_l[f]
-            block.total_reads = reads_l[f]
-            block.total_concealed_reads = conc_l[f]
-            block.total_checks = checks_l[f]
-            block.fills = fills_l[f]
-            block.last_access_tick = tick_l[f]
+    # -- scatter the final state back (touched frames only) -----------------------
+    columns.tag[block_frames] = functional.tags
+    columns.valid[block_frames] = final_valid
+    columns.dirty[block_frames] = functional.dirty
+    columns.ones_count[block_frames] = final_ones
+    columns.unchecked_reads[block_frames] = final_unch
+    columns.reads_since_demand[block_frames] = final_rsd
+    columns.total_reads[block_frames] += reads_gain
+    columns.total_concealed_reads[block_frames] += conc_gain
+    columns.total_checks[block_frames] += checks_gain
+    columns.fills[block_frames] += fills_per_frame
+    columns.last_access_tick[block_frames] = final_tick
 
     if scrubbing:
         cache.import_scrub_state(*functional.scrub_state)
@@ -1456,14 +1370,16 @@ def _replay_l1(
     * **Pass 2** (vectorised) reconstructs every counter and per-block
       field closed-form from the run columns: hit/miss counters are mask
       sums, per-frame fill counts a ``bincount``, and the final recency
-      tick of each frame the last tick-updating run that touched it.
+      tick of each frame the last tick-updating run that touched it; the
+      touched frames are scattered back into the block columns.
 
     Bit-identical to a per-run loop: pass 1 performs the identical policy
     calls at the identical points in the stream, and every pass-2 quantity
     is an integer reconstruction of the same arithmetic.
 
     Args:
-        cache: The L1 cache (mutated in place).
+        cache: The L1 cache (mutated in place; its columns must be current,
+            see :meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`).
         sub_positions: Global trace positions of this cache's records.
         sets: Per-record set indices.
         tags: Per-record tags.
@@ -1497,17 +1413,16 @@ def _replay_l1(
     first_store_r = stores[run_starts]
 
     # -- pass 1: functional replay of the runs ------------------------------------
-    state = _FrameState(cache)
+    touched = np.unique(run_sets)
+    state = _FrameState(cache, touched)
     assoc = state.assoc
     index_bits = state.index_bits
     keys = (tags[run_starts].astype(np.int64) << index_bits) | run_sets
-    for set_index in np.unique(run_sets).tolist():
-        state.materialise(set_index)
 
     key_list = keys.tolist()
     ends_l = run_ends.tolist()
     nst_l = n_stores_r.tolist()
-    sets_l = run_sets.tolist()
+    slots_l = np.searchsorted(touched, run_sets).tolist()
     first_store_l = first_store_r.tolist()
     way_l = [0] * len(key_list)
     miss_runs: list[int] = []
@@ -1526,12 +1441,12 @@ def _replay_l1(
     def handle_miss(r: int, key: int) -> int:
         """Shared miss path: victim choice, eviction bookkeeping, fill."""
         nonlocal evictions
-        set_index = sets_l[r]
+        slot = slots_l[r]
         wb_tag = -1
-        if nvalid_f[set_index] < assoc:
-            frame = claim_free(set_index)
+        if nvalid_f[slot] < assoc:
+            frame = claim_free(slot)
         else:
-            frame = evict(set_index, zeros)
+            frame = evict(slot, zeros)
             evictions += 1
             if dirty_f[frame]:
                 wb_tag = tags_f[frame]
@@ -1569,14 +1484,14 @@ def _replay_l1(
                 way_l[r] = frame
             if nst:
                 dirty_f[frame] = True
-            set_index = sets_l[r]
-            way = frame - set_index * assoc
+            slot = slots_l[r]
+            way = frame - slot * assoc
             if ordered_mode:
-                queue = queues[set_index]
+                queue = queues[slot]
                 if not queue or queue[-1] != way:
                     queue.append(way)
             elif not hit:
-                pol_fill(pol_globals, rows[set_index], way)
+                pol_fill(pol_globals, rows[slot], way)
     state.flush(n)
 
     # -- pass 2: vectorised counters and block fields -----------------------------
@@ -1605,13 +1520,14 @@ def _replay_l1(
     # object path, summed instead of accumulated).
     stats.data_way_writes += demand_writes + n_miss - write_misses
     stats.tag_comparisons += n * assoc
-    fills_l = np.bincount(run_frame[miss_mask], minlength=state.num_frames).tolist()
 
     # Final recency tick per frame: the last run that updated it — a fill
     # stamps start+1, a store run stamps the last store's position+1, a
     # store run over a fill overwrites the fill stamp.
+    frames = state.frames
+    columns = cache.columns
     tick0 = cache._tick  # noqa: SLF001 - engine-internal state sync
-    tick_map: dict[int, int] = {}
+    ticks = columns.last_access_tick[frames]
     has_store_r = n_stores_r > 0
     upd = miss_mask | has_store_r
     if upd.any():
@@ -1621,19 +1537,13 @@ def _replay_l1(
             + np.where(has_store_r[upd], last_off_r[upd] + 1, 1)
         )
         uniq_f, first_idx = np.unique(run_frame[upd][::-1], return_index=True)
-        tick_map = dict(zip(uniq_f.tolist(), tick_vals[::-1][first_idx].tolist()))
+        ticks[uniq_f] = tick_vals[::-1][first_idx]
 
-    for set_index in state.touched_sets:
-        base = set_index * assoc
-        for way, block in enumerate(cache.cache_set(set_index).blocks):
-            f = base + way
-            block.tag = tags_f[f]
-            block.valid = valid_f[f]
-            block.dirty = dirty_f[f]
-            block.fills += fills_l[f]
-            tick = tick_map.get(f)
-            if tick is not None:
-                block.last_access_tick = tick
+    columns.tag[frames] = tags_f
+    columns.valid[frames] = valid_f
+    columns.dirty[frames] = dirty_f
+    columns.fills[frames] += np.bincount(run_frame[miss_mask], minlength=len(frames))
+    columns.last_access_tick[frames] = ticks
     cache._tick = tick0 + n  # noqa: SLF001 - engine-internal state sync
     return sub_positions[run_starts[miss_idx]], run_sets[miss_idx], wb_tags
 
@@ -1669,16 +1579,17 @@ def filter_through_l1_soa(
     data_writes = int(np.count_nonzero(d_stores))
     data_reads = int(d_positions.size) - data_writes
 
-    i_pos, _, i_wb_tag = _replay_l1(
-        l1i,
-        i_positions,
-        i_batch.indices,
-        i_batch.tags,
-        np.zeros(i_positions.size, dtype=bool),
-    )
-    d_pos, d_sets, d_wb_tag = _replay_l1(
-        l1d, d_positions, d_batch.indices, d_batch.tags, d_stores
-    )
+    with l1i.synced_columns(), l1d.synced_columns():
+        i_pos, _, i_wb_tag = _replay_l1(
+            l1i,
+            i_positions,
+            i_batch.indices,
+            i_batch.tags,
+            np.zeros(i_positions.size, dtype=bool),
+        )
+        d_pos, d_sets, d_wb_tag = _replay_l1(
+            l1d, d_positions, d_batch.indices, d_batch.tags, d_stores
+        )
     # Only the data side can evict dirty lines (the instruction stream
     # never stores), which the assert pins down.
     assert not i_wb_tag.size or int(i_wb_tag.max()) < 0, "L1I emitted a write-back"

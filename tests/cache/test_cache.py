@@ -1,10 +1,17 @@
 """Tests for the functional set-associative cache model."""
 
+import dataclasses
+
 import pytest
 
-from repro.cache import SetAssociativeCache
-from repro.config import CacheLevelConfig, ReplacementPolicyName
+from repro.cache import CacheBlock, SetAssociativeCache
+from repro.cache.cache import BlockColumns
+from repro.config import CacheLevelConfig, ReplacementPolicyName, paper_l2_config
+from repro.core import build_protected_cache
 from repro.errors import CacheError
+from repro.sim import run_l2_trace, soa
+from repro.telemetry import MemorySink, telemetry
+from repro.workloads import generate_l2_trace, get_profile
 
 
 def small_cache(associativity=4, sets=8, block=64, replacement=ReplacementPolicyName.LRU):
@@ -164,3 +171,42 @@ class TestMaintenance:
     def test_bad_set_index_rejected(self):
         with pytest.raises(CacheError):
             small_cache().cache_set(10_000)
+
+
+class TestColumnBackedState:
+    def test_columns_follow_block_field_order(self):
+        assert BlockColumns._fields == tuple(
+            field.name for field in dataclasses.fields(CacheBlock)
+        )
+
+    def test_first_object_access_builds_blocks_from_columns(self):
+        cache = small_cache()
+        frame = 3 * cache.associativity + 2
+        cache.columns.tag[frame] = 7
+        cache.columns.valid[frame] = True
+        cache.columns.total_reads[frame] = 5
+        block = cache.blocks_in_set(3)[2]
+        assert (block.tag, block.valid, block.total_reads) == (7, True, 5)
+        assert cache.contains(address_for(cache, 7, 3))
+
+    def test_queries_leave_a_fresh_cache_untouched(self):
+        config = paper_l2_config()
+        trace = generate_l2_trace(get_profile("gcc"), config, 2000, seed=1)
+
+        def cold_replay(cache) -> str:
+            sink = MemorySink()
+            with telemetry(sink):
+                run_l2_trace(cache, trace, engine="fast")
+            (pass1,) = [e for e in sink.events if e["name"] == "kernel.pass1"]
+            return pass1["memo"]
+
+        soa.clear_pass1_memo()
+        try:
+            cache = build_protected_cache("reap", config, seed=1)
+            assert not cache.cache.contains(0x1234)
+            assert cache.cache.occupancy() == 0
+            assert cache.cache.untouched()
+            assert cold_replay(cache) == "miss"
+            assert cold_replay(build_protected_cache("reap", config, seed=1)) == "hit"
+        finally:
+            soa.clear_pass1_memo()

@@ -11,11 +11,18 @@ one-set caches, immediate evictions, long concealed-read runs and segment
 boundaries between any two accesses.  Each example is replayed on a second
 fresh cache too, whose cold first segment is served from the pass-1 memo,
 so the memo's hit path meets the same corner cases.
+
+A second property mixes the cache's two homes for block state: a warm
+prefix on the reference engine holds the sets it touched as objects, a
+random subset of sets is then taken as objects through ``blocks_in_set``
+with the block references kept, and the fast replay, which works on the
+block columns, must leave exactly the reference state and show it through
+the kept references.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from equivalence_utils import (
@@ -114,6 +121,20 @@ def scenarios(draw) -> Scenario:
     )
 
 
+def scenario_config(scenario: Scenario):
+    """The scenario's cache geometry and extra cache-building arguments."""
+    config = small_l2(
+        size_bytes=scenario.num_sets * scenario.assoc * BLOCK_BYTES,
+        associativity=scenario.assoc,
+        block_size_bytes=BLOCK_BYTES,
+        replacement=scenario.policy,
+    )
+    extra = {}
+    if scenario.scrub_rate is not None:
+        extra["scrub_lines_per_access"] = scenario.scrub_rate
+    return config, extra
+
+
 @settings(max_examples=250, deadline=None)
 @given(scenario=scenarios())
 @example(
@@ -131,15 +152,7 @@ def scenarios(draw) -> Scenario:
     )
 )
 def test_soa_equals_reference(scenario):
-    config = small_l2(
-        size_bytes=scenario.num_sets * scenario.assoc * BLOCK_BYTES,
-        associativity=scenario.assoc,
-        block_size_bytes=BLOCK_BYTES,
-        replacement=scenario.policy,
-    )
-    extra = {}
-    if scenario.scrub_rate is not None:
-        extra["scrub_lines_per_access"] = scenario.scrub_rate
+    config, extra = scenario_config(scenario)
     reference_result, fast_result, reference_cache, fast_cache = run_both_engines(
         scenario.scheme,
         CutSource(scenario),
@@ -160,3 +173,151 @@ def test_soa_equals_reference(scenario):
     assert first_pass1["memo"] == "hit"
     assert_results_equivalent(reference_result, memo_result)
     assert_caches_equivalent(reference_cache, memo_cache)
+
+
+@dataclass(frozen=True)
+class MixedScenario:
+    scenario: Scenario
+    prefix: int  # leading records replayed on the reference engine first
+    held: tuple  # sets then taken as objects, block references kept
+
+
+@st.composite
+def mixed_scenarios(draw) -> MixedScenario:
+    scenario = draw(scenarios())
+    return MixedScenario(
+        scenario=scenario,
+        prefix=draw(st.integers(0, len(scenario.records) - 1)),
+        held=tuple(sorted(draw(st.sets(st.integers(0, scenario.num_sets - 1))))),
+    )
+
+
+def split_at(scenario: Scenario, prefix: int) -> tuple[Scenario, Scenario]:
+    """The warm prefix and the replayed rest, the cuts kept inside the rest."""
+    records = scenario.records
+    return (
+        replace(scenario, records=records[:prefix], cuts=()),
+        replace(
+            scenario,
+            records=records[prefix:],
+            cuts=tuple(cut - prefix for cut in scenario.cuts if cut > prefix),
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed=mixed_scenarios())
+@example(
+    # A set the prefix and the caller hold: its fill count must enter the kernel.
+    mixed=MixedScenario(
+        scenario=Scenario(
+            num_sets=1,
+            assoc=1,
+            policy="lru",
+            scheme="conventional",
+            records=((False, 0, 1), (True, 0, 0)),
+            cuts=(),
+            ones_count=100,
+            scrub_rate=None,
+        ),
+        prefix=1,
+        held=(0,),
+    )
+)
+@example(
+    # Held by the prefix only: the resident line must enter pass 1.
+    mixed=MixedScenario(
+        scenario=Scenario(
+            num_sets=1,
+            assoc=2,
+            policy="lru",
+            scheme="conventional",
+            records=((False, 0, 1), (True, 0, 0)),
+            cuts=(),
+            ones_count=100,
+            scrub_rate=None,
+        ),
+        prefix=1,
+        held=(),
+    )
+)
+@example(
+    # Held by the prefix only: its exposure must enter pass 2.
+    mixed=MixedScenario(
+        scenario=Scenario(
+            num_sets=1,
+            assoc=1,
+            policy="lru",
+            scheme="conventional",
+            records=((False, 0, 0), (False, 0, 1)),
+            cuts=(),
+            ones_count=100,
+            scrub_rate=None,
+        ),
+        prefix=1,
+        held=(),
+    )
+)
+@example(
+    # A set held before any access: the kept block must be updated in place.
+    mixed=MixedScenario(
+        scenario=Scenario(
+            num_sets=1,
+            assoc=1,
+            policy="lru",
+            scheme="conventional",
+            records=((False, 0, 0),),
+            cuts=(),
+            ones_count=100,
+            scrub_rate=None,
+        ),
+        prefix=0,
+        held=(0,),
+    )
+)
+@example(
+    # A warm segment: the patrol visits a valid set the segment never accesses.
+    mixed=MixedScenario(
+        scenario=Scenario(
+            num_sets=2,
+            assoc=1,
+            policy="lru",
+            scheme="scrubbing",
+            records=((False, 0, 0), (False, 0, 0), (False, 0, 0), (False, 1, 0)),
+            cuts=(1, 2, 3),
+            ones_count=100,
+            scrub_rate=0.25,
+        ),
+        prefix=0,
+        held=(),
+    )
+)
+def test_soa_equals_reference_over_mixed_residency(mixed):
+    scenario = mixed.scenario
+    config, extra = scenario_config(scenario)
+    warm, rest = split_at(scenario, mixed.prefix)
+    reference_cache, fast_cache = (
+        build_cache(
+            scenario.scheme, config=config, ones_count=scenario.ones_count, **extra
+        )
+        for _ in range(2)
+    )
+    if warm.records:
+        for cache in (reference_cache, fast_cache):
+            run_l2_trace(cache, CutSource(warm), engine="reference")
+    kept = {
+        (set_index, way): block
+        for set_index in mixed.held
+        for way, block in enumerate(fast_cache.cache.blocks_in_set(set_index))
+    }
+    reference_result = run_l2_trace(
+        reference_cache, CutSource(rest), engine="reference"
+    )
+    fast_result = run_l2_trace(fast_cache, CutSource(rest), engine="fast")
+    assert_results_equivalent(reference_result, fast_result)
+    for (set_index, way), block in kept.items():
+        assert block is fast_cache.cache.blocks_in_set(set_index)[way]
+        expected = reference_cache.cache.blocks_in_set(set_index)[way]
+        assert block == expected, (set_index, way)
+        assert block.last_access_tick == expected.last_access_tick, (set_index, way)
+    assert_caches_equivalent(reference_cache, fast_cache)
