@@ -23,7 +23,7 @@ from conftest import bench_num_accesses, bench_settings
 from repro.config import SimulationConfig
 from repro.core import build_protected_cache
 from repro.sim import run_cpu_trace
-from repro.sim.soa import clear_pass1_memo
+from repro.sim.soa import clear_kernel_memo
 from repro.workloads import (
     hot_loop_trace,
     mixed_trace,
@@ -59,8 +59,9 @@ def _run_mix(settings, trace, engine: str, schemes=("conventional", "reap")) -> 
             data_profile=settings.data_profile(index + 1),
             seed=index + 1,
         )
-        # REAP would hit conventional's pass-1 memo entry; time the whole kernel.
-        clear_pass1_memo()
+        # REAP would hit conventional's pass-1 memo entry, and a repeated
+        # round both memo entries; time the whole kernel.
+        clear_kernel_memo()
         run_cpu_trace(cache, trace, config=config, seed=index + 1, engine=engine)
     return time.perf_counter() - start
 

@@ -30,7 +30,7 @@ import tracemalloc
 from conftest import bench_settings
 from repro.core import build_protected_cache
 from repro.sim import run_l2_trace
-from repro.sim.soa import clear_pass1_memo
+from repro.sim.soa import clear_kernel_memo
 from repro.workloads import generate_l2_trace, get_profile, open_trace
 
 #: Base (1x) trace length; the flatness check replays 10x this from disk.
@@ -63,8 +63,9 @@ def _build_cache(settings):
 def _replay_peak(settings, path) -> tuple[int, float, int]:
     """Segmented replay from disk; returns (heap peak, seconds, accesses)."""
     cache = _build_cache(settings)
-    # A memo hit would skip the first segment's pass 1; time the whole kernel.
-    clear_pass1_memo()
+    # A memo hit would skip the first segment's pass 1 and exposure pass;
+    # time the whole kernel.
+    clear_kernel_memo()
     with open_trace(path) as source:
         accesses = len(source)
         tracemalloc.start()
@@ -108,7 +109,7 @@ def test_whole_trace_replay_scales_with_length_for_context(tmp_path):
 
     trace = read_trace(path)
     cache = _build_cache(settings)
-    clear_pass1_memo()
+    clear_kernel_memo()
     tracemalloc.start()
     run_l2_trace(cache, trace, engine="fast")
     _, whole_peak = tracemalloc.get_traced_memory()

@@ -16,38 +16,48 @@ passes, each timed by its own telemetry span:
    FIFO/Random apply only their fills.  Unless the policy's victim
    choice reads exposure (LER) or the scheme scrubs, the product does not
    depend on the scheme or on ``p_cell``.
-2. :func:`reliability_pass` (``kernel.pass2``, vectorised): with the
-   product's per-access ``(frame, miss, eviction)`` columns known, every
-   remaining quantity is closed-form over NumPy arrays.  Per-set read ranks
-   turn the exposure windows into differences of a counter sampled at
-   consecutive events of the same cache frame; per-frame event streams
-   (accesses plus patrol scrubs, sorted by frame then time) yield the
-   delivery windows, the evicted-block exposures, the final per-block
-   counters and the recency ticks without touching Python per access.
+2. Pass 2 (``kernel.pass2``, vectorised), split at the ``p_cell``
+   boundary:
+
+   * :func:`exposure_pass` derives everything the access stream alone
+     fixes and returns a frozen :class:`ExposureProduct`.  With the
+     product's per-access ``(frame, miss, eviction)`` columns known, every
+     remaining quantity is closed-form over NumPy arrays.  Per-set read
+     ranks turn the exposure windows into differences of a counter sampled
+     at consecutive events of the same cache frame; per-frame event
+     streams (accesses plus patrol scrubs, sorted by frame then time)
+     yield the deferred ``(kind, ones, window)`` check keys, the tracker
+     samples, the energy sums, the restore rewrite stream, the final
+     per-block counters and the recency ticks without touching Python per
+     access.  None of it reads ``p_cell``, the ECC strength or the
+     interleaving lanes.
+   * :func:`apply_exposure` evaluates the failure probabilities of the
+     unique check keys at the engine's parameters, records the checks,
+     samples, statistics and restores, and scatters the end state.
 
 Both passes work on the cache's block columns
 (:class:`repro.cache.cache.BlockColumns`), never on block objects, and only
 over the sets the stream touches: pass 1 gathers their tag/valid/dirty
-columns and policy rows, pass 2 the counters, and pass 2 scatters the final
-state back, each with one fancy index per column.  Every per-frame array is
-sized by the touched frames, numbered locally (slot ``k`` of the touched
-sets owns frames ``k * associativity + way``).  A replay runs inside
-:meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`, so a set a
-caller already holds as objects is copied into the columns on entry and back
-out on exit; a cold replay builds no block object at all.
+columns and policy rows, the exposure pass the counters, and the apply step
+scatters the final state back, each with one fancy index per column.  Every
+per-frame array is sized by the touched frames, numbered locally (slot ``k``
+of the touched sets owns frames ``k * associativity + way``).  A replay runs
+inside :meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`, so a
+set a caller already holds as objects is copied into the columns on entry
+and back out on exit; a cold replay builds no block object at all.
 
-Pass 1 is memoised at its one call site, :func:`replay_l2_soa`, for cold
-starts only (:func:`memoised_functional_pass`): when the substrate is still
-untouched (no set held as objects, tick 0), the product and the policy's end
-state are looked up by exactly what pass 1 reads — the policy class, the
-geometry, the policy's global state (ticks, Random's generator), the
-decoded columns (by digest, confirmed by exact equality), the scheme class
-and mode when LER's victim choice reads exposure, and the patrol rate and
-walk state under scrubbing.  So the schemes and ``p_cell`` points of a
-sweep replay pass 1 once per distinct cold input.  Every warm start (a
-later segment, a prefix-warmed cache) bypasses the memo.  The memo is
-process-local and holds :data:`PASS1_MEMO_ENTRIES` entries; the
-``kernel.pass1`` span reports ``memo="hit"|"miss"|"bypass"``.
+Both products are memoised in one process-local LRU of
+:data:`KERNEL_MEMO_ENTRIES` entries, for cold starts only: the substrate is
+untouched (no set held as objects, tick 0) and every energy total is 0.0.
+The pass-1 product and the policy's end state are keyed by exactly what
+pass 1 reads (:func:`_pass1_key`), the exposure product by that key plus
+what the exposure pass reads (:func:`_exposure_key`).  So a ``p_cell``
+sweep runs pass 1 once per distinct cold input and the exposure pass once
+per scheme; every point runs only the apply step.  Every warm start (a
+later segment, a prefix-warmed cache, one with leakage already charged)
+bypasses the memo.  :func:`clear_kernel_memo` empties it; the
+``kernel.pass1`` and ``kernel.pass2`` spans report
+``memo="hit"|"miss"|"bypass"``.
 
 Bit-identical to the reference loop by construction:
 
@@ -83,7 +93,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -235,6 +245,12 @@ def _sequential_total(initial: float, values: np.ndarray, counts: np.ndarray) ->
     order is the exact per-access addend order of the scalar loop; the
     reduction goes through :func:`sequential_float_sum`, whose seeded
     cumulative sum performs the identical sequential float additions.
+
+    The result is a running total, not a delta: float addition does not
+    associate, so ``initial + sum`` would round differently.  A stored total
+    is therefore exact only for the ``initial`` it was summed from, which is
+    why the memo serves exposure products to cold starts only (every energy
+    total still 0.0).
     """
     return sequential_float_sum(initial, np.repeat(values.ravel(), counts.ravel()))
 
@@ -252,18 +268,28 @@ def _segment_last_where(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def resolve_probability_keys(
-    engine, kinds: np.ndarray, ones: np.ndarray, windows: np.ndarray
+    engine, u_kinds: np.ndarray, u_ones: np.ndarray, u_windows: np.ndarray
 ) -> np.ndarray:
-    """Evaluate deferred failure probabilities for aligned key columns.
+    """Failure probabilities of unique deferred check keys at ``engine``'s parameters.
 
-    The unique ``(kind, ones, window)`` keys are deduplicated with the
-    packed-key helper and evaluated once each with the vectorised binomial
-    math (falling back to the engine's memoised scalar lookups for
-    multi-lane REAP, whose expression differs), then scattered back.
+    The ``(kind, ones, window)`` columns are the deduplicated keys of
+    :func:`exposure_pass`; each is evaluated once with the vectorised
+    binomial math (falling back to the engine's memoised scalar lookups for
+    multi-lane REAP, whose expression differs).  This and the check records
+    after it are the only kernel steps that read ``p_cell``, the ECC
+    strength or the interleaving lanes.
+
+    Model limit: for an ``L``-lane interleaved code (``L > 1``) a block's
+    probability is the union bound ``min(1, L * q)`` over one lane's
+    failure probability ``q`` (with ``ones / L`` of the ones), exactly as
+    the reference engine computes it.  It is tight while ``q`` is small and
+    overstates the bit-true rate once lanes fail often: with
+    ``InterleavedSECDEDCode(64, degree=4)`` at ``p_cell = 3e-3`` after 32
+    unchecked reads it reads 0.987 averaged over random data, against 0.717
+    from :class:`~repro.reliability.FaultInjectionCampaign` (2000 lifetimes,
+    seed 1; 99.9% Clopper-Pearson interval [0.682, 0.749]).  It stays as it
+    is: changing it would change stored results.
     """
-    if len(kinds) == 0:
-        return np.zeros(0, dtype=float)
-    (u_kinds, u_ones, u_windows), inverse = resolve_unique_keys(kinds, ones, windows)
     p_cell = engine.p_cell
     correctable = engine.correctable_errors
     lanes = engine.interleaving_lanes
@@ -312,7 +338,7 @@ def resolve_probability_keys(
                     int(u_ones[index]), int(u_windows[index])
                 )
 
-    return unique_probs[inverse]
+    return unique_probs
 
 
 class _FrameState:
@@ -447,7 +473,7 @@ class _FrameState:
 
 @dataclass(frozen=True)
 class FunctionalProduct:
-    """What :func:`functional_pass` decided, as :func:`reliability_pass` reads it.
+    """What :func:`functional_pass` decided, as :func:`exposure_pass` reads it.
 
     Frames are local to the touched sets: ``touched_sets[k]`` owns frames
     ``k * associativity + way`` (see :class:`_FrameState`).  The patrol
@@ -468,46 +494,134 @@ class FunctionalProduct:
     scrub_state: tuple | None  # patrol (credit, cursor, scrubbed lines) after
 
 
-#: Entry cap of the pass-1 memo; a ``p_cell`` sweep keeps two live entries
-#: (the scrubbing product and everyone else's).
-PASS1_MEMO_ENTRIES = 4
+@dataclass(frozen=True)
+class ExposureProduct:
+    """What :func:`exposure_pass` derived, as :func:`apply_exposure` records it.
+
+    Nothing here depends on ``p_cell``, the ECC strength or the interleaving
+    lanes.  Per-frame columns are over the functional product's local frames.
+    The energy totals are final values, not deltas (see
+    :func:`_sequential_total`).  Optional columns are ``None`` when the
+    cache has no tracker or is not a restore cache.
+    """
+
+    check_kinds: np.ndarray  # per unique deferred check: delivery kind
+    check_ones: np.ndarray  # ... ones count
+    check_windows: np.ndarray  # ... probability window
+    check_inverse: np.ndarray  # per check, in delivery order: its unique key
+    check_exposures: np.ndarray  # ... exposure window recorded with it
+    sample_concealed: np.ndarray | None  # per delivery: tracker concealed reads
+    sample_ones: np.ndarray | None  # ... and ones count
+    concealed: int  # concealed reads to record
+    scrub_events: int
+    stats: tuple  # (CacheStatistics field, delta) pairs
+    energy: tuple  # (EnergyTotals field, final total) pairs
+    restore_ones: np.ndarray | None  # restore rewrite stream: ones count per run
+    restore_counts: np.ndarray | None  # ... and run length
+    ones_count: np.ndarray  # per local frame: final value
+    unchecked_reads: np.ndarray  # ... final value
+    reads_since_demand: np.ndarray  # ... final value
+    total_reads: np.ndarray  # ... gain
+    total_concealed_reads: np.ndarray  # ... gain
+    total_checks: np.ndarray  # ... gain
+    fills: np.ndarray  # ... gain
+    tick_offsets: np.ndarray  # ... last tick minus the start tick (0: none)
+    tick_scheme: np.ndarray  # ... that tick counts on the scheme's counter
 
 
-class _Pass1Entry(NamedTuple):
-    """One memoised cold-start pass 1: its input columns and end state."""
-
-    columns: tuple  # read-only copies of (codes, set_indices, tags)
-    product: FunctionalProduct  # read-only arrays
-    rows: np.ndarray  # policy row per touched set (product order), after the flush
-    policy_globals: tuple  # export_global_state() after the flush
+#: Entry cap of the kernel memo.  A ``p_cell`` sweep over the four schemes
+#: keeps six live entries: two pass-1 products (the scrubbing one and
+#: everyone else's) and one exposure product per scheme.
+KERNEL_MEMO_ENTRIES = 8
 
 
-#: Process-local memo, least recently used first.  Threads share it without a
-#: lock (a forked worker could inherit one held): each access is one dict
-#: call, and a recency bump or eviction that loses a race is skipped.
-_pass1_memo: OrderedDict[tuple, _Pass1Entry] = OrderedDict()
+class _MemoEntry(NamedTuple):
+    """One memoised cold-start product and the inputs a hit is confirmed on."""
+
+    inputs: tuple  # read-only copies of the input columns
+    value: object  # the product (pass 1: with the policy's end state)
 
 
-def clear_pass1_memo() -> None:
-    """Forget every memoised pass-1 product (e.g. before timing the kernel)."""
-    _pass1_memo.clear()
+#: Process-local memo, least recently used first, keyed by product kind
+#: first.  Threads share it without a lock (a forked worker could inherit
+#: one held): each access is one dict call, and a recency bump or eviction
+#: that loses a race is skipped.
+_kernel_memo: OrderedDict[tuple, _MemoEntry] = OrderedDict()
+
+
+def clear_kernel_memo() -> None:
+    """Forget every memoised kernel product (e.g. before timing the kernel)."""
+    _kernel_memo.clear()
+
+
+def _digest(columns: tuple) -> bytes:
+    digest = hashlib.blake2b(digest_size=16)
+    for column in columns:
+        digest.update(column.dtype.str.encode())
+        digest.update(np.ascontiguousarray(column))
+    return digest.digest()
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _freeze(product):
+    """Mark every array field of a frozen product read-only."""
+    for field in fields(product):
+        value = getattr(product, field.name)
+        if isinstance(value, np.ndarray):
+            _read_only(value)
+    return product
+
+
+def _memoised(key: tuple | None, held: tuple, fresh: tuple, compute):
+    """``compute()``, served from the memo on a repeated cold start.
+
+    ``key`` is ``None`` when the replay is not a cold start.  The inputs are
+    ``held`` (read-only arrays the memo already holds) plus ``fresh`` (the
+    caller's, copied read-only on a miss); a hit is confirmed against them,
+    so a digest collision can never serve a wrong product.
+
+    Returns:
+        ``(value, inputs, outcome)``: the inputs as the memo holds them, and
+        ``outcome`` one of ``"hit"``, ``"miss"`` and ``"bypass"``.
+    """
+    inputs = held + fresh
+    if key is None:
+        return compute(), inputs, "bypass"
+    entry = _kernel_memo.get(key)
+    if entry is not None and all(
+        np.array_equal(stored, column) for stored, column in zip(entry.inputs, inputs)
+    ):
+        # Replays on other threads may evict the entry meanwhile; the entry
+        # itself is immutable, so only the recency bump can miss.
+        with suppress(KeyError):
+            _kernel_memo.move_to_end(key)
+        return entry.value, entry.inputs, "hit"
+    entry = _kernel_memo[key] = _MemoEntry(
+        held + tuple(_read_only(np.array(column)) for column in fresh), compute()
+    )
+    with suppress(KeyError):
+        while len(_kernel_memo) > KERNEL_MEMO_ENTRIES:
+            _kernel_memo.popitem(last=False)
+    return entry.value, entry.inputs, "miss"
 
 
 def _pass1_key(cache, scheme_mode: int, columns: tuple) -> tuple:
     """Everything :func:`functional_pass` reads from a cold cache.
 
     The columns enter by digest; a hit is confirmed against the entry's
-    stored columns, so a collision can never serve a wrong product.
+    stored columns, so a collision can never serve a wrong product.  The
+    set count needs no entry of its own: the product is over the touched
+    sets, which the decoded set indices name.
     """
     substrate = cache.cache
     policy = substrate.replacement
-    digest = hashlib.blake2b(digest_size=16)
-    for column in columns:
-        digest.update(column.dtype.str.encode())
-        digest.update(np.ascontiguousarray(column))
     return (
+        "pass1",
         type(policy),
-        substrate.num_sets,
         substrate.associativity,
         # Plain ticks, or Random's bit-generator state (and with it the seed).
         repr(policy.export_global_state()),
@@ -517,65 +631,26 @@ def _pass1_key(cache, scheme_mode: int, columns: tuple) -> tuple:
             if type(cache) is ScrubbingCache
             else None
         ),
-        digest.digest(),
+        _digest(columns),
     )
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _exposure_key(cache, scheme_mode: int, pass1_key: tuple, samples) -> tuple:
+    """Everything :func:`exposure_pass` reads beyond pass 1, from a cold cache.
 
-
-def memoised_functional_pass(
-    cache, codes: np.ndarray, set_indices: np.ndarray, tags: np.ndarray, scheme_mode: int
-) -> tuple[FunctionalProduct, str]:
-    """:func:`functional_pass`, served from the memo on a repeated cold start.
-
-    A cache that is :meth:`~repro.cache.cache.SetAssociativeCache.untouched`
-    starts pass 1 from nothing but the key of :func:`_pass1_key`, so its
-    product and end policy state can be shared by every replay of the same
-    columns: across schemes (unless the victim choice reads exposure) and
-    across ``p_cell``.  A hit re-applies the stored policy rows (one batched
-    assignment) and globals, exactly what :meth:`_FrameState.flush` would
-    have written; the shared product is read-only.  A warm cache always
-    runs pass 1.
-
-    Returns:
-        ``(product, outcome)`` with ``outcome`` one of ``"hit"``, ``"miss"``
-        and ``"bypass"`` (not a cold start).
+    The samples enter by digest and are confirmed like the columns.  The
+    initial block columns, ticks and energy totals are those of a cold
+    cache, which the eligibility rule guarantees.
     """
-    substrate = cache.cache
-    if not substrate.untouched():
-        return functional_pass(cache, codes, set_indices, tags, scheme_mode), "bypass"
-    policy = substrate.replacement
-    columns = (codes, set_indices, tags)
-    key = _pass1_key(cache, scheme_mode, columns)
-    entry = _pass1_memo.get(key)
-    if entry is not None and all(
-        np.array_equal(stored, column) for stored, column in zip(entry.columns, columns)
-    ):
-        # Replays on other threads may evict the entry meanwhile; the entry
-        # itself is immutable, so only the recency bump can miss.
-        with suppress(KeyError):
-            _pass1_memo.move_to_end(key)
-        policy.rows[entry.product.touched_sets] = entry.rows
-        policy.import_global_state(entry.policy_globals)
-        return entry.product, "hit"
-    product = functional_pass(cache, codes, set_indices, tags, scheme_mode)
-    for field in fields(product):
-        value = getattr(product, field.name)
-        if isinstance(value, np.ndarray):
-            _read_only(value)
-    _pass1_memo[key] = _Pass1Entry(
-        columns=tuple(_read_only(np.array(column)) for column in columns),
-        product=product,
-        rows=_read_only(policy.rows[product.touched_sets]),
-        policy_globals=tuple(policy.export_global_state()),
+    return (
+        "exposure",
+        pass1_key,
+        (type(cache), scheme_mode),
+        _digest((samples,)),
+        cache.count_writeback_checks,
+        cache.tracker is not None,
+        _energy_constants(cache.energy_model),
     )
-    with suppress(KeyError):
-        while len(_pass1_memo) > PASS1_MEMO_ENTRIES:
-            _pass1_memo.popitem(last=False)
-    return product, "miss"
 
 
 def replay_l2_soa(
@@ -601,18 +676,44 @@ def replay_l2_soa(
     count = len(codes)
     if count == 0:
         return
+    columns = (codes, set_indices, tags)
+    # The one memo eligibility rule, decided before pass 1 mutates the
+    # policy: nothing has run yet.  Energy is checked besides the substrate
+    # because leakage can be charged to a cache no access has touched.
+    cold = cache.cache.untouched() and all(t == 0.0 for t in astuple(cache.energy))
     # One ones-count sample per access, consumed in trace order exactly as
     # the per-access sample() calls of the scalar loops.
     samples = np.asarray(cache.data_profile.sample_many(count), dtype=np.int64)
     scheme = cache.scheme_name()
+    policy = cache.cache.replacement
+
+    def pass1():
+        product = _freeze(functional_pass(cache, *columns, scheme_mode))
+        # The policy end state a hit re-applies.
+        return product, _read_only(policy.rows[product.touched_sets]), tuple(
+            policy.export_global_state()
+        )
+
     with cache.cache.synced_columns():
         with telemetry_span("kernel.pass1", scheme=scheme, accesses=count) as timed:
-            functional, outcome = memoised_functional_pass(
-                cache, codes, set_indices, tags, scheme_mode
+            key = _pass1_key(cache, scheme_mode, columns) if cold else None
+            (functional, rows, policy_globals), inputs, outcome = _memoised(
+                key, (), columns, pass1
             )
+            if outcome == "hit":
+                # Exactly what _FrameState.flush wrote on the miss.
+                policy.rows[functional.touched_sets] = rows
+                policy.import_global_state(policy_globals)
             timed.add(memo=outcome)
-        with telemetry_span("kernel.pass2", scheme=scheme, accesses=count):
-            reliability_pass(cache, codes, scheme_mode, functional, samples)
+        with telemetry_span("kernel.pass2", scheme=scheme, accesses=count) as timed:
+            exposure, _, outcome = _memoised(
+                None if key is None else _exposure_key(cache, scheme_mode, key, samples),
+                inputs,
+                (samples,),
+                lambda: exposure_pass(cache, codes, scheme_mode, functional, samples),
+            )
+            apply_exposure(cache, functional, exposure)
+            timed.add(memo=outcome)
 
 
 def functional_pass(
@@ -632,7 +733,7 @@ def functional_pass(
     ``p_cell``.  Mutates the replacement policy only: block state is read
     from the substrate's columns (current inside
     :meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`) and
-    written by :func:`reliability_pass`.
+    written by :func:`apply_exposure`.
 
     Args are as for :func:`replay_l2_soa`; ``codes`` must be non-empty.
     """
@@ -837,21 +938,39 @@ def functional_pass(
     )
 
 
-def reliability_pass(
+def _energy_constants(model) -> tuple[float, ...]:
+    """The per-event energies :func:`exposure_pass` charges, in its order."""
+    write_breakdown = model.write_access_energy()
+    return (
+        model.tag_lookup_energy_pj(),
+        model.way_read_energy_pj(),
+        model.ecc_decode_energy_pj(),
+        model.mux_energy_pj(),
+        write_breakdown.tag_pj,
+        write_breakdown.data_array_pj,
+        write_breakdown.ecc_pj,
+        model.way_write_energy_pj(),
+        model.ecc_encode_energy_pj(),
+    )
+
+
+def exposure_pass(
     cache,
     codes: np.ndarray,
     scheme_mode: int,
     functional: FunctionalProduct,
     samples: np.ndarray,
-) -> None:
-    """Pass 2: vectorised reliability, energy and block state.
+) -> ExposureProduct:
+    """Pass 2, first half: everything the access stream alone fixes.
 
     With the per-access ``(frame, miss, eviction)`` columns of
-    ``functional`` known, every remaining quantity is closed-form over NumPy
-    arrays sized by the touched sets: statistics, tracker samples, deferred
-    failure probabilities, energy sums and the final per-block fields.  The
-    initial block state is gathered from the substrate's columns and the
-    final state scattered back, one fancy index per column.
+    ``functional`` known, every quantity that does not depend on the
+    reliability parameters is closed-form over NumPy arrays sized by the
+    touched sets: the deferred check keys, tracker samples, statistics,
+    energy sums, the restore rewrite stream and the final per-block fields.
+    The initial block state is gathered from the substrate's columns.  Reads
+    the cache but mutates nothing; :func:`apply_exposure` records the
+    product.
 
     Args:
         cache: The cache :func:`functional_pass` replayed.
@@ -869,9 +988,6 @@ def reliability_pass(
     # FunctionalProduct): ``set_indices`` holds each access's slot.
     num_sets = len(functional.touched_sets)
     num_frames = num_sets * assoc
-    engine = cache.engine
-    rel_stats = engine.stats
-    stats = substrate.stats
     totals = cache.energy
     frame = functional.frames
     set_indices = frame // assoc
@@ -1080,33 +1196,23 @@ def reliability_pass(
     )[ef_mask]
     ef_cwin = np.where(delivery, win_acc, evicted_unch_acc + 1)[ef_mask]
 
-    probabilities = resolve_probability_keys(engine, ef_kind, ef_ones, ef_pwin)
-    rel_stats.record_check_array(ef_cwin, probabilities)
-    if scheme_mode == _CONVENTIONAL and not restore:
-        concealed_events = int(nvb[is_read].sum() - np.count_nonzero(delivery))
-        rel_stats.record_concealed(concealed_events)
+    (check_kinds, check_ones, check_windows), check_inverse = resolve_unique_keys(
+        ef_kind, ef_ones, ef_pwin
+    )
+    # Reads of resident ways other than a delivering one: concealed under
+    # the accumulating schemes, checked and scrubbed under REAP and restore.
+    other_reads = int(nvb[is_read].sum() - np.count_nonzero(delivery))
+    concealed = other_reads if scheme_mode == _CONVENTIONAL and not restore else 0
     if reap_like:
-        rel_stats.scrub_events += int(
-            nvb[is_read].sum() - np.count_nonzero(delivery)
-        )
-    elif scrubbing:
-        rel_stats.scrub_events += num_visits
-    tracker = engine.tracker
-    if tracker is not None:
-        tracker.record_sample_arrays(conc_acc[delivery], ones_at_acc[delivery])
+        scrub_events = other_reads
+    else:
+        scrub_events = num_visits if scrubbing else 0
+    tracked = cache.tracker is not None
 
     # -- energy: reconstruct the per-access addend sequences ----------------------
-    model = cache.energy_model
-    tag_e = model.tag_lookup_energy_pj()
-    way_e = model.way_read_energy_pj()
-    dec_e = model.ecc_decode_energy_pj()
-    mux_e = model.mux_energy_pj()
-    write_breakdown = model.write_access_energy()
-    wtag_e = write_breakdown.tag_pj
-    wdata_e = write_breakdown.data_array_pj
-    wecc_e = write_breakdown.ecc_pj
-    way_write_e = model.way_write_energy_pj()
-    enc_e = model.ecc_encode_energy_pj()
+    (
+        tag_e, way_e, dec_e, mux_e, wtag_e, wdata_e, wecc_e, way_write_e, enc_e
+    ) = _energy_constants(cache.energy_model)
 
     if scheme_mode == _REAP:
         ways_read = np.where(is_read, nvb, 0)
@@ -1131,42 +1237,42 @@ def reliability_pass(
     restore_counts = np.where(is_read, nvb, 0) if restore else None
 
     ones_f = np.ones(count, dtype=float)
-    totals.tag_pj = _sequential_total(
+    tag_pj = _sequential_total(
         totals.tag_pj,
         np.stack(
             (tag_e * ones_f, wtag_e * ones_f, tag_e * ones_f, tag_e * ones_f), axis=1
         ),
         np.stack((read_count, wh_or_miss, dirty_evt, visit_counts), axis=1),
     )
-    totals.data_read_pj = _sequential_total(
+    data_read_pj = _sequential_total(
         totals.data_read_pj,
         np.stack((ways_read * way_e, way_e * ones_f, way_e * ones_f), axis=1),
         np.stack((read_count, dirty_evt, visit_counts), axis=1),
     )
     if restore:
-        totals.data_write_pj = _sequential_total(
+        data_write_pj = _sequential_total(
             totals.data_write_pj,
             np.stack((way_write_e * ones_f, wdata_e * ones_f), axis=1),
             np.stack((restore_counts, wh_or_miss), axis=1),
         )
-        totals.ecc_encode_pj = _sequential_total(
+        ecc_encode_pj = _sequential_total(
             totals.ecc_encode_pj,
             np.stack((enc_e * ones_f, wecc_e * ones_f), axis=1),
             np.stack((restore_counts, wh_or_miss), axis=1),
         )
     else:
-        totals.data_write_pj = _sequential_total(
+        data_write_pj = _sequential_total(
             totals.data_write_pj, wdata_e * ones_f, wh_or_miss
         )
-        totals.ecc_encode_pj = _sequential_total(
+        ecc_encode_pj = _sequential_total(
             totals.ecc_encode_pj, wecc_e * ones_f, wh_or_miss
         )
-    totals.ecc_decode_pj = _sequential_total(
+    ecc_decode_pj = _sequential_total(
         totals.ecc_decode_pj,
         np.stack((decodes * dec_e, dec_e * ones_f, dec_e * ones_f), axis=1),
         np.stack((read_count, dirty_evt, visit_counts), axis=1),
     )
-    totals.mux_pj = _sequential_total(
+    mux_pj = _sequential_total(
         totals.mux_pj,
         np.stack((mux_e * ones_f, mux_e * ones_f, mux_e * ones_f), axis=1),
         np.stack((read_count, dirty_evt, visit_counts), axis=1),
@@ -1177,24 +1283,8 @@ def reliability_pass(
     num_deliveries = int(np.count_nonzero(delivery))
     num_write_hits = int(np.count_nonzero(write_hit))
     num_misses = count - num_deliveries - num_write_hits
-    stats.demand_reads += num_reads
-    stats.demand_writes += count - num_reads
-    stats.read_hits += num_deliveries
-    stats.read_misses += num_reads - num_deliveries
-    stats.write_hits += num_write_hits
-    stats.write_misses += (count - num_reads) - num_write_hits
-    stats.fills += num_misses
-    stats.evictions += int(np.count_nonzero(evicted))
-    stats.dirty_evictions += int(np.count_nonzero(evict_dirty))
-    stats.data_way_reads += data_way_reads
-    stats.data_way_writes += num_misses + num_write_hits
-    stats.ecc_decodes += ecc_decodes
-    stats.tag_comparisons += count * assoc
 
     # -- final per-frame block state ----------------------------------------------
-    scheme_tick0 = cache._tick  # noqa: SLF001 - engine-internal state sync
-    substrate_tick0 = substrate._tick  # noqa: SLF001 - engine-internal state sync
-
     # Per-frame aggregates over the event segments.
     last_any = np.full(num_frames, -1, dtype=np.int64)
     last_any[seg_frames] = seg_last
@@ -1236,9 +1326,9 @@ def reliability_pass(
 
     # Restore: every read rewrites each way resident in its set, in
     # (access, way) order.
-    if restore:
-        _record_restores(
-            cache,
+    restore_run_ones, restore_run_counts = (
+        _restore_runs(
+            assoc,
             _EventStreams(
                 read_positions,
                 read_offsets,
@@ -1253,6 +1343,9 @@ def reliability_pass(
                 hit_mask,
             ),
         )
+        if restore
+        else (None, None)
+    )
 
     # Patrol scrubs on a frame after its last demand (own) event: they keep
     # incrementing reads_since_demand, which only demand events reset.
@@ -1300,7 +1393,8 @@ def reliability_pass(
     # the scheme counter, write hits and fills the substrate counter); for
     # REAP and restore every set read additionally ticks all resident ways,
     # with own events taking precedence at equal positions because the
-    # fill/write happens after the scheme's way loop.
+    # fill/write happens after the scheme's way loop.  Ticks are kept as
+    # offsets from the start tick of the counter they are taken on.
     own_pos = np.where(has_own, pos_s[np.maximum(last_own, 0)], -1)
     own_kind = np.where(has_own, kind_s[np.maximum(last_own, 0)], -1)
     if reap_like:
@@ -1322,27 +1416,117 @@ def reliability_pass(
         tick_pos = np.where(has_any, pos_s[np.maximum(last_any, 0)], -1)
         tick_scheme_base = (last_any_kind == 0) | (last_any_kind == 3)
         has_tick = has_any
-    final_tick = np.where(
-        has_tick,
-        np.where(tick_scheme_base, scheme_tick0, substrate_tick0) + tick_pos + 1,
+
+    return _freeze(
+        ExposureProduct(
+            check_kinds=check_kinds,
+            check_ones=check_ones,
+            check_windows=check_windows,
+            check_inverse=check_inverse,
+            check_exposures=ef_cwin,
+            sample_concealed=conc_acc[delivery] if tracked else None,
+            sample_ones=ones_at_acc[delivery] if tracked else None,
+            concealed=concealed,
+            scrub_events=scrub_events,
+            stats=(
+                ("demand_reads", num_reads),
+                ("demand_writes", count - num_reads),
+                ("read_hits", num_deliveries),
+                ("read_misses", num_reads - num_deliveries),
+                ("write_hits", num_write_hits),
+                ("write_misses", (count - num_reads) - num_write_hits),
+                ("fills", num_misses),
+                ("evictions", int(np.count_nonzero(evicted))),
+                ("dirty_evictions", int(np.count_nonzero(evict_dirty))),
+                ("data_way_reads", data_way_reads),
+                ("data_way_writes", num_misses + num_write_hits),
+                ("ecc_decodes", ecc_decodes),
+                ("tag_comparisons", count * assoc),
+            ),
+            energy=(
+                ("tag_pj", tag_pj),
+                ("data_read_pj", data_read_pj),
+                ("data_write_pj", data_write_pj),
+                ("ecc_encode_pj", ecc_encode_pj),
+                ("ecc_decode_pj", ecc_decode_pj),
+                ("mux_pj", mux_pj),
+            ),
+            restore_ones=restore_run_ones,
+            restore_counts=restore_run_counts,
+            ones_count=final_ones,
+            unchecked_reads=final_unch,
+            reads_since_demand=final_rsd,
+            total_reads=reads_gain,
+            total_concealed_reads=conc_gain,
+            total_checks=checks_gain,
+            fills=fills_per_frame,
+            tick_offsets=np.where(has_tick, tick_pos + 1, 0),
+            tick_scheme=tick_scheme_base & has_tick,
+        )
+    )
+
+
+def apply_exposure(
+    cache, functional: FunctionalProduct, exposure: ExposureProduct
+) -> None:
+    """Pass 2, second half: record ``exposure`` at the engine's parameters.
+
+    Evaluates the failure probability of each unique deferred check key at
+    the engine's ``p_cell``, ECC strength and interleaving lanes, records
+    the checks in delivery order, and adds the concealed, scrub, tracker,
+    statistics and restore records; then scatters the end state of both
+    products back into the touched frames.  A cold-start replay whose
+    products come from the memo runs only this step.
+    """
+    engine = cache.engine
+    rel_stats = engine.stats
+    probabilities = resolve_probability_keys(
+        engine, exposure.check_kinds, exposure.check_ones, exposure.check_windows
+    )
+    rel_stats.record_check_array(
+        exposure.check_exposures, probabilities[exposure.check_inverse]
+    )
+    rel_stats.record_concealed(exposure.concealed)
+    rel_stats.scrub_events += exposure.scrub_events
+    if engine.tracker is not None:
+        engine.tracker.record_sample_arrays(
+            exposure.sample_concealed, exposure.sample_ones
+        )
+    if exposure.restore_ones is not None:
+        _record_restore_runs(cache, exposure.restore_ones, exposure.restore_counts)
+    substrate = cache.cache
+    stats = substrate.stats
+    for name, delta in exposure.stats:
+        setattr(stats, name, getattr(stats, name) + delta)
+    totals = cache.energy
+    for name, total in exposure.energy:
+        setattr(totals, name, total)
+
+    # -- scatter the final state back (touched frames only) -----------------------
+    columns = substrate.columns
+    block_frames = substrate.set_frames(functional.touched_sets)
+    scheme_tick0 = cache._tick  # noqa: SLF001 - engine-internal state sync
+    substrate_tick0 = substrate._tick  # noqa: SLF001 - engine-internal state sync
+    columns.tag[block_frames] = functional.tags
+    columns.valid[block_frames] = functional.valid
+    columns.dirty[block_frames] = functional.dirty
+    columns.ones_count[block_frames] = exposure.ones_count
+    columns.unchecked_reads[block_frames] = exposure.unchecked_reads
+    columns.reads_since_demand[block_frames] = exposure.reads_since_demand
+    columns.total_reads[block_frames] += exposure.total_reads
+    columns.total_concealed_reads[block_frames] += exposure.total_concealed_reads
+    columns.total_checks[block_frames] += exposure.total_checks
+    columns.fills[block_frames] += exposure.fills
+    columns.last_access_tick[block_frames] = np.where(
+        exposure.tick_offsets > 0,
+        np.where(exposure.tick_scheme, scheme_tick0, substrate_tick0)
+        + exposure.tick_offsets,
         columns.last_access_tick[block_frames],
     )
 
-    # -- scatter the final state back (touched frames only) -----------------------
-    columns.tag[block_frames] = functional.tags
-    columns.valid[block_frames] = final_valid
-    columns.dirty[block_frames] = functional.dirty
-    columns.ones_count[block_frames] = final_ones
-    columns.unchecked_reads[block_frames] = final_unch
-    columns.reads_since_demand[block_frames] = final_rsd
-    columns.total_reads[block_frames] += reads_gain
-    columns.total_concealed_reads[block_frames] += conc_gain
-    columns.total_checks[block_frames] += checks_gain
-    columns.fills[block_frames] += fills_per_frame
-    columns.last_access_tick[block_frames] = final_tick
-
-    if scrubbing:
+    if functional.scrub_state is not None:
         cache.import_scrub_state(*functional.scrub_state)
+    count = len(functional.frames)
     cache._tick = scheme_tick0 + count  # noqa: SLF001 - engine-internal state sync
     substrate._tick = substrate_tick0 + count  # noqa: SLF001
 
@@ -1629,7 +1813,7 @@ def filter_through_l1_soa(
 
 
 class _EventStreams(NamedTuple):
-    """The pass-2 columns :func:`_record_restores` rebuilds its stream from."""
+    """The pass-2 columns :func:`_restore_runs` rebuilds its stream from."""
 
     read_positions: np.ndarray  # read positions sorted by (set, position)
     read_offsets: np.ndarray  # per-set offsets into read_positions
@@ -1644,14 +1828,20 @@ class _EventStreams(NamedTuple):
     hit_mask: np.ndarray  # per access: hit
 
 
-def _record_restores(cache, streams: _EventStreams) -> None:
+def _restore_runs(
+    assoc: int, streams: _EventStreams
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Rebuild the restore scheme's per-(read, way) rewrite stream.
 
     Every demand read restores all currently valid ways of its set — the
     non-hit ways in ascending order, then the hit way.  The reference loop
-    accounts one restore per such way; this reconstructs the exact same
-    sequence from the frame event streams and records the write-failure
-    probabilities in one batch.
+    accounts one restore per such way; this reconstructs the ones counts of
+    the exact same sequence from the frame event streams, run-length
+    encoded, for :func:`_record_restore_runs` to cost.
+
+    Returns:
+        ``(ones, counts)`` per run of equal ones counts, in stream order, or
+        ``(None, None)`` when no read restores anything.
     """
     (
         read_positions,
@@ -1668,10 +1858,8 @@ def _record_restores(cache, streams: _EventStreams) -> None:
     ) = streams
     total_pairs = int(pair_counts.sum())
     if total_pairs == 0:
-        return
+        return None, None
     count = len(frame)
-    assoc = cache.cache.associativity
-    restore_model = cache.write_error_model
     frames_idx = np.flatnonzero(pair_counts > 0)
     counts_nz = pair_counts[frames_idx]
     starts_flat = read_offsets[frames_idx // assoc] + start_rank[frames_idx]
@@ -1685,9 +1873,9 @@ def _record_restores(cache, streams: _EventStreams) -> None:
     # Single-value fast path: when every ones count a restore could observe
     # — a frame's initial value (only reachable before its first setter
     # event) or any setter event's value — is one and the same, the whole
-    # rewrite stream collapses to a single (probability, total_pairs) run
-    # and none of the per-pair arrays are needed.  This is the common case:
-    # the default data profile installs a constant ones count everywhere.
+    # rewrite stream collapses to a single (ones, total_pairs) run and none
+    # of the per-pair arrays are needed.  This is the common case: the
+    # default data profile installs a constant ones count everywhere.
     first_pos = read_positions[starts_flat]
     if setter_keys is not None:
         query0 = frames_idx * (2 * count + 2) + first_pos * 2
@@ -1703,11 +1891,7 @@ def _record_restores(cache, streams: _EventStreams) -> None:
         candidates = init_ones[frames_idx]
     unique_candidates = np.unique(candidates)
     if unique_candidates.size == 1:
-        probability = restore_model.block_write_failure_probability(
-            int(unique_candidates[0])
-        )
-        cache.record_restore_runs([probability], [total_pairs])
-        return
+        return unique_candidates, np.array([total_pairs], dtype=np.int64)
 
     excl = np.concatenate(([0], np.cumsum(counts_nz)[:-1]))
     ragged = np.arange(total_pairs, dtype=np.int64) - np.repeat(excl, counts_nz)
@@ -1735,28 +1919,30 @@ def _record_restores(cache, streams: _EventStreams) -> None:
     pair_hit = (frame[pair_pos] == pair_frame) & hit_mask[pair_pos]
     order = np.lexsort((pair_way, pair_hit, pair_pos))
     ordered_ones = pair_ones[order]
-
-    unique_ones, inverse = np.unique(ordered_ones, return_inverse=True)
-    unique_probs = np.array(
-        [
-            restore_model.block_write_failure_probability(int(ones))
-            for ones in unique_ones
-        ],
-        dtype=float,
-    )
-    flat_inverse = inverse.reshape(-1)
-
-    # Run-length encode the ordered stream: consecutive equal probabilities
-    # fold through the bit-identical chunked accumulator, so long stretches
-    # of one data value cost O(runs) instead of O(pairs).  Short mean runs
-    # would make the per-run folding slower than the flat array, so fall
-    # back when the encoding does not compress.
     change = np.empty(total_pairs, dtype=bool)
     change[0] = True
-    change[1:] = flat_inverse[1:] != flat_inverse[:-1]
+    change[1:] = ordered_ones[1:] != ordered_ones[:-1]
     run_starts = np.flatnonzero(change)
-    if run_starts.size * 4 <= total_pairs:
-        run_counts = np.diff(np.concatenate((run_starts, [total_pairs])))
-        cache.record_restore_runs(unique_probs[flat_inverse[run_starts]], run_counts)
+    return ordered_ones[run_starts], np.diff(np.concatenate((run_starts, [total_pairs])))
+
+
+def _record_restore_runs(cache, ones: np.ndarray, counts: np.ndarray) -> None:
+    """Cost a run-length-encoded restore stream at the cache's write-error model.
+
+    Each distinct ones count is costed once.  Consecutive equal
+    probabilities fold through the bit-identical chunked accumulator, so
+    long stretches of one data value cost O(runs) instead of O(restores);
+    short mean runs would make the per-run folding slower than the flat
+    array, so those are recorded expanded.
+    """
+    restore_model = cache.write_error_model
+    unique_ones, inverse = np.unique(ones, return_inverse=True)
+    unique_probs = np.array(
+        [restore_model.block_write_failure_probability(int(value)) for value in unique_ones],
+        dtype=float,
+    )
+    run_probs = unique_probs[inverse.reshape(-1)]
+    if len(counts) * 4 <= int(counts.sum()):
+        cache.record_restore_runs(run_probs, counts)
     else:
-        cache.record_restore_array(unique_probs[flat_inverse])
+        cache.record_restore_array(np.repeat(run_probs, counts))

@@ -164,8 +164,9 @@ class TelemetryStats:
     engine_selections: dict[str, int] = field(default_factory=dict)
     #: fallback reason -> occurrence count, from ``engine.fallback`` events.
     fallbacks: dict[str, int] = field(default_factory=dict)
-    #: pass-1 memo outcome (hit/miss/bypass) -> count, from ``kernel.pass1``.
-    pass1_memo: dict[str, int] = field(default_factory=dict)
+    #: (kernel pass, memo outcome) -> count, from the ``memo`` field of the
+    #: ``kernel.pass1``/``kernel.pass2`` spans (outcome hit/miss/bypass).
+    kernel_memo: dict[tuple[str, str], int] = field(default_factory=dict)
     campaign: CampaignStats = field(default_factory=CampaignStats)
     distributed: DistributedStats = field(default_factory=DistributedStats)
     artifact_cache: ArtifactCacheStats = field(default_factory=ArtifactCacheStats)
@@ -223,10 +224,10 @@ class TelemetryAggregator:
         elif name == "job.execute":
             campaign.job_elapsed_s += duration
             campaign.accesses += int(event.get("accesses", 0) or 0)
-        elif name == "kernel.pass1" and "memo" in event:
-            memo = self.stats.pass1_memo
-            outcome = str(event["memo"])
-            memo[outcome] = memo.get(outcome, 0) + 1
+        elif name in ("kernel.pass1", "kernel.pass2") and "memo" in event:
+            memo = self.stats.kernel_memo
+            key = (name.removeprefix("kernel."), str(event["memo"]))
+            memo[key] = memo.get(key, 0) + 1
 
     def _fold_counter(
         self, name: str, event: Mapping[str, Any], value: float
@@ -353,10 +354,13 @@ def render_telemetry_stats(stats: TelemetryStats) -> str:
             )
         )
 
-    if stats.pass1_memo:
-        rows = [[outcome, count] for outcome, count in sorted(stats.pass1_memo.items())]
+    if stats.kernel_memo:
+        rows = [
+            [phase, outcome, count]
+            for (phase, outcome), count in sorted(stats.kernel_memo.items())
+        ]
         sections.append(
-            "pass-1 memo\n" + format_table(["outcome", "passes"], rows)
+            "kernel memo\n" + format_table(["pass", "outcome", "replays"], rows)
         )
 
     campaign = stats.campaign

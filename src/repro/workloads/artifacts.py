@@ -303,8 +303,8 @@ class ArtifactCache:
             _emit("l1-stream", "miss")
             return None
         try:
-            source = BinaryTraceSource(stream_path)
-            parts = [(k, a) for k, a in source.segments()]
+            with BinaryTraceSource(stream_path) as source:
+                parts = list(source.segments())
             if parts:
                 kinds = np.concatenate([k for k, _ in parts])
                 addresses = np.concatenate([a for _, a in parts])

@@ -200,7 +200,7 @@ class TestColumnBackedState:
             (pass1,) = [e for e in sink.events if e["name"] == "kernel.pass1"]
             return pass1["memo"]
 
-        soa.clear_pass1_memo()
+        soa.clear_kernel_memo()
         try:
             cache = build_protected_cache("reap", config, seed=1)
             assert not cache.cache.contains(0x1234)
@@ -209,4 +209,4 @@ class TestColumnBackedState:
             assert cold_replay(cache) == "miss"
             assert cold_replay(build_protected_cache("reap", config, seed=1)) == "hit"
         finally:
-            soa.clear_pass1_memo()
+            soa.clear_kernel_memo()

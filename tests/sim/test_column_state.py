@@ -51,9 +51,9 @@ def constructions(monkeypatch):
             _original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
-    soa.clear_pass1_memo()
+    soa.clear_kernel_memo()
     yield counts
-    soa.clear_pass1_memo()
+    soa.clear_kernel_memo()
 
 
 def cpu_trace(length: int = 3000):
@@ -73,7 +73,7 @@ def cpu_trace(length: int = 3000):
 def test_cold_l2_replay_builds_no_block_objects(constructions, scheme, policy):
     config = small_l2(replacement=policy)
     trace = generate_l2_trace(get_profile("mcf"), config, 3000, seed=3)
-    # The first replay runs pass 1, the second is served from the memo.
+    # The first replay runs both passes, the second is served from the memo.
     for _ in range(2):
         cache = build_cache(scheme, config=config)
         run_l2_trace(cache, trace, engine="fast")

@@ -9,8 +9,9 @@ reference engine's result and cache state, field by field.  Tiny sets and
 tag spaces force the corner cases the grids rarely reach: single-way sets,
 one-set caches, immediate evictions, long concealed-read runs and segment
 boundaries between any two accesses.  Each example is replayed on a second
-fresh cache too, whose cold first segment is served from the pass-1 memo,
-so the memo's hit path meets the same corner cases.
+fresh cache too, whose cold first segment takes both its pass-1 and its
+exposure product from the kernel memo and runs only the apply step, so the
+memo's hit path meets the same corner cases.
 
 A second property mixes the cache's two homes for block state: a warm
 prefix on the reference engine holds the sets it touched as objects, a
@@ -169,8 +170,9 @@ def test_soa_equals_reference(scenario):
     sink = MemorySink()
     with telemetry(sink):
         memo_result = run_l2_trace(memo_cache, CutSource(scenario), engine="fast")
-    first_pass1 = next(e for e in sink.events if e["name"] == "kernel.pass1")
-    assert first_pass1["memo"] == "hit"
+    for phase in ("kernel.pass1", "kernel.pass2"):
+        first = next(e for e in sink.events if e["name"] == phase)
+        assert first["memo"] == "hit", phase
     assert_results_equivalent(reference_result, memo_result)
     assert_caches_equivalent(reference_cache, memo_cache)
 

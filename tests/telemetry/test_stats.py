@@ -44,19 +44,33 @@ class TestSpanAggregation:
         assert stats.spans[("kernel.pass1", "conventional")].count == 1
         assert stats.spans[("kernel.pass2", "reap")].count == 1
 
-    def test_pass1_memo_outcomes_are_tallied_and_rendered(self):
+    def test_kernel_memo_outcomes_are_tallied_and_rendered(self):
         stats = aggregate_telemetry(
             [
                 span_event("kernel.pass1", 0.2, scheme="reap", memo="miss"),
+                span_event("kernel.pass2", 0.3, scheme="reap", memo="miss"),
                 span_event("kernel.pass1", 0.01, scheme="reap", memo="hit"),
+                span_event("kernel.pass2", 0.01, scheme="reap", memo="hit"),
                 span_event("kernel.pass1", 0.01, scheme="restore", memo="hit"),
+                span_event("kernel.pass2", 0.2, scheme="restore", memo="miss"),
                 span_event("kernel.pass1", 0.1, scheme="reap", memo="bypass"),
+                span_event("kernel.pass2", 0.1, scheme="reap", memo="bypass"),
                 span_event("kernel.pass1", 0.1, scheme="reap"),  # older logs
+                span_event("kernel.pass2", 0.1, scheme="reap"),
             ]
         )
-        assert stats.pass1_memo == {"miss": 1, "hit": 2, "bypass": 1}
-        section = render_telemetry_stats(stats).split("pass-1 memo\n")[1]
-        assert "hit" in section and "2" in section
+        assert stats.kernel_memo == {
+            ("pass1", "miss"): 1,
+            ("pass1", "hit"): 2,
+            ("pass1", "bypass"): 1,
+            ("pass2", "miss"): 2,
+            ("pass2", "hit"): 1,
+            ("pass2", "bypass"): 1,
+        }
+        section = render_telemetry_stats(stats).split("kernel memo\n")[1]
+        rows = [line.split() for line in section.splitlines()[2:8]]
+        assert ["pass1", "hit", "2"] in rows
+        assert ["pass2", "miss", "2"] in rows
 
     def test_schemeless_spans_roll_up_under_empty_scheme(self):
         stats = aggregate_telemetry([span_event("job.execute", 1.0)])

@@ -111,8 +111,9 @@ class TestL2TraceCache:
         ref_kinds, ref_addresses = reference.decoded()
         np.testing.assert_array_equal(cold.decoded()[0], ref_kinds)
         np.testing.assert_array_equal(cold.decoded()[1], ref_addresses)
-        warm_kinds = np.concatenate([k for k, _ in warm.segments()])
-        warm_addresses = np.concatenate([a for _, a in warm.segments()])
+        with warm:
+            warm_kinds = np.concatenate([k for k, _ in warm.segments()])
+            warm_addresses = np.concatenate([a for _, a in warm.segments()])
         np.testing.assert_array_equal(warm_kinds, ref_kinds)
         np.testing.assert_array_equal(warm_addresses, ref_addresses)
         assert artifact_events(sink) == [
@@ -251,9 +252,10 @@ class TestConcurrentWriters:
         assert state["interleaved"]
         leftovers = [p for p in path.parent.iterdir() if p != path]
         assert leftovers == []  # no orphaned temp files
-        survivor = BinaryTraceSource(path)  # parses: complete, not interleaved
         reference = generate_l2_trace(profile, config, 400, seed=2)
-        kinds = np.concatenate([k for k, _ in survivor.segments()])
+        # Parses: complete, not interleaved.
+        with BinaryTraceSource(path) as survivor:
+            kinds = np.concatenate([k for k, _ in survivor.segments()])
         np.testing.assert_array_equal(kinds, reference.decoded()[0])
 
 
