@@ -63,7 +63,6 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
         ones_count=args.ones,
         seed=args.seed,
         trace_file=getattr(args, "trace_file", None),
-        segment_accesses=getattr(args, "segment_accesses", None),
     )
 
 
@@ -97,17 +96,6 @@ def _add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
             "replay this trace file instead of generating traces (binary, "
             "native text, din or lackey format, auto-detected); "
             "--accesses/--seed then no longer shape the access stream"
-        ),
-    )
-    parser.add_argument(
-        "--segment-accesses",
-        type=int,
-        default=None,
-        dest="segment_accesses",
-        help=(
-            "replay in segments of this many accesses (bounded memory, "
-            "bit-identical to whole-trace replay; default: whole trace "
-            "for in-memory traces, 1Mi accesses for --trace-file)"
         ),
     )
     parser.add_argument(

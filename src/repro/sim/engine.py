@@ -22,10 +22,13 @@ from ..config import SimulationConfig
 from ..core.protected import ProtectedCache
 from ..errors import SimulationError
 from ..telemetry import emit_event, span
-from ..workloads.streams import DEFAULT_SEGMENT_ACCESSES, TraceSource
+from ..workloads.streams import TraceSource
 from ..workloads.trace import _KIND_INDEX, KIND_ORDER, AccessKind, Trace
 from .results import SchemeRunResult
 
+_IFETCH_INDEX = _KIND_INDEX[AccessKind.IFETCH]
+_LOAD_INDEX = _KIND_INDEX[AccessKind.LOAD]
+_STORE_INDEX = _KIND_INDEX[AccessKind.STORE]
 _L2_READ_INDEX = _KIND_INDEX[AccessKind.L2_READ]
 _L2_WRITE_INDEX = _KIND_INDEX[AccessKind.L2_WRITE]
 
@@ -114,17 +117,6 @@ def _use_fast_path(cache: ProtectedCache, engine: str) -> bool:
     return False
 
 
-def _trace_segments(trace: Trace | TraceSource, segment_accesses: int):
-    """Yield decoded ``(kinds, addresses)`` segments from either trace form."""
-    if isinstance(trace, Trace):
-        kinds, addresses = trace.decoded()
-        for start in range(0, len(kinds), segment_accesses):
-            stop = start + segment_accesses
-            yield kinds[start:stop], addresses[start:stop]
-    else:
-        yield from trace.segments(segment_accesses)
-
-
 def _run_reference_loop(cache: ProtectedCache, segments) -> int:
     """The reference per-record loop over decoded segments."""
     scheme = cache.scheme_name()
@@ -174,9 +166,10 @@ def run_l2_trace(
             per-record loop.  Both engines produce numerically identical
             results.
         segment_accesses: Replay segment length.  ``None`` (the default)
-            replays an in-memory :class:`Trace` as a single segment and a
-            streaming source in segments of
-            :data:`~repro.workloads.streams.DEFAULT_SEGMENT_ACCESSES`.
+            takes the trace's own default segmentation: one segment for an
+            in-memory :class:`Trace`, segments of
+            :data:`~repro.workloads.streams.DEFAULT_SEGMENT_ACCESSES` for a
+            streaming source.
             Results are bit-identical for every segment length, since all
             cache, policy, accumulator and energy state lives on the cache
             between segments.
@@ -185,15 +178,13 @@ def run_l2_trace(
         A :class:`SchemeRunResult` snapshot taken after the whole trace ran.
     """
     _check_engine(engine)
-    if segment_accesses is not None and segment_accesses <= 0:
-        raise SimulationError("segment_accesses must be positive")
     if segment_accesses is None:
-        if isinstance(trace, Trace):
-            segment_accesses = max(len(trace), 1)
-        else:
-            segment_accesses = DEFAULT_SEGMENT_ACCESSES
+        segments = trace.segments()
+    elif segment_accesses <= 0:
+        raise SimulationError("segment_accesses must be positive")
+    else:
+        segments = trace.segments(segment_accesses)
     config = config or SimulationConfig()
-    segments = _trace_segments(trace, segment_accesses)
     if _use_fast_path(cache, engine):
         from .fastpath import replay_l2_segments
 
@@ -256,17 +247,19 @@ def run_cpu_trace(
     hierarchy = CacheHierarchy(config.hierarchy, l2_cache, seed=seed)
     scheme = l2_cache.scheme_name()
     emit_event("sim.engine", engine="reference", path="cpu", scheme=scheme)
+    kinds, addresses = trace.decoded()
     with span("reference.replay", scheme=scheme, path="cpu", accesses=len(trace)):
-        for record in trace:
-            if record.kind is AccessKind.IFETCH:
-                hierarchy.fetch_instruction(record.address)
-            elif record.kind is AccessKind.LOAD:
-                hierarchy.load(record.address)
-            elif record.kind is AccessKind.STORE:
-                hierarchy.store(record.address)
+        for kind_index, address in zip(kinds.tolist(), addresses.tolist()):
+            if kind_index == _IFETCH_INDEX:
+                hierarchy.fetch_instruction(address)
+            elif kind_index == _LOAD_INDEX:
+                hierarchy.load(address)
+            elif kind_index == _STORE_INDEX:
+                hierarchy.store(address)
             else:
                 raise SimulationError(
-                    f"run_cpu_trace expects CPU-level records, got {record.kind}"
+                    f"run_cpu_trace expects CPU-level records, got "
+                    f"{KIND_ORDER[kind_index]}"
                 )
     # Time base: one CPU reference per cycle is a serviceable approximation
     # for an in-order front end feeding two levels of cache.

@@ -12,13 +12,15 @@ two workhorses here:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..config import CacheLevelConfig, MTJConfig, SimulationConfig, paper_l2_config
 from ..core import DataValueProfile, ProtectionScheme, build_protected_cache
 from ..errors import AnalysisError, ReproError
 from ..workloads import SPECWorkloadProfile, generate_l2_trace, get_profile
+from ..workloads.streams import TraceSource
 from ..workloads.trace import Trace
 from .engine import run_l2_trace
 from .results import SchemeRunResult, WorkloadComparison
@@ -42,11 +44,6 @@ class ExperimentSettings:
             :func:`repro.workloads.open_trace`) instead of generating a
             trace from the workload profile; ``num_accesses`` and ``seed``
             then no longer affect the access stream.
-        segment_accesses: Replay segment length for out-of-core replay; see
-            :func:`repro.sim.run_l2_trace`.  ``None`` replays in-memory
-            traces whole (segmented replay is bit-identical, so this is an
-            execution knob — but it is carried in the settings so campaign
-            workers replay files in bounded memory).
     """
 
     l2_config: CacheLevelConfig = field(default_factory=paper_l2_config)
@@ -57,7 +54,6 @@ class ExperimentSettings:
     seed: int = 1
     track_accumulation: bool = True
     trace_file: str | None = None
-    segment_accesses: int | None = None
 
     def data_profile(self, seed: int) -> DataValueProfile:
         """Build the ones-count sampler implied by the settings."""
@@ -70,9 +66,9 @@ class ExperimentSettings:
     def to_dict(self) -> dict[str, Any]:
         """Serialise to a plain dictionary (nested configs included).
 
-        The streaming fields are included only when set: campaign job keys
-        hash this dictionary, and defaulted streaming knobs must not change
-        the identity of jobs recorded before the fields existed.
+        ``trace_file`` is included only when set: campaign job keys hash
+        this dictionary, and a defaulted field must not change the identity
+        of jobs recorded before the field existed.
         """
         data = {
             "l2_config": self.l2_config.to_dict(),
@@ -85,8 +81,6 @@ class ExperimentSettings:
         }
         if self.trace_file is not None:
             data["trace_file"] = self.trace_file
-        if self.segment_accesses is not None:
-            data["segment_accesses"] = self.segment_accesses
         return data
 
     @classmethod
@@ -120,44 +114,54 @@ def _is_registered(profile: SPECWorkloadProfile) -> bool:
         return False
 
 
+@contextmanager
 def _resolve_trace(
     settings: ExperimentSettings,
     profile: SPECWorkloadProfile,
     artifact_cache=None,
-):
-    """The access stream a settings object asks for: file, cache or generated.
+) -> Iterator[Trace | TraceSource]:
+    """Open the access stream a settings object asks for; close it on exit.
 
-    ``artifact_cache`` accepts an :class:`~repro.workloads.ArtifactCache`,
-    a directory spec, or ``None`` (consult ``REPRO_ARTIFACT_CACHE``).  With
-    a cache resolved, generated traces are served from (and persisted to)
-    the cache — a hit replays through the bit-identical segmented path —
-    and text trace files are mirrored to the binary format once.  The knob
-    is purely operational: it never enters settings or job identity.
+    The stream is the settings' trace file, the artifact cache's copy, or a
+    freshly generated trace.  ``artifact_cache`` accepts an
+    :class:`~repro.workloads.ArtifactCache`, a directory spec, or ``None``
+    (consult ``REPRO_ARTIFACT_CACHE``).  With a cache resolved, generated
+    traces are served from (and persisted to) the cache — a hit replays
+    through the bit-identical segmented path — and text trace files are
+    mirrored to the binary format once.  The knob is purely operational: it
+    never enters settings or job identity.  A file-backed source (a cache
+    hit or a trace file) is closed when the block exits; a generated
+    :class:`Trace` has nothing to close.
     """
     from ..workloads.artifacts import ArtifactCache
+    from ..workloads.streams import TextTraceSource, open_trace
 
     cache = ArtifactCache.resolve(artifact_cache)
     if settings.trace_file is not None:
-        from ..workloads.streams import TextTraceSource, open_trace
-
-        source = open_trace(settings.trace_file)
-        if cache is not None and isinstance(source, TextTraceSource):
-            return cache.binary_text_trace(settings.trace_file, source)
-        return source
-    if cache is not None:
-        return cache.l2_trace(
+        trace = open_trace(settings.trace_file)
+        if cache is not None and isinstance(trace, TextTraceSource):
+            trace = cache.binary_text_trace(settings.trace_file, trace)
+    elif cache is not None:
+        trace = cache.l2_trace(
             profile, settings.l2_config, settings.num_accesses, settings.seed
         )
-    return generate_l2_trace(
-        profile, settings.l2_config, settings.num_accesses, seed=settings.seed
-    )
+    else:
+        trace = generate_l2_trace(
+            profile, settings.l2_config, settings.num_accesses, seed=settings.seed
+        )
+    try:
+        yield trace
+    finally:
+        close = getattr(trace, "close", None)
+        if close is not None:
+            close()
 
 
 def run_workload(
     workload: SPECWorkloadProfile | str,
     scheme: ProtectionScheme | str,
     settings: ExperimentSettings | None = None,
-    trace: Trace | None = None,
+    trace: Trace | TraceSource | None = None,
     sim_config: SimulationConfig | None = None,
     artifact_cache=None,
 ):
@@ -181,7 +185,8 @@ def run_workload(
     settings = settings or ExperimentSettings()
     profile = get_profile(workload) if isinstance(workload, str) else workload
     if trace is None:
-        trace = _resolve_trace(settings, profile, artifact_cache=artifact_cache)
+        with _resolve_trace(settings, profile, artifact_cache) as resolved:
+            return run_workload(profile, scheme, settings, resolved, sim_config)
     cache = build_protected_cache(
         scheme,
         settings.l2_config,
@@ -191,12 +196,7 @@ def run_workload(
         seed=settings.seed,
         track_accumulation=settings.track_accumulation,
     )
-    result = run_l2_trace(
-        cache,
-        trace,
-        config=sim_config,
-        segment_accesses=settings.segment_accesses,
-    )
+    result = run_l2_trace(cache, trace, config=sim_config)
     return result, cache
 
 
@@ -218,24 +218,14 @@ def compare_schemes(
     """
     settings = settings or ExperimentSettings()
     profile = get_profile(workload) if isinstance(workload, str) else workload
-    trace = _resolve_trace(settings, profile, artifact_cache=artifact_cache)
-    baseline_result, _ = run_workload(
-        profile,
-        baseline,
-        settings=settings,
-        trace=trace,
-        sim_config=sim_config,
-    )
-    alternative_results = []
-    for scheme in alternatives:
-        result, _ = run_workload(
-            profile,
-            scheme,
-            settings=settings,
-            trace=trace,
-            sim_config=sim_config,
-        )
-        alternative_results.append(result)
+    with _resolve_trace(settings, profile, artifact_cache) as trace:
+        results = [
+            run_workload(
+                profile, scheme, settings=settings, trace=trace, sim_config=sim_config
+            )[0]
+            for scheme in (baseline, *alternatives)
+        ]
+    baseline_result, *alternative_results = results
     return WorkloadComparison(
         workload=profile.name,
         baseline=baseline_result,

@@ -21,9 +21,8 @@ while the global trace still looks like a realistic mixed access stream.
 The generator is columnar: each set's stream is a pair of NumPy columns (an
 int8 kind code indexing :data:`~repro.workloads.trace.KIND_ORDER` and an
 int64 tag), addresses are composed per set with one vectorised shift-or, and
-the merged columns become a column-backed trace through
-:meth:`Trace.from_columns` — no per-access :class:`TraceRecord` is built
-unless a caller asks for ``trace.records``.  Stable-set hot-line runs draw
+the merged columns become the trace through :meth:`Trace.from_columns` —
+no per-access :class:`TraceRecord` is built.  Stable-set hot-line runs draw
 their write decisions in one batch between cold re-reads; a batch of ``n``
 uniforms is the same stream as ``n`` scalar draws, so the RNG is consumed in
 exactly the same order as a record-at-a-time loop would consume it, and

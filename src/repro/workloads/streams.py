@@ -3,28 +3,31 @@
 This module is the on-disk half of constant-memory replay.  A
 :class:`TraceSource` is anything that can hand the engines the trace as a
 sequence of decoded ``(kinds, addresses)`` segments — NumPy columns in the
-:data:`~repro.workloads.trace.KIND_ORDER` encoding — without ever
-materialising the whole trace in memory.  The engines
-(:func:`repro.sim.run_l2_trace` with ``segment_accesses``, and
+:data:`~repro.workloads.trace.KIND_ORDER` encoding.  A file source never
+materialises the whole trace in memory; an in-memory
+:class:`~repro.workloads.trace.Trace` is a source too, whose default is one
+segment holding the whole trace.  The engines
+(:func:`repro.sim.run_l2_trace`, and
 :func:`repro.sim.fastpath.replay_l2_segments` underneath) replay the
 segments one at a time; the compact per-set state protocol carries all cache,
 policy, accumulator and energy state across segment boundaries, so segmented
 replay is bit-identical to whole-trace replay.
 
-Three source flavours are provided:
+Three file source flavours are provided:
 
 * :class:`BinaryTraceSource` — the native binary chunked format written by
   :meth:`Trace.save_binary` / :class:`BinaryTraceWriter`.  The file is
   memory-mapped; each segment is a zero-copy (or at worst segment-sized)
   view into the map, so peak memory is bounded by the segment size no
   matter how long the trace is.
-* :class:`TextTraceSource` — streaming line-by-line readers for three text
-  formats: the repo's native ``<kind> <hex>`` format, ChampSim/SimpleScalar
-  ``din``-style numeric traces (``0|1|2 <hex>`` = load/store/ifetch), and
-  valgrind-lackey style (``I/L/S/M <hex>,<size>``; ``M`` expands to a load
-  plus a store).  External formats carry no cache-level information, so
-  their references are mapped onto the L2-visible stream (loads and
-  instruction fetches become ``L2_READ``, stores become ``L2_WRITE``).
+* :class:`TextTraceSource` — the one text parser: streaming line-by-line
+  readers for three text formats: the repo's native ``<kind> <hex>``
+  format, ChampSim/SimpleScalar ``din``-style numeric traces
+  (``0|1|2 <hex>`` = load/store/ifetch), and valgrind-lackey style
+  (``I/L/S/M <hex>,<size>``; ``M`` expands to a load plus a store).
+  External formats carry no cache-level information, so their references
+  are mapped onto the L2-visible stream (loads and instruction fetches
+  become ``L2_READ``, stores become ``L2_WRITE``).
 * :func:`open_trace` — opens any of the above, auto-detecting the format
   from the binary magic or the first significant text line.
 
@@ -49,7 +52,14 @@ from typing import Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from ..errors import TraceError
-from .trace import _KIND_INDEX, _MAX_ADDRESS, KIND_ORDER, AccessKind, Trace
+from .trace import (
+    _KIND_INDEX,
+    _MAX_ADDRESS,
+    KIND_ORDER,
+    AccessKind,
+    Trace,
+    _check_segment_accesses,
+)
 
 #: Default replay segment length (accesses per segment).  One segment of a
 #: million accesses costs ~9 MB of decoded arrays — small enough to bound
@@ -70,11 +80,6 @@ _L2_WRITE_INDEX = _KIND_INDEX[AccessKind.L2_WRITE]
 FORMAT_CHOICES = ("auto", "binary", "text", "din", "lackey")
 
 
-def _check_segment_accesses(segment_accesses: int) -> None:
-    if segment_accesses <= 0:
-        raise TraceError("segment_accesses must be positive")
-
-
 def _pad_to_8(n: int) -> int:
     return (-n) % 8
 
@@ -88,7 +93,8 @@ class TraceSource(Protocol):
     way :func:`repro.sim.compare_schemes` replays one trace per scheme).
     The yielded arrays use the :data:`~repro.workloads.trace.KIND_ORDER`
     kind encoding and are only valid until the next iteration step — copy
-    them if they must outlive it.
+    them if they must outlive it.  The file sources below and the in-memory
+    :class:`~repro.workloads.trace.Trace` all satisfy the protocol.
     """
 
     name: str
@@ -152,19 +158,6 @@ class BinaryTraceWriter:
         self._pending += kinds.size
         while self._pending >= self._chunk_accesses:
             self._flush_chunk(self._chunk_accesses)
-
-    def append_records(self, records) -> None:
-        """Append :class:`TraceRecord` objects (convenience for small batches)."""
-        records = list(records)
-        if not records:
-            return
-        kinds = np.fromiter(
-            (_KIND_INDEX[r.kind] for r in records), dtype=np.int8, count=len(records)
-        )
-        addresses = np.fromiter(
-            (r.address for r in records), dtype=np.int64, count=len(records)
-        )
-        self.append(kinds, addresses)
 
     def _take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         kinds = np.concatenate(self._pending_kinds)
@@ -553,10 +546,14 @@ def open_trace(
 def read_trace(path: str | Path, format: str = "auto", name: str | None = None) -> Trace:
     """Load any supported trace file fully into an in-memory :class:`Trace`.
 
-    Convenience for small traces and tests; use :func:`open_trace` plus the
-    engines' ``segment_accesses`` for out-of-core replay.  The result is a
-    column-backed trace (:meth:`Trace.from_columns`) over the concatenated
-    segments, so no per-access record is built unless one is asked for.
+    Convenience for small traces and tests (:meth:`Trace.load` is this call
+    with ``format="text"``); replay :func:`open_trace`'s source directly for
+    out-of-core replay.  The result is :meth:`Trace.from_columns` over the
+    concatenated segments, so no per-access record is built.
+
+    Raises:
+        TraceError: on a missing file, an unknown or undetectable format,
+            or a malformed file (text formats name ``path:line``).
     """
     source = open_trace(path, format=format, name=name)
     try:

@@ -7,6 +7,11 @@ loops — and can be mixed to approximate application phases.  The SPEC-named
 L2-level profiles used for the paper's figures live in
 :mod:`repro.workloads.spec_profiles`; the CPU-level generators here are used
 by the examples and the hierarchy tests.
+
+Each generator collects kind codes and addresses into lists or arrays,
+making the same random draws in the same order as a record-at-a-time loop,
+and returns :meth:`Trace.from_columns`; no
+:class:`~repro.workloads.trace.TraceRecord` is built.
 """
 
 from __future__ import annotations
@@ -14,7 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TraceError
-from .trace import AccessKind, Trace, TraceRecord
+from .trace import _KIND_INDEX, AccessKind, Trace
+
+_IFETCH = _KIND_INDEX[AccessKind.IFETCH]
+_LOAD = _KIND_INDEX[AccessKind.LOAD]
+_STORE = _KIND_INDEX[AccessKind.STORE]
 
 
 def _check_positive(name: str, value: int) -> None:
@@ -36,12 +45,11 @@ def sequential_trace(
     if not 0.0 <= store_fraction <= 1.0:
         raise TraceError("store_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    trace = Trace(name=name)
-    for i in range(num_accesses):
-        address = start_address + i * stride_bytes
-        kind = AccessKind.STORE if rng.random() < store_fraction else AccessKind.LOAD
-        trace.append(TraceRecord(kind=kind, address=address))
-    return trace
+    kinds = [
+        _STORE if rng.random() < store_fraction else _LOAD for _ in range(num_accesses)
+    ]
+    addresses = [start_address + i * stride_bytes for i in range(num_accesses)]
+    return Trace.from_columns(name, kinds, addresses)
 
 
 def strided_trace(
@@ -58,14 +66,13 @@ def strided_trace(
     _check_positive("stride_bytes", stride_bytes)
     _check_positive("array_bytes", array_bytes)
     rng = np.random.default_rng(seed)
-    trace = Trace(name=name)
-    offset = 0
-    for _ in range(num_accesses):
-        address = start_address + offset
-        kind = AccessKind.STORE if rng.random() < store_fraction else AccessKind.LOAD
-        trace.append(TraceRecord(kind=kind, address=address))
-        offset = (offset + stride_bytes) % array_bytes
-    return trace
+    kinds = [
+        _STORE if rng.random() < store_fraction else _LOAD for _ in range(num_accesses)
+    ]
+    addresses = [
+        start_address + (i * stride_bytes) % array_bytes for i in range(num_accesses)
+    ]
+    return Trace.from_columns(name, kinds, addresses)
 
 
 def pointer_chase_trace(
@@ -81,18 +88,12 @@ def pointer_chase_trace(
     _check_positive("num_nodes", num_nodes)
     _check_positive("node_bytes", node_bytes)
     rng = np.random.default_rng(seed)
-    # A random permutation cycle gives every node exactly one successor.
+    # A random permutation cycle gives every node exactly one successor, so
+    # the chase visits the nodes in permutation order, wrapping around.
     order = rng.permutation(num_nodes)
-    successor = np.empty(num_nodes, dtype=np.int64)
-    successor[order] = np.roll(order, -1)
-    trace = Trace(name=name)
-    node = int(order[0])
-    for _ in range(num_accesses):
-        trace.append(
-            TraceRecord(kind=AccessKind.LOAD, address=start_address + node * node_bytes)
-        )
-        node = int(successor[node])
-    return trace
+    nodes = np.resize(order, num_accesses).tolist()
+    addresses = [start_address + node * node_bytes for node in nodes]
+    return Trace.from_columns(name, [_LOAD] * num_accesses, addresses)
 
 
 def hot_loop_trace(
@@ -113,22 +114,24 @@ def hot_loop_trace(
     if loads_per_iteration < 0 or stores_per_iteration < 0:
         raise TraceError("per-iteration access counts must be non-negative")
     rng = np.random.default_rng(seed)
-    trace = Trace(name=name)
+    kinds: list[int] = []
+    addresses: list[int] = []
     pc = 0
-    while len(trace) < num_accesses:
-        trace.append(TraceRecord(kind=AccessKind.IFETCH, address=code_address + pc))
+    while len(kinds) < num_accesses:
+        kinds.append(_IFETCH)
+        addresses.append(code_address + pc)
         pc = (pc + 4) % code_bytes
-        for _ in range(loads_per_iteration):
-            if len(trace) >= num_accesses:
-                break
-            offset = int(rng.integers(0, data_bytes // 8)) * 8
-            trace.append(TraceRecord(kind=AccessKind.LOAD, address=data_address + offset))
-        for _ in range(stores_per_iteration):
-            if len(trace) >= num_accesses:
-                break
-            offset = int(rng.integers(0, data_bytes // 8)) * 8
-            trace.append(TraceRecord(kind=AccessKind.STORE, address=data_address + offset))
-    return trace
+        for kind, count in (
+            (_LOAD, loads_per_iteration),
+            (_STORE, stores_per_iteration),
+        ):
+            for _ in range(count):
+                if len(kinds) >= num_accesses:
+                    break
+                offset = int(rng.integers(0, data_bytes // 8)) * 8
+                kinds.append(kind)
+                addresses.append(data_address + offset)
+    return Trace.from_columns(name, kinds, addresses)
 
 
 def mixed_trace(
@@ -144,15 +147,20 @@ def mixed_trace(
     if not components:
         raise TraceError("at least one component trace is required")
     rng = np.random.default_rng(seed)
-    iterators = [list(c.records) for c in components]
-    positions = [0] * len(components)
     remaining = [len(c) for c in components]
-    trace = Trace(name=name)
+    picks: list[int] = []
     while any(remaining):
         weights = np.array(remaining, dtype=float)
         weights /= weights.sum()
         choice = int(rng.choice(len(components), p=weights))
-        trace.append(iterators[choice][positions[choice]])
-        positions[choice] += 1
+        picks.append(choice)
         remaining[choice] -= 1
-    return trace
+    # Every component is drawn exactly len(component) times, so its columns
+    # fill the steps that picked it, in order.
+    choices = np.array(picks, dtype=np.intp)
+    kinds = np.empty(len(choices), dtype=np.int8)
+    addresses = np.empty(len(choices), dtype=np.int64)
+    for index, component in enumerate(components):
+        picked = choices == index
+        kinds[picked], addresses[picked] = component.decoded()
+    return Trace.from_columns(name, kinds, addresses)

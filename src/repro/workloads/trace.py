@@ -10,16 +10,18 @@ Two trace granularities are used in the reproduction:
   level because the phenomenon under study — concealed-read accumulation —
   is entirely determined by the L2 access sequence.
 
-A :class:`Trace` is backed either by :class:`TraceRecord` objects or by a
-pair of NumPy columns (:meth:`Trace.from_columns`: int8 indices into
-:data:`KIND_ORDER` plus int64 addresses).  The engines only read the
-columns (:meth:`Trace.decoded`), so a column-backed trace — what the L2
-generator and :func:`~repro.workloads.streams.read_trace` return — builds
-its records lazily, only when ``records``, iteration or indexing asks.
+A :class:`Trace` is immutable and has one representation: a pair of
+read-only NumPy columns (int8 indices into :data:`KIND_ORDER` plus int64
+addresses).  The engines, the artifact cache and :meth:`Trace.content_hash`
+read the columns (:meth:`Trace.decoded`, :meth:`Trace.segments`);
+:class:`TraceRecord` objects exist only at the edges — the constructor
+converts them to columns once, and ``records``, iteration and indexing
+build them on demand.
 
-Traces can be saved to and loaded from a simple text format (one record per
-line: ``<kind> <hex address>``) so experiments are reproducible and
-shareable without rerunning the generators.
+Traces can be saved to a simple text format (one record per line:
+``<kind> <hex address>``) so experiments are reproducible and shareable
+without rerunning the generators; :meth:`Trace.load` reads it back through
+the one text parser, :class:`~repro.workloads.streams.TextTraceSource`.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ _KIND_INDEX = {kind: index for index, kind in enumerate(KIND_ORDER)}
 _WRITE_INDICES = (_KIND_INDEX[AccessKind.STORE], _KIND_INDEX[AccessKind.L2_WRITE])
 
 
+def _check_segment_accesses(segment_accesses: int) -> None:
+    if segment_accesses <= 0:
+        raise TraceError("segment_accesses must be positive")
+
+
 def _integer_column(values, what: str) -> np.ndarray:
     """``values`` as a one-dimensional integer array, or :class:`TraceError`."""
     array = np.asarray(values)
@@ -98,37 +105,49 @@ class TraceRecord:
 
 
 class Trace:
-    """An ordered sequence of memory references with a name.
+    """An ordered, immutable sequence of memory references with a name.
 
-    A trace is backed either by a list of :class:`TraceRecord` objects (the
-    constructor, :meth:`append`, :meth:`extend`, :meth:`load`) or by a pair
-    of NumPy columns (:meth:`from_columns`, which the L2 generator and
-    :func:`~repro.workloads.streams.read_trace` use).  A column-backed trace
-    builds its records lazily, on the first access to :attr:`records`,
-    iteration or indexing; the fast engines only ever call :meth:`decoded`,
-    so they never pay for per-access objects.
-
-    Mutate the trace through :meth:`append` / :meth:`extend` (not by touching
-    ``records`` directly) so the read/write counters stay consistent.
+    The trace *is* its pair of read-only NumPy columns: int8 indices into
+    :data:`KIND_ORDER` and int64 byte addresses (see :meth:`decoded`).
+    :meth:`from_columns` adopts columns directly, which is how the
+    generators and :func:`~repro.workloads.streams.read_trace` build
+    traces; the constructor converts :class:`TraceRecord` objects to
+    columns once, as a convenience for small hand-written traces.
+    :attr:`records`, iteration and indexing build records on demand.
     """
 
-    def __init__(self, name: str, records: list[TraceRecord] | None = None) -> None:
+    def __init__(self, name: str, records: Iterable[TraceRecord] = ()) -> None:
+        records = list(records)
         self.name = name
-        self._records: list[TraceRecord] | None = [] if records is None else records
-        self._write_count = sum(1 for r in self._records if r.is_write)
-        self._version = 0
-        self._decoded: tuple[tuple[int, int], np.ndarray, np.ndarray] | None = None
-        self._content_hash: tuple[tuple[int, int], str] | None = None
+        self._content_hash: str | None = None
+        self._adopt(
+            np.fromiter(
+                (_KIND_INDEX[record.kind] for record in records),
+                dtype=np.int8,
+                count=len(records),
+            ),
+            np.fromiter(
+                (record.address for record in records),
+                dtype=np.int64,
+                count=len(records),
+            ),
+        )
+
+    def _adopt(self, kinds: np.ndarray, addresses: np.ndarray) -> None:
+        """Hold read-only int8/int64 copies of validated columns."""
+        self._kinds = kinds.astype(np.int8)
+        self._addresses = addresses.astype(np.int64)
+        self._kinds.setflags(write=False)
+        self._addresses.setflags(write=False)
 
     @classmethod
     def from_columns(cls, name: str, kinds, addresses) -> "Trace":
-        """A trace backed by ``(kind index, address)`` columns.
+        """A trace over ``(kind index, address)`` columns.
 
         ``kinds`` index :data:`KIND_ORDER` and ``addresses`` are byte
         addresses, exactly as :meth:`decoded` returns them.  The columns are
-        copied into read-only arrays that seed the :meth:`decoded` memo, so
-        decoding the trace is free; :class:`TraceRecord` objects are built
-        only if a caller asks for them.
+        copied into read-only int8/int64 arrays; no :class:`TraceRecord`
+        object is built.
 
         Raises:
             TraceError: if the columns are not one-dimensional integer
@@ -154,26 +173,14 @@ class Trace:
                 raise TraceError("trace addresses must be non-negative")
             if address_column.max() > _MAX_ADDRESS:
                 raise TraceError("trace addresses must fit in a signed 64-bit integer")
-        kind_column = kind_column.astype(np.int8)
-        address_column = address_column.astype(np.int64)
-        kind_column.setflags(write=False)
-        address_column.setflags(write=False)
         trace = cls(name=name)
-        trace._records = None
-        trace._write_count = int(np.count_nonzero(np.isin(kind_column, _WRITE_INDICES)))
-        trace._decoded = ((len(kind_column), 0), kind_column, address_column)
+        trace._adopt(kind_column, address_column)
         return trace
 
     @property
     def records(self) -> list[TraceRecord]:
-        """The references as :class:`TraceRecord` objects (built on first use)."""
-        if self._records is None:
-            _, kinds, addresses = self._decoded
-            self._records = [
-                TraceRecord(KIND_ORDER[kind], address)
-                for kind, address in zip(kinds.tolist(), addresses.tolist())
-            ]
-        return self._records
+        """The references as a fresh list of :class:`TraceRecord` objects."""
+        return list(self)
 
     def __repr__(self) -> str:
         return f"Trace(name={self.name!r}, accesses={len(self)})"
@@ -181,69 +188,50 @@ class Trace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        if self.name != other.name or len(self) != len(other):
-            return False
-        mine, theirs = self.decoded(), other.decoded()
-        return np.array_equal(mine[0], theirs[0]) and np.array_equal(mine[1], theirs[1])
-
-    __hash__ = None  # mutable container
+        return (
+            self.name == other.name
+            and np.array_equal(self._kinds, other._kinds)
+            and np.array_equal(self._addresses, other._addresses)
+        )
 
     def __len__(self) -> int:
-        if self._records is None:
-            return len(self._decoded[1])
-        return len(self._records)
+        return len(self._kinds)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        for kind, address in zip(self._kinds.tolist(), self._addresses.tolist()):
+            yield TraceRecord(KIND_ORDER[kind], address)
 
     def __getitem__(self, index: int) -> TraceRecord:
-        return self.records[index]
-
-    def append(self, record: TraceRecord) -> None:
-        """Append one record."""
-        self.records.append(record)
-        self._version += 1
-        if record.is_write:
-            self._write_count += 1
-
-    def extend(self, records: Iterable[TraceRecord]) -> None:
-        """Append many records."""
-        added = list(records)
-        self.records.extend(added)
-        self._version += 1
-        self._write_count += sum(1 for r in added if r.is_write)
+        return TraceRecord(KIND_ORDER[self._kinds[index]], int(self._addresses[index]))
 
     def decoded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The trace as ``(kind index, address)`` NumPy columns, memoised.
+        """The trace as its ``(kind index, address)`` NumPy columns.
 
         The kind column indexes :data:`KIND_ORDER`; callers remap it to
-        their own codes with a small lookup table.  The arrays are cached on
-        the trace (and rebuilt if the trace has changed since — the memo is
-        keyed on both the record count and a mutation version bumped by
-        :meth:`append`/:meth:`extend`, so equal-length mutation through the
-        documented API cannot replay stale arrays), so replaying one trace
-        against several schemes or engines decodes it only once.  A
-        column-backed trace (:meth:`from_columns`) starts with the memo
-        already filled.  The returned arrays are shared and marked
-        immutable; writing to them raises ``ValueError``.
+        their own codes with a small lookup table.  The arrays are the
+        trace's own, shared and marked immutable; writing to them raises
+        ``ValueError``.
         """
-        count = len(self)
-        key = (count, self._version)
-        cached = self._decoded
-        if cached is not None and cached[0] == key:
-            return cached[1], cached[2]
-        kinds = np.fromiter(
-            (_KIND_INDEX[record.kind] for record in self.records),
-            dtype=np.int8,
-            count=count,
-        )
-        addresses = np.fromiter(
-            (record.address for record in self.records), dtype=np.int64, count=count
-        )
-        kinds.setflags(write=False)
-        addresses.setflags(write=False)
-        self._decoded = (key, kinds, addresses)
-        return kinds, addresses
+        return self._kinds, self._addresses
+
+    def segments(
+        self, segment_accesses: int | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield the columns in segments of ``segment_accesses`` accesses.
+
+        ``None`` (the default) yields the whole trace as one segment, so an
+        in-memory trace is replayed through the same
+        :class:`~repro.workloads.streams.TraceSource` path as a file.  An
+        empty trace yields no segment.
+        """
+        if segment_accesses is None:
+            if len(self):
+                yield self._kinds, self._addresses
+            return
+        _check_segment_accesses(segment_accesses)
+        for start in range(0, len(self), segment_accesses):
+            stop = start + segment_accesses
+            yield self._kinds[start:stop], self._addresses[start:stop]
 
     def content_hash(self) -> str:
         """Content identity of the trace: SHA-256 over the decoded columns.
@@ -252,33 +240,26 @@ class Trace:
         the artifact cache keys (:mod:`repro.workloads.artifacts`) and any
         campaign-side hashing of trace content — so there is exactly one
         definition of "the same trace".  The digest spans both the kind and
-        the address columns and is memoised under the same
-        ``(count, mutation version)`` key as :meth:`decoded`, so mutation
-        through :meth:`append`/:meth:`extend` invalidates both together.
+        the address columns (not the name) and is computed once per trace.
         """
-        key = (len(self), self._version)
-        cached = self._content_hash
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        kinds, addresses = self.decoded()
-        digest = hashlib.sha256()
-        digest.update(kinds.tobytes())
-        digest.update(addresses.tobytes())
-        value = digest.hexdigest()
-        self._content_hash = (key, value)
-        return value
+        if self._content_hash is None:
+            digest = hashlib.sha256()
+            digest.update(self._kinds.tobytes())
+            digest.update(self._addresses.tobytes())
+            self._content_hash = digest.hexdigest()
+        return self._content_hash
 
     # -- summaries ------------------------------------------------------------
 
     @property
-    def read_count(self) -> int:
-        """Number of non-write references (maintained incrementally, O(1))."""
-        return len(self) - self._write_count
+    def write_count(self) -> int:
+        """Number of write references (stores and L2 write-backs)."""
+        return int(np.count_nonzero(np.isin(self._kinds, _WRITE_INDICES)))
 
     @property
-    def write_count(self) -> int:
-        """Number of write references (maintained incrementally, O(1))."""
-        return self._write_count
+    def read_count(self) -> int:
+        """Number of non-write references."""
+        return len(self) - self.write_count
 
     @property
     def read_fraction(self) -> float:
@@ -291,7 +272,7 @@ class Trace:
         """Number of distinct cache blocks touched."""
         if block_size <= 0:
             raise TraceError("block_size must be positive")
-        return len({r.address // block_size for r in self.records})
+        return len(np.unique(self._addresses // block_size))
 
     def footprint_bytes(self, block_size: int = 64) -> int:
         """Footprint in bytes, at block granularity."""
@@ -307,10 +288,13 @@ class Trace:
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        labels = [kind.value for kind in KIND_ORDER]
         with path.open("w", encoding="utf-8") as handle:
             handle.write(f"# trace {self.name}\n")
-            for record in self.records:
-                handle.write(f"{record.kind.value} {record.address:#x}\n")
+            handle.writelines(
+                f"{labels[kind]} {address:#x}\n"
+                for kind, address in zip(self._kinds.tolist(), self._addresses.tolist())
+            )
 
     def save_binary(self, path: str | Path, chunk_accesses: int = 1 << 20) -> None:
         """Write the trace in the binary chunked format (see ``streams``).
@@ -322,44 +306,21 @@ class Trace:
         """
         from .streams import write_binary_trace
 
-        kinds, addresses = self.decoded()
         write_binary_trace(
-            path, self.name, kinds, addresses, chunk_accesses=chunk_accesses
+            path, self.name, self._kinds, self._addresses, chunk_accesses=chunk_accesses
         )
 
     @classmethod
     def load(cls, path: str | Path, name: str | None = None) -> "Trace":
-        """Read a trace written by :meth:`save`.
+        """Read a trace written by :meth:`save` (the native text format).
+
+        Equivalent to ``read_trace(path, format="text", name=name)``: the
+        one text parser is :class:`~repro.workloads.streams.TextTraceSource`.
 
         Raises:
-            TraceError: on malformed lines, non-UTF-8 bytes, or a path that
-                is not a readable file.
+            TraceError: on a malformed line (naming ``path:line``) or a path
+                that is not a file.
         """
-        path = Path(path)
-        trace = cls(name=name or path.stem)
-        try:
-            handle = path.open("r", encoding="utf-8")
-        except OSError as exc:
-            raise TraceError(f"{path}: cannot read trace file: {exc.strerror}") from exc
-        with handle:
-            try:
-                for line_number, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    parts = line.split()
-                    if len(parts) != 2:
-                        raise TraceError(
-                            f"{path}:{line_number}: expected '<kind> <address>', "
-                            f"got {line!r}"
-                        )
-                    try:
-                        kind = AccessKind(parts[0])
-                        address = int(parts[1], 16)
-                        record = TraceRecord(kind=kind, address=address)
-                    except (TraceError, ValueError) as exc:
-                        raise TraceError(f"{path}:{line_number}: {exc}") from exc
-                    trace.append(record)
-            except UnicodeDecodeError as exc:
-                raise TraceError(f"{path}: trace file is not UTF-8 text: {exc}") from exc
-        return trace
+        from .streams import read_trace
+
+        return read_trace(path, format="text", name=name)

@@ -156,13 +156,11 @@ class TestSegmentedReplayPlumbing:
             run_l2_trace(cache, bad, engine="fast", segment_accesses=1)
 
     def test_settings_serialisation_roundtrip(self):
-        settings = ExperimentSettings(trace_file="/tmp/t.bin", segment_accesses=4096)
+        settings = ExperimentSettings(trace_file="/tmp/t.bin")
         data = settings.to_dict()
         assert data["trace_file"] == "/tmp/t.bin"
-        assert data["segment_accesses"] == 4096
         rebuilt = ExperimentSettings.from_dict(data)
         assert rebuilt.trace_file == "/tmp/t.bin"
-        assert rebuilt.segment_accesses == 4096
 
     def test_default_settings_keep_legacy_serialisation(self):
         """Unset streaming knobs must not appear in the job-identity dict."""
@@ -171,7 +169,17 @@ class TestSegmentedReplayPlumbing:
         assert "segment_accesses" not in data
         rebuilt = ExperimentSettings.from_dict(data)
         assert rebuilt.trace_file is None
-        assert rebuilt.segment_accesses is None
+
+    def test_payload_with_segment_knob_still_loads(self):
+        """Settings once carried a replay segment length; old payloads load.
+
+        The key is ignored, so such a payload has the same job identity as
+        one written without it.
+        """
+        data = ExperimentSettings(trace_file="/tmp/t.bin").to_dict()
+        rebuilt = ExperimentSettings.from_dict({**data, "segment_accesses": 4096})
+        assert rebuilt == ExperimentSettings.from_dict(data)
+        assert rebuilt.to_dict() == data
 
     def test_run_workload_honours_trace_file(self, trace, binary_path):
         from repro.sim import run_workload
@@ -180,9 +188,7 @@ class TestSegmentedReplayPlumbing:
             "mcf",
             "reap",
             settings=ExperimentSettings(
-                l2_config=small_l2(),
-                trace_file=str(binary_path),
-                segment_accesses=1024,
+                l2_config=small_l2(), trace_file=str(binary_path)
             ),
         )
         generated_result, _ = run_workload(

@@ -40,18 +40,22 @@ class TestBasicGeneration:
     def test_trace_named_after_profile(self, l2_config):
         assert generate_l2_trace(get_profile("mcf"), l2_config, 1_000).name == "mcf"
 
-    def test_fast_replay_builds_no_records(self, l2_config):
-        """Generated traces are column-backed: replaying one never builds
-        per-access record objects."""
+    def test_fast_replay_builds_no_records(self, l2_config, monkeypatch):
+        """Traces are columns: generating or replaying one (either engine)
+        never builds per-access record objects."""
         from repro.core import build_protected_cache
         from repro.sim import run_l2_trace
+        from repro.workloads import TraceRecord
 
+        def forbidden(record):
+            raise AssertionError(f"built a TraceRecord: {record}")
+
+        monkeypatch.setattr(TraceRecord, "__post_init__", forbidden)
         trace = generate_l2_trace(get_profile("gcc"), l2_config, num_accesses=2_000)
         fast = run_l2_trace(build_protected_cache("reap", l2_config), trace, engine="fast")
         reference = run_l2_trace(
             build_protected_cache("reap", l2_config), trace, engine="reference"
         )
-        assert trace._records is None
         assert fast == reference
 
     def test_rejects_nonpositive_length(self, l2_config):

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.workloads import (
@@ -22,7 +24,7 @@ from repro.workloads import (
     open_trace,
     read_trace,
 )
-from repro.workloads.streams import _MAGIC
+from repro.workloads.streams import _MAGIC, FORMAT_CHOICES
 from repro.workloads.trace import _KIND_INDEX
 
 
@@ -107,13 +109,6 @@ class TestBinaryFormat:
             kinds, addresses, _ = collect(source, 333)
             assert np.array_equal(kinds, ref_kinds)
             assert np.array_equal(addresses, ref_addresses)
-
-    def test_writer_append_records(self, tmp_path):
-        path = tmp_path / "trace.bin"
-        records = [TraceRecord(AccessKind.L2_READ, 64), TraceRecord(AccessKind.L2_WRITE, 128)]
-        with BinaryTraceWriter(path, "short") as writer:
-            writer.append_records(records)
-        assert read_trace(path).records == records
 
     def test_writer_rejects_bad_input(self, tmp_path):
         writer = BinaryTraceWriter(tmp_path / "t.bin", "bad")
@@ -323,3 +318,47 @@ class TestDetectionAndOpen:
         loaded = read_trace(path)
         assert loaded.name == trace.name
         assert loaded.records == trace.records
+
+
+def _binary_prefix(count: int) -> bytes:
+    """A version-1 header (empty name) and one chunk header, both claiming
+    ``count`` accesses, so the bytes after it land in the chunk data."""
+    return _MAGIC + struct.pack("<IIQQ", 1, 0, count, count)
+
+
+#: Arbitrary bytes, bytes behind each binary-reader checkpoint (the magic,
+#: the version, a consistent header), and text that looks like each text
+#: format, so every reader sees near-misses rather than only noise.
+HOSTILE_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.tuples(
+        st.sampled_from((_MAGIC, _MAGIC + struct.pack("<II", 1, 0))),
+        st.binary(max_size=300),
+    ).map(b"".join),
+    st.tuples(st.integers(0, 40).map(_binary_prefix), st.binary(max_size=400)).map(
+        b"".join
+    ),
+    st.text(alphabet="ILSMRW012 ,x#=-0123456789abcdefABCDEF_\n\t", max_size=200).map(
+        str.encode
+    ),
+)
+
+
+class TestHostileBytes:
+    """Arbitrary bytes under every format: only :class:`TraceError` escapes."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("hostile") / "trace.trc"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=HOSTILE_BYTES)
+    def test_only_trace_error_escapes(self, path, data):
+        path.write_bytes(data)
+        for format in FORMAT_CHOICES:
+            try:
+                trace = read_trace(path, format=format)
+            except TraceError:
+                continue
+            kinds, addresses = trace.decoded()
+            assert len(kinds) == len(addresses) == len(trace)

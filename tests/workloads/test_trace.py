@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.workloads import AccessKind, Trace, TraceRecord
+from repro.workloads import AccessKind, Trace, TraceRecord, TraceSource
 from repro.workloads.trace import KIND_ORDER
 
 
@@ -27,21 +27,26 @@ class TestTraceRecord:
 class TestTraceContainer:
     @pytest.fixture
     def trace(self):
-        trace = Trace(name="unit")
-        trace.extend(
-            [
+        return Trace(
+            name="unit",
+            records=[
                 TraceRecord(AccessKind.LOAD, 0x0),
                 TraceRecord(AccessKind.STORE, 0x40),
                 TraceRecord(AccessKind.LOAD, 0x80),
                 TraceRecord(AccessKind.LOAD, 0x0),
-            ]
+            ],
         )
-        return trace
 
     def test_len_and_iteration(self, trace):
         assert len(trace) == 4
         assert sum(1 for _ in trace) == 4
         assert trace[1].kind is AccessKind.STORE
+
+    def test_indexing_builds_one_record(self, trace):
+        assert trace[-1] == TraceRecord(AccessKind.LOAD, 0x0)
+        assert type(trace[2].address) is int
+        with pytest.raises(IndexError):
+            trace[4]
 
     def test_read_write_counts(self, trace):
         assert trace.read_count == 3
@@ -59,23 +64,6 @@ class TestTraceContainer:
     def test_empty_trace_fractions(self):
         assert Trace(name="empty").read_fraction == 0.0
 
-    def test_counts_maintained_incrementally(self, trace):
-        """append/extend keep the O(1) counters in sync with the records."""
-        trace.append(TraceRecord(AccessKind.L2_WRITE, 0xC0))
-        assert trace.write_count == 2
-        assert trace.read_count == 3
-        trace.extend(
-            [
-                TraceRecord(AccessKind.L2_READ, 0x100),
-                TraceRecord(AccessKind.STORE, 0x140),
-            ]
-        )
-        assert trace.write_count == 3
-        assert trace.read_count == 4
-        # The counters always agree with a full rescan.
-        assert trace.write_count == sum(1 for r in trace if r.is_write)
-        assert trace.read_count == sum(1 for r in trace if not r.is_write)
-
     def test_counts_for_records_passed_at_construction(self):
         trace = Trace(
             name="init",
@@ -87,11 +75,22 @@ class TestTraceContainer:
         assert trace.write_count == 1
         assert trace.read_count == 1
 
-    def test_extend_accepts_generators(self):
-        trace = Trace(name="gen")
-        trace.extend(TraceRecord(AccessKind.L2_WRITE, a) for a in (0x0, 0x40))
+    def test_constructor_accepts_generators(self):
+        trace = Trace(
+            name="gen", records=(TraceRecord(AccessKind.L2_WRITE, a) for a in (0x0, 0x40))
+        )
         assert len(trace) == 2
         assert trace.write_count == 2
+
+    def test_trace_is_immutable(self, trace):
+        """No mutation API, and the built records are a copy, not the trace."""
+        assert not hasattr(trace, "append")
+        assert not hasattr(trace, "extend")
+        before = trace.content_hash()
+        trace.records.append(TraceRecord(AccessKind.L2_WRITE, 0xC0))
+        trace.records.pop(0)
+        assert len(trace) == 4
+        assert trace.content_hash() == before
 
 
 class TestDecodedMemo:
@@ -110,51 +109,49 @@ class TestDecodedMemo:
         assert first[0] is second[0]
         assert first[1] is second[1]
 
-    def test_append_invalidates_memo(self):
-        trace = Trace(name="grow", records=[TraceRecord(AccessKind.L2_READ, 0x40)])
-        trace.decoded()
-        trace.append(TraceRecord(AccessKind.L2_WRITE, 0x80))
-        kinds, addresses = trace.decoded()
-        assert len(kinds) == 2
-        assert addresses[1] == 0x80
 
-    def test_equal_length_mutation_invalidates_memo(self):
-        """Pop-then-append through the API must not replay stale arrays."""
-        trace = Trace(name="swap")
-        trace.extend(
-            [
-                TraceRecord(AccessKind.L2_READ, 0x40),
-                TraceRecord(AccessKind.L2_READ, 0x80),
-            ]
+class TestSegments:
+    @pytest.fixture
+    def trace(self):
+        return Trace.from_columns("seg", [3, 4, 3, 3, 4], [0x0, 0x40, 0x80, 0xC0, 0x100])
+
+    def test_trace_is_a_trace_source(self, trace):
+        assert isinstance(trace, TraceSource)
+
+    def test_default_is_one_whole_segment(self, trace):
+        (kinds, addresses), = trace.segments()
+        assert np.array_equal(kinds, trace.decoded()[0])
+        assert np.array_equal(addresses, trace.decoded()[1])
+
+    def test_fixed_length_segments_cover_the_trace(self, trace):
+        segments = list(trace.segments(2))
+        assert [len(kinds) for kinds, _ in segments] == [2, 2, 1]
+        assert np.array_equal(
+            np.concatenate([addresses for _, addresses in segments]),
+            trace.decoded()[1],
         )
-        stale_kinds, stale_addresses = trace.decoded()
-        trace.records.pop()
-        trace.append(TraceRecord(AccessKind.L2_WRITE, 0xC0))
-        kinds, addresses = trace.decoded()
-        assert len(kinds) == len(stale_kinds)  # same length, new content
-        assert addresses[1] == 0xC0
-        assert kinds[1] != stale_kinds[1]
+        # Re-iterable: every call starts a fresh pass.
+        assert len(list(trace.segments(2))) == 3
 
-    def test_extend_bumps_version_even_after_external_pop(self):
-        trace = Trace(name="swap2")
-        trace.extend([TraceRecord(AccessKind.L2_READ, 0x40)])
-        trace.decoded()
-        trace.records.pop(0)
-        trace.extend([TraceRecord(AccessKind.L2_WRITE, 0x100)])
-        kinds, addresses = trace.decoded()
-        assert np.array_equal(addresses, [0x100])
-        assert kinds[0] == 4  # KIND_ORDER index of L2_WRITE
+    def test_empty_trace_has_no_segments(self):
+        assert list(Trace(name="empty").segments()) == []
+        assert list(Trace(name="empty").segments(4)) == []
+
+    @pytest.mark.parametrize("segment_accesses", [0, -1])
+    def test_rejects_non_positive_length(self, trace, segment_accesses):
+        with pytest.raises(TraceError, match="positive"):
+            list(trace.segments(segment_accesses))
 
 
 class TestTraceIO:
     def test_save_and_load_roundtrip(self, tmp_path):
-        trace = Trace(name="io")
-        trace.extend(
-            [
+        trace = Trace(
+            name="io",
+            records=[
                 TraceRecord(AccessKind.L2_READ, 0x1000),
                 TraceRecord(AccessKind.L2_WRITE, 0x2040),
                 TraceRecord(AccessKind.IFETCH, 0x3FFF),
-            ]
+            ],
         )
         path = tmp_path / "trace.txt"
         trace.save(path)
@@ -188,18 +185,20 @@ class TestTraceIO:
         assert len(Trace.load(path)) == 1
 
     def test_roundtrip_preserves_every_record_and_counters(self, tmp_path):
-        trace = Trace(name="full")
-        trace.extend(
-            TraceRecord(kind, address)
-            for address, kind in enumerate(
-                [
-                    AccessKind.IFETCH,
-                    AccessKind.LOAD,
-                    AccessKind.STORE,
-                    AccessKind.L2_READ,
-                    AccessKind.L2_WRITE,
-                ]
-            )
+        trace = Trace(
+            name="full",
+            records=(
+                TraceRecord(kind, address)
+                for address, kind in enumerate(
+                    [
+                        AccessKind.IFETCH,
+                        AccessKind.LOAD,
+                        AccessKind.STORE,
+                        AccessKind.L2_READ,
+                        AccessKind.L2_WRITE,
+                    ]
+                )
+            ),
         )
         path = tmp_path / "full.txt"
         trace.save(path)
@@ -235,16 +234,27 @@ class TestTraceIO:
     def test_load_non_utf8_bytes_names_path(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"L 0x10\n\xff\xfe 0x20\n")
-        with pytest.raises(TraceError, match="bad.txt: trace file is not UTF-8"):
+        with pytest.raises(TraceError, match="bad.txt:2: .* is not a valid AccessKind"):
             Trace.load(path)
 
     def test_load_directory_names_path(self, tmp_path):
-        with pytest.raises(TraceError, match=f"{re.escape(str(tmp_path))}: cannot read trace file"):
+        with pytest.raises(TraceError, match=f"{re.escape(str(tmp_path))}: is a directory"):
             Trace.load(tmp_path)
 
     def test_load_missing_file_names_path(self, tmp_path):
-        with pytest.raises(TraceError, match="missing.txt: cannot read trace file"):
+        with pytest.raises(TraceError, match="trace file not found: .*missing.txt"):
             Trace.load(tmp_path / "missing.txt")
+
+    def test_load_is_read_trace_in_text_format(self, tmp_path):
+        from repro.workloads import read_trace
+
+        path = tmp_path / "t.txt"
+        path.write_text("# header\nR 0x40\nW 0x80\n")
+        assert Trace.load(path) == read_trace(path, format="text")
+        # The native format only: a din line is not a native record.
+        path.write_text("0 0x40\n")
+        with pytest.raises(TraceError, match="t.txt:1"):
+            Trace.load(path)
 
     def test_save_creates_parent_directories(self, tmp_path):
         trace = Trace(name="deep", records=[TraceRecord(AccessKind.L2_READ, 0x40)])
@@ -263,8 +273,7 @@ class TestContentHash:
 
     def test_equal_content_equal_hash(self):
         a = Trace(name="a", records=self.records())
-        b = Trace(name="completely-different-name")
-        b.extend(self.records())
+        b = Trace.from_columns("completely-different-name", [1, 2, 1], [0x0, 0x40, 0x80])
         # Identity is the content (kinds + addresses), not the name or the
         # construction path.
         assert a.content_hash() == b.content_hash()
@@ -290,24 +299,14 @@ class TestContentHash:
         assert base.content_hash() != kind_flip.content_hash()
         assert base.content_hash() != address_flip.content_hash()
 
-    def test_append_invalidates_memo(self):
-        trace = Trace(name="t", records=self.records())
-        before = trace.content_hash()
-        trace.append(TraceRecord(AccessKind.L2_WRITE, 0xC0))
-        after = trace.content_hash()
-        assert before != after
-        fresh = Trace(name="t", records=list(trace.records))
-        assert after == fresh.content_hash()
+    def test_is_sha256_of_the_columns(self):
+        import hashlib
 
-    def test_agrees_with_decoded_memo_key(self):
-        """content_hash and decoded() share one identity (mutation version)."""
         trace = Trace(name="t", records=self.records())
-        kinds_before, _ = trace.decoded()
-        hash_before = trace.content_hash()
-        trace.extend(self.records())
-        kinds_after, _ = trace.decoded()
-        assert len(kinds_after) == 2 * len(kinds_before)
-        assert trace.content_hash() != hash_before
+        kinds, addresses = trace.decoded()
+        expected = hashlib.sha256(kinds.tobytes() + addresses.tobytes()).hexdigest()
+        assert trace.content_hash() == expected
+        assert trace.content_hash() == expected  # memoised value
 
 
 def _record_trace(kinds, addresses, name="cols") -> Trace:
@@ -346,14 +345,13 @@ class TestFromColumns:
         assert columns[3] == records[3]
         assert columns == records
 
-    def test_records_are_built_lazily(self, pair):
+    def test_records_are_built_on_demand(self, pair):
         columns, _ = pair
-        columns.decoded()
-        columns.content_hash()
         assert columns.read_count == 5
-        assert columns._records is None
         assert columns[0] == TraceRecord(AccessKind.IFETCH, 0x0)
-        assert columns._records is not None
+        first, second = columns.records, columns.records
+        assert first == second
+        assert first is not second
 
     def test_text_roundtrip(self, pair, tmp_path):
         columns, records = pair
@@ -378,24 +376,6 @@ class TestFromColumns:
         loaded = read_trace(tmp_path / "cols.bin")
         assert loaded == columns
         assert loaded.write_count == columns.write_count
-
-    @pytest.mark.parametrize("mutate", ["append", "extend"])
-    def test_mutation_invalidates_both_memos(self, pair, mutate):
-        columns, records = pair
-        kinds_before, _ = columns.decoded()
-        hash_before = columns.content_hash()
-        added = TraceRecord(AccessKind.L2_WRITE, 0x2000)
-        for trace in (columns, records):
-            if mutate == "append":
-                trace.append(added)
-            else:
-                trace.extend([added])
-        kinds, addresses = columns.decoded()
-        assert len(kinds) == len(kinds_before) + 1
-        assert addresses[-1] == 0x2000
-        assert columns.content_hash() != hash_before
-        assert columns.content_hash() == records.content_hash()
-        assert columns.write_count == records.write_count == 3
 
     def test_decoded_arrays_are_read_only_copies(self):
         kinds = np.array([3, 4], dtype=np.int8)
