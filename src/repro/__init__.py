@@ -76,7 +76,6 @@ from .sim import (
     ExperimentSettings,
     compare_schemes,
     run_cpu_trace,
-    run_cpu_trace_fast,
     run_l2_trace,
     run_workload,
     supports_fast_path,
@@ -130,7 +129,6 @@ __all__ = [
     "compare_schemes",
     "run_workload",
     "run_l2_trace",
-    "run_cpu_trace_fast",
     "supports_fast_path",
     "run_cpu_trace",
     # campaigns

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..errors import AnalysisError
-from ..sim.results import SchemeRunResult, WorkloadComparison
+from ..sim import results
+from ..sim.results import WorkloadComparison
 from .figures import Figure3Series, Figure5Data, Figure6Data
 
 
@@ -77,20 +77,9 @@ def figure6_to_csv(data: Figure6Data, path: str | Path) -> Path:
     )
 
 
-def _result_to_dict(result: SchemeRunResult) -> dict:
-    data = asdict(result)
-    data["extra"] = dict(result.extra)
-    return data
-
-
 def comparison_to_dict(comparison: WorkloadComparison) -> dict:
     """Serialise one workload comparison (baseline + alternatives + metrics)."""
-    payload = {
-        "workload": comparison.workload,
-        "baseline": _result_to_dict(comparison.baseline),
-        "alternatives": [_result_to_dict(r) for r in comparison.alternatives],
-        "metrics": {},
-    }
+    payload = {**results.comparison_to_dict(comparison), "metrics": {}}
     for alternative in comparison.alternatives:
         payload["metrics"][alternative.scheme] = {
             "mttf_improvement": comparison.mttf_improvement(alternative.scheme),

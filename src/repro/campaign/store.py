@@ -36,7 +36,6 @@ import json
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -46,18 +45,19 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from ..errors import CampaignError
-from ..sim.results import SchemeRunResult, WorkloadComparison
+
+# The serialisers live beside the result types (the JSON export uses them
+# too); the store pairs them with their from-dict inverses below.
+from ..sim.results import (  # noqa: F401 - re-exported
+    SchemeRunResult,
+    WorkloadComparison,
+    comparison_to_dict,
+    run_result_to_dict,
+)
 from .faults import FaultInjected, _maybe_torn_length
 from .hashing import canonical_json
 from .provenance import provenance_dict, warn_on_mixed_provenance
 from .spec import SCHEMA_VERSION, JobSpec
-
-
-def run_result_to_dict(result: SchemeRunResult) -> dict[str, Any]:
-    """Serialise one scheme run to a plain dictionary."""
-    payload = asdict(result)
-    payload["extra"] = dict(result.extra)
-    return payload
 
 
 def run_result_from_dict(data: Mapping[str, Any]) -> SchemeRunResult:
@@ -68,15 +68,6 @@ def run_result_from_dict(data: Mapping[str, Any]) -> SchemeRunResult:
         return SchemeRunResult(**payload)
     except TypeError as exc:
         raise CampaignError(f"malformed run-result payload: {exc}") from exc
-
-
-def comparison_to_dict(comparison: WorkloadComparison) -> dict[str, Any]:
-    """Serialise a workload comparison to a plain dictionary."""
-    return {
-        "workload": comparison.workload,
-        "baseline": run_result_to_dict(comparison.baseline),
-        "alternatives": [run_result_to_dict(r) for r in comparison.alternatives],
-    }
 
 
 def comparison_from_dict(data: Mapping[str, Any]) -> WorkloadComparison:

@@ -8,8 +8,8 @@ Public surface:
   structure-of-arrays kernel in :mod:`repro.sim.soa`) or the per-record
   reference loop that serves as its oracle; the two are numerically
   identical.
-* :func:`replay_l2_segments` / :func:`run_cpu_trace_fast` /
-  :func:`supports_fast_path` — the batched engine and its capability probe.
+* :func:`replay_l2_segments` / :func:`supports_fast_path` — the batched
+  L2 engine and its capability probe.
 * :func:`compare_schemes`, :class:`ExperimentRunner`, :func:`sweep`,
   :class:`ExperimentSettings` — experiment orchestration; always on the
   fast path (the default engine of the two trace runners above), with no
@@ -33,7 +33,6 @@ from .experiment import (
 )
 from .fastpath import (
     replay_l2_segments,
-    run_cpu_trace_fast,
     supports_fast_path,
 )
 from .results import SchemeRunResult, WorkloadComparison, format_table
@@ -43,7 +42,6 @@ __all__ = [
     "replay_l2_segments",
     "supports_fast_path",
     "run_cpu_trace",
-    "run_cpu_trace_fast",
     "simulated_time_for",
     "ENGINE_CHOICES",
     "ExperimentRunner",

@@ -197,6 +197,26 @@ def run_l2_trace(
     return _snapshot(cache, trace.name, total, simulated_time)
 
 
+def _run_cpu_reference_loop(hierarchy: CacheHierarchy, trace: Trace) -> None:
+    """The reference per-record loop over a CPU-level trace."""
+    scheme = hierarchy.l2.scheme_name()
+    emit_event("sim.engine", engine="reference", path="cpu", scheme=scheme)
+    kinds, addresses = trace.decoded()
+    with span("reference.replay", scheme=scheme, path="cpu", accesses=len(trace)):
+        for kind_index, address in zip(kinds.tolist(), addresses.tolist()):
+            if kind_index == _IFETCH_INDEX:
+                hierarchy.fetch_instruction(address)
+            elif kind_index == _LOAD_INDEX:
+                hierarchy.load(address)
+            elif kind_index == _STORE_INDEX:
+                hierarchy.store(address)
+            else:
+                raise SimulationError(
+                    f"run_cpu_trace expects CPU-level records, got "
+                    f"{KIND_ORDER[kind_index]}"
+                )
+
+
 def run_cpu_trace(
     l2_cache: ProtectedCache,
     trace: Trace,
@@ -204,7 +224,6 @@ def run_cpu_trace(
     seed: int = 1,
     add_leakage: bool = True,
     engine: str = "auto",
-    artifact_cache=None,
 ) -> tuple[SchemeRunResult, CacheHierarchy]:
     """Drive the full two-level hierarchy with a CPU-level trace.
 
@@ -222,45 +241,20 @@ def run_cpu_trace(
             not fast-path capable; ``"reference"`` runs the per-record
             loop.  Both engines produce numerically identical results,
             including the L1 contents and hierarchy statistics.
-        artifact_cache: Optional :class:`~repro.workloads.ArtifactCache`
-            (or directory spec) the fast path consults for pre-filtered L2
-            streams; ignored by the reference engine.  Results are
-            bit-identical either way.
 
     Returns:
         A (result, hierarchy) pair; the hierarchy gives access to L1
         statistics and the realised L2 request counts.
     """
     _check_engine(engine)
-    if _use_fast_path(l2_cache, engine):
-        from .fastpath import run_cpu_trace_fast
-
-        return run_cpu_trace_fast(
-            l2_cache,
-            trace,
-            config=config,
-            seed=seed,
-            add_leakage=add_leakage,
-            artifact_cache=artifact_cache,
-        )
     config = config or SimulationConfig()
     hierarchy = CacheHierarchy(config.hierarchy, l2_cache, seed=seed)
-    scheme = l2_cache.scheme_name()
-    emit_event("sim.engine", engine="reference", path="cpu", scheme=scheme)
-    kinds, addresses = trace.decoded()
-    with span("reference.replay", scheme=scheme, path="cpu", accesses=len(trace)):
-        for kind_index, address in zip(kinds.tolist(), addresses.tolist()):
-            if kind_index == _IFETCH_INDEX:
-                hierarchy.fetch_instruction(address)
-            elif kind_index == _LOAD_INDEX:
-                hierarchy.load(address)
-            elif kind_index == _STORE_INDEX:
-                hierarchy.store(address)
-            else:
-                raise SimulationError(
-                    f"run_cpu_trace expects CPU-level records, got "
-                    f"{KIND_ORDER[kind_index]}"
-                )
+    if _use_fast_path(l2_cache, engine):
+        from .fastpath import _replay_cpu_trace
+
+        _replay_cpu_trace(hierarchy, trace)
+    else:
+        _run_cpu_reference_loop(hierarchy, trace)
     # Time base: one CPU reference per cycle is a serviceable approximation
     # for an in-order front end feeding two levels of cache.
     simulated_time = len(trace) * config.cycle_time_s

@@ -11,13 +11,12 @@ tag) with one vectorised :meth:`repro.cache.AddressMapper.decompose_batch`
 call, validated, and handed to the structure-of-arrays kernel in
 :mod:`repro.sim.soa`.
 
-:func:`run_cpu_trace_fast` extends the same treatment to the full two-level
-hierarchy: the CPU stream is pre-decoded once, filtered through compact
-L1I/L1D models (:func:`repro.sim.soa.filter_through_l1_soa`, optionally
-served from the :class:`~repro.workloads.ArtifactCache`), and the realised
-L2 read/write-back stream is replayed by the same SoA kernel.  The returned
-:class:`~repro.cache.CacheHierarchy` carries the same L1 contents and
-statistics as the reference loop.
+The fast step of :func:`repro.sim.run_cpu_trace` extends the same
+treatment to the full two-level hierarchy: the CPU stream is pre-decoded
+once, filtered through compact L1I/L1D models
+(:func:`repro.sim.soa.filter_through_l1_soa`), and the realised L2
+read/write-back stream is replayed by the same SoA kernel.  The hierarchy
+ends with the same L1 contents and statistics as the reference loop.
 
 Numerical equivalence is by construction, not by tolerance: every floating
 point accumulator (energy components, expected failures) receives the same
@@ -47,9 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cache import CacheHierarchy
-from ..cache.cache import BlockColumns
 from ..cache.replacement import BUILTIN_POLICIES
-from ..config import SimulationConfig
 from ..core.conventional import ConventionalCache
 from ..core.protected import ProtectedCache
 from ..core.reap import REAPCache
@@ -59,7 +56,6 @@ from ..core.serial import SerialAccessCache
 from ..errors import SimulationError
 from ..telemetry import emit_event, span
 from ..workloads.trace import KIND_ORDER, Trace
-from .results import SchemeRunResult
 from .soa import _CONVENTIONAL, _REAP, _SERIAL, filter_through_l1_soa, replay_l2_soa
 
 #: Scheme classes the fast path replays (exact types: a subclass may change
@@ -95,139 +91,28 @@ def _require_fast_path(cache: ProtectedCache) -> None:
         raise SimulationError(f"fast path does not support {reason}")
 
 
-def _export_l1_state(hierarchy: CacheHierarchy) -> dict:
-    """Snapshot everything the L1 filter mutated, for the artifact cache.
-
-    Captures, per L1 side, the full block state and replacement-policy row
-    of every set the filter touched (on a fresh hierarchy, exactly the sets
-    holding a valid line), the policy's global state, the cache tick and
-    statistics counters, plus the hierarchy-level reference counts — the
-    complete observable end state of :func:`filter_through_l1_soa` on a
-    fresh hierarchy.  Block state is read straight from the block columns.
-    Every value is JSON-native (per-set entries are ``[set_index, ...]``
-    pairs, not int-keyed dicts), so the artifact cache stores it as plain
-    JSON.
-    """
-    state: dict = {}
-    for side in ("l1i", "l1d"):
-        cache = getattr(hierarchy, side)
-        policy = cache.replacement
-        assoc = cache.associativity
-        touched = cache.resident_sets()
-        with cache.synced_columns() as columns:
-            values = [column[cache.set_frames(touched)].tolist() for column in columns]
-        blocks = [dict(zip(BlockColumns._fields, row)) for row in zip(*values)]
-        set_list = touched.tolist()
-        state[side] = {
-            "sets": [
-                [set_index, blocks[slot * assoc : (slot + 1) * assoc]]
-                for slot, set_index in enumerate(set_list)
-            ],
-            "rows": [
-                [set_index, row]
-                for set_index, row in zip(set_list, policy.rows[touched].tolist())
-            ],
-            "globals": policy.export_global_state(),
-            "tick": cache._tick,  # noqa: SLF001 - engine-internal state sync
-            "stats": dict(vars(cache.stats)),
-        }
-    state["hierarchy"] = dict(vars(hierarchy.stats))
-    return state
-
-
-def _apply_l1_state(hierarchy: CacheHierarchy, state: dict) -> None:
-    """Restore an :func:`_export_l1_state` snapshot into a fresh hierarchy."""
-    for side in ("l1i", "l1d"):
-        cache = getattr(hierarchy, side)
-        policy = cache.replacement
-        saved = state[side]
-        frames = cache.set_frames([set_index for set_index, _ in saved["sets"]])
-        blocks = [block for _, set_blocks in saved["sets"] for block in set_blocks]
-        with cache.synced_columns() as columns:
-            for name, column in zip(BlockColumns._fields, columns):
-                column[frames] = [block[name] for block in blocks]
-        for set_index, row in saved["rows"]:
-            policy.import_set_state(set_index, row)
-        policy.import_global_state(saved["globals"])
-        cache._tick = saved["tick"]  # noqa: SLF001 - engine-internal state sync
-        for name, value in saved["stats"].items():
-            setattr(cache.stats, name, value)
-    for name, value in state["hierarchy"].items():
-        setattr(hierarchy.stats, name, value)
-
-
-def run_cpu_trace_fast(
-    l2_cache: ProtectedCache,
-    trace: Trace,
-    config: SimulationConfig | None = None,
-    seed: int = 1,
-    add_leakage: bool = True,
-    artifact_cache=None,
-) -> tuple[SchemeRunResult, CacheHierarchy]:
-    """Batched equivalent of the reference :func:`repro.sim.run_cpu_trace`.
+def _replay_cpu_trace(hierarchy: CacheHierarchy, trace: Trace) -> None:
+    """The fast step of :func:`repro.sim.run_cpu_trace`.
 
     The CPU stream is pre-decoded once, filtered through run-length-encoded
     L1I/L1D replays, and the realised L2 read/write-back stream is replayed
-    with the SoA kernel.  The returned hierarchy holds L1 caches whose
-    contents, statistics and replacement state match the reference loop's
-    field for field.
-
-    Args:
-        l2_cache: The protected L2 placed under the L1s (mutated in place).
-        trace: CPU-level trace (``IFETCH`` / ``LOAD`` / ``STORE`` records).
-        config: Simulation configuration (hierarchy geometry and time base).
-        seed: Seed for the L1 replacement policies.
-        add_leakage: Whether to add L2 leakage energy for the simulated time.
-        artifact_cache: Optional :class:`~repro.workloads.ArtifactCache`
-            (or directory spec) serving pre-filtered L2 streams keyed by
-            trace content and L1 geometry; purely operational — results
-            are bit-identical with the cache cold, warm or disabled.
-
-    Returns:
-        A (result, hierarchy) pair, as from :func:`repro.sim.run_cpu_trace`.
+    with the SoA kernel.  The hierarchy's L1 caches end with the contents,
+    statistics and replacement state the reference loop leaves.
 
     Raises:
         SimulationError: if the L2 is not fast-path capable or the trace
             contains L2-level records (checked before any state mutation).
     """
-    from .engine import _snapshot
-
+    l2_cache = hierarchy.l2
     _require_fast_path(l2_cache)
-    config = config or SimulationConfig()
-    hierarchy = CacheHierarchy(config.hierarchy, l2_cache, seed=seed)
     scheme = l2_cache.scheme_name()
     emit_event("sim.engine", engine="fast", path="cpu", scheme=scheme)
-
-    stream_cache = stream_key = cached_stream = None
-    if isinstance(trace, Trace):
-        from ..workloads.artifacts import ArtifactCache
-
-        stream_cache = ArtifactCache.resolve(artifact_cache)
-        if stream_cache is not None:
-            stream_key = stream_cache.l1_stream_key(
-                trace.content_hash(), config.hierarchy, seed
-            )
-            cached_stream = stream_cache.load_l1_stream(stream_key)
-
-    if cached_stream is not None:
-        l2_codes, l2_addresses, l1_state = cached_stream
-        _apply_l1_state(hierarchy, l1_state)
-    else:
-        with span("kernel.decode", scheme=scheme, path="cpu", accesses=len(trace)):
-            cpu_codes, cpu_addresses = _decode_cpu(trace)
-        with span("kernel.l1_filter", scheme=scheme, accesses=len(trace)):
-            l2_codes, l2_addresses = filter_through_l1_soa(
-                hierarchy, cpu_codes, cpu_addresses
-            )
-        if stream_cache is not None:
-            stream_cache.store_l1_stream(
-                stream_key,
-                trace.name,
-                np.asarray(l2_codes, dtype=np.int8),
-                np.asarray(l2_addresses, dtype=np.int64),
-                _export_l1_state(hierarchy),
-            )
-
+    with span("kernel.decode", scheme=scheme, path="cpu", accesses=len(trace)):
+        cpu_codes, cpu_addresses = _decode_cpu(trace)
+    with span("kernel.l1_filter", scheme=scheme, accesses=len(trace)):
+        l2_codes, l2_addresses = filter_through_l1_soa(
+            hierarchy, cpu_codes, cpu_addresses
+        )
     with span("kernel.decode", scheme=scheme, path="l2", accesses=len(l2_codes)):
         codes = np.asarray(l2_codes, dtype=np.int8)
         addresses = np.asarray(l2_addresses, dtype=np.int64)
@@ -235,14 +120,6 @@ def run_cpu_trace_fast(
     replay_l2_soa(
         l2_cache, codes, batch.indices, batch.tags, _SCHEME_MODES[type(l2_cache)]
     )
-
-    # Time base: one CPU reference per cycle, as in the reference loop.
-    simulated_time = len(trace) * config.cycle_time_s
-    if add_leakage:
-        l2_cache.add_leakage(simulated_time)
-    l2_accesses = hierarchy.stats.l2_reads + hierarchy.stats.l2_writebacks
-    result = _snapshot(l2_cache, trace.name, l2_accesses, simulated_time)
-    return result, hierarchy
 
 
 #: Remaps :data:`repro.workloads.trace.KIND_ORDER` indices (IFETCH, LOAD,

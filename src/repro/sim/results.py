@@ -13,8 +13,8 @@ dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Mapping, Sequence
 
 from ..errors import AnalysisError
 from ..reliability import MTTFResult, mttf_improvement
@@ -114,6 +114,26 @@ class WorkloadComparison:
     def energy_overhead_percent(self, scheme: str = "reap") -> float:
         """Dynamic-energy overhead of ``scheme`` in percent."""
         return (self.relative_dynamic_energy(scheme) - 1.0) * 100.0
+
+
+def run_result_to_dict(result: SchemeRunResult) -> dict[str, Any]:
+    """Serialise one scheme run to a plain dictionary."""
+    payload = asdict(result)
+    payload["extra"] = dict(result.extra)
+    return payload
+
+
+def comparison_to_dict(comparison: WorkloadComparison) -> dict[str, Any]:
+    """Serialise a workload comparison to a plain dictionary.
+
+    The one result serialiser: campaign stores write it as is, and the JSON
+    export adds the derived metrics beside it.
+    """
+    return {
+        "workload": comparison.workload,
+        "baseline": run_result_to_dict(comparison.baseline),
+        "alternatives": [run_result_to_dict(r) for r in comparison.alternatives],
+    }
 
 
 def format_table(

@@ -15,7 +15,7 @@ Public surface:
   :class:`BinaryTraceSource`, :class:`TextTraceSource` — out-of-core trace
   storage, external-format readers and segmented ingestion.
 * :class:`ArtifactCache` (:mod:`repro.workloads.artifacts`) — cross-job
-  amortisation of decoded traces and L1-filtered streams.
+  amortisation of decoded traces.
 """
 
 from .artifacts import ARTIFACT_CACHE_ENV, ArtifactCache

@@ -1,23 +1,21 @@
-"""Cross-job artifact cache for decoded traces and L1-filtered streams.
+"""Cross-job artifact cache for decoded traces.
 
 Campaigns that sweep MTJ/ECC parameters over a fixed workload mix re-derive
-the same expensive inputs in every job: the synthetic L2 trace is
-regenerated record by record, and (on the CPU path) the L1 filter replays
-the same CPU stream against the same L1 configuration.  Both derivations
-are pure functions of a small recipe, so this module persists them once per
-worker machine in a content-hash-keyed, mmap-backed cache:
+the same expensive input in every job: the synthetic L2 trace is
+regenerated record by record.  That derivation is a pure function of a
+small recipe, so this module persists it once per worker machine in a
+content-hash-keyed, mmap-backed cache.  It holds two kinds of trace, both
+stored in the binary chunked trace format (:mod:`repro.workloads.streams`):
 
-* **Decoded L2 traces** are stored in the binary chunked trace format
-  (:mod:`repro.workloads.streams`); a hit serves a zero-copy
-  :class:`~repro.workloads.streams.BinaryTraceSource`, which the engines
-  replay through the segmented path that is bit-identical to whole-trace
-  replay, so results are byte-identical with the cache cold, warm, or
-  disabled.
-* **L1-filtered L2 streams** are stored as a binary trace of the realised
-  L2 requests plus a JSON end-state sidecar (L1 block fields, policy
-  state, statistics), keyed by :meth:`Trace.content_hash` + the L1
-  configuration + the seed — so sweeping the L1 configuration naturally
-  keys separate entries instead of reusing a stale stream.
+* **Generated L2 traces**, keyed by the generator's recipe (profile, L2
+  address geometry, length, seed).
+* **Binary mirrors of text trace files**, keyed by the file's identity, so
+  a text trace is converted once per edit and every job replays the mirror.
+
+A hit serves a zero-copy :class:`~repro.workloads.streams.BinaryTraceSource`,
+which the engines replay through the segmented path that is bit-identical
+to whole-trace replay, so results are byte-identical with the cache cold,
+warm, or disabled.
 
 Concurrency and failure semantics mirror the campaign result stores:
 artifacts are written to a temporary file in the cache directory and
@@ -36,7 +34,6 @@ settings are unchanged by it.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import tempfile
 import warnings
@@ -44,13 +41,10 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from ..errors import TraceError
 from ..telemetry import emit_counter
 from .generator import generate_l2_trace
 from .streams import BinaryTraceSource, BinaryTraceWriter, TraceSource
-from .trace import Trace
 
 #: Environment override for the cache directory (CLI flags take precedence
 #: where a flag exists; workers resolve the environment first so a machine
@@ -81,10 +75,10 @@ def _recipe_hash(payload: Any) -> str:
     return content_hash(payload)
 
 
-def _emit(kind: str, outcome: str, nbytes: int = 0) -> None:
+def _emit(outcome: str, nbytes: int = 0) -> None:
     # The field is named ``artifact`` (not ``kind``) because emitted fields
     # merge into the event envelope, whose ``kind`` key is the event kind.
-    emit_counter("cache.artifact", artifact=kind, outcome=outcome, bytes=nbytes)
+    emit_counter("cache.artifact", artifact="trace", outcome=outcome, bytes=nbytes)
 
 
 class ArtifactCache:
@@ -190,18 +184,18 @@ class ArtifactCache:
     def _trace_path(self, key: str) -> Path:
         return self.root / "traces" / f"{key}.reaptrc"
 
-    def _open_trace(self, path: Path, kind: str) -> BinaryTraceSource | None:
+    def _open_trace(self, path: Path) -> BinaryTraceSource | None:
         try:
             if not path.is_file():
-                _emit(kind, "miss")
+                _emit("miss")
                 return None
             source = BinaryTraceSource(path)
         except (TraceError, OSError, ValueError):
             # Truncated or corrupt artifact: treat as a miss; the recompute
             # below rewrites (heals) the entry atomically.
-            _emit(kind, "error")
+            _emit("error")
             return None
-        _emit(kind, "hit", nbytes=path.stat().st_size)
+        _emit("hit", nbytes=path.stat().st_size)
         return source
 
     def l2_trace(self, profile, config, num_accesses: int, seed: int):
@@ -213,7 +207,7 @@ class ArtifactCache:
         """
         key = self.trace_key(profile, config, num_accesses, seed)
         path = self._trace_path(key)
-        source = self._open_trace(path, "trace")
+        source = self._open_trace(path)
         if source is not None:
             return source
         trace = generate_l2_trace(profile, config, num_accesses, seed=seed)
@@ -224,7 +218,7 @@ class ArtifactCache:
                 writer.append(kinds, addresses)
 
         if self._publish(path, write_to):
-            _emit("trace", "store", nbytes=path.stat().st_size)
+            _emit("store", nbytes=path.stat().st_size)
         return trace
 
     def binary_text_trace(self, path: str | Path, source: TraceSource):
@@ -248,7 +242,7 @@ class ArtifactCache:
         except OSError:
             return source
         cache_path = self._trace_path(key)
-        cached = self._open_trace(cache_path, "trace")
+        cached = self._open_trace(cache_path)
         if cached is not None:
             return cached
 
@@ -259,99 +253,6 @@ class ArtifactCache:
 
         if not self._publish(cache_path, write_to):
             return source
-        _emit("trace", "store", nbytes=cache_path.stat().st_size)
-        converted = self._open_trace(cache_path, "trace")
+        _emit("store", nbytes=cache_path.stat().st_size)
+        converted = self._open_trace(cache_path)
         return converted if converted is not None else source
-
-    # -- L1-filtered L2 streams -------------------------------------------------
-
-    def l1_stream_key(self, trace_hash: str, hierarchy_config, seed: int) -> str:
-        """Recipe key of an L1-filtered stream.
-
-        Includes the full L1I/L1D configurations, so a campaign sweeping
-        the L1 configuration keys distinct entries (filtered-stream reuse
-        is effectively skipped across the sweep axis) instead of sharing a
-        stale stream.
-        """
-        return _recipe_hash(
-            {
-                "schema": _SCHEMA,
-                "kind": "l1-stream",
-                "trace": trace_hash,
-                "l1i": hierarchy_config.l1i.to_dict(),
-                "l1d": hierarchy_config.l1d.to_dict(),
-                "seed": seed,
-            }
-        )
-
-    def _stream_paths(self, key: str) -> tuple[Path, Path]:
-        base = self.root / "l1"
-        return base / f"{key}.reaptrc", base / f"{key}.state"
-
-    def load_l1_stream(
-        self, key: str
-    ) -> tuple[np.ndarray, np.ndarray, Any] | None:
-        """Load a filtered stream: ``(codes, addresses, state)`` or ``None``.
-
-        ``codes`` are the L2 codes (0 read, 1 write-back); ``state`` is
-        the JSON end-state value stored alongside.  The sidecar is only
-        ever parsed as JSON, so a hostile file in a shared cache directory
-        reads as a miss and can never run code.
-        """
-        stream_path, state_path = self._stream_paths(key)
-        if not (stream_path.is_file() and state_path.is_file()):
-            _emit("l1-stream", "miss")
-            return None
-        try:
-            with BinaryTraceSource(stream_path) as source:
-                parts = list(source.segments())
-            if parts:
-                kinds = np.concatenate([k for k, _ in parts])
-                addresses = np.concatenate([a for _, a in parts])
-            else:
-                kinds = np.zeros(0, dtype=np.int8)
-                addresses = np.zeros(0, dtype=np.int64)
-            state = json.loads(state_path.read_bytes())
-        except (TraceError, OSError, ValueError, RecursionError):
-            _emit("l1-stream", "error")
-            return None
-        # Stored kinds are the L2-level KIND_ORDER indices (3 read, 4
-        # write-back); map back to the kernel's 0/1 codes.
-        codes = (kinds - 3).astype(np.int8)
-        nbytes = stream_path.stat().st_size + state_path.stat().st_size
-        _emit("l1-stream", "hit", nbytes=nbytes)
-        return codes, addresses, state
-
-    def store_l1_stream(
-        self,
-        key: str,
-        name: str,
-        codes: np.ndarray,
-        addresses: np.ndarray,
-        state: Any,
-    ) -> bool:
-        """Persist a filtered stream and its end state; False on degrade."""
-        try:
-            blob = json.dumps(
-                state, sort_keys=True, separators=(",", ":"), allow_nan=False
-            ).encode("ascii")
-        except (TypeError, ValueError):
-            # State JSON cannot represent: skip caching rather than fail
-            # the run.
-            _emit("l1-stream", "skip")
-            return False
-        kinds = (np.asarray(codes, dtype=np.int8) + 3).astype(np.int8)
-        addresses = np.asarray(addresses, dtype=np.int64)
-        stream_path, state_path = self._stream_paths(key)
-        if not self._publish(state_path, lambda tmp: Path(tmp).write_bytes(blob)):
-            return False
-
-        def write_to(tmp: str) -> None:
-            with BinaryTraceWriter(tmp, name) as writer:
-                writer.append(kinds, addresses)
-
-        if not self._publish(stream_path, write_to):
-            return False
-        nbytes = stream_path.stat().st_size + state_path.stat().st_size
-        _emit("l1-stream", "store", nbytes=nbytes)
-        return True

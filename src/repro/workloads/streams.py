@@ -378,10 +378,12 @@ def _parse_address(token: str) -> int:
 class TextTraceSource:
     """Streaming reader for the supported text trace formats.
 
-    The file is parsed twice: once on open to count records (so the engines
-    can report ``num_accesses`` and size progress displays), and once per
-    :meth:`segments` pass.  Both passes hold one line plus one segment of
-    decoded arrays in memory at a time.
+    Each :meth:`segments` pass parses the file once.  The record count is
+    one more parse, taken on the first :func:`len` (so the engines can
+    report ``num_accesses`` and size progress displays);
+    :func:`open_trace` takes it on open, so a malformed file is rejected
+    there.  Every pass holds one line plus one segment of decoded arrays in
+    memory at a time.
     """
 
     def __init__(
@@ -395,9 +397,11 @@ class TextTraceSource:
         self._path = Path(path)
         self.format = format
         self.name = name if name is not None else self._path.stem
-        self._count = sum(1 for _ in self._records())
+        self._count: int | None = None
 
     def __len__(self) -> int:
+        if self._count is None:
+            self._count = sum(1 for _ in self._records())
         return self._count
 
     def _records(self) -> Iterator[tuple[int, int]]:
@@ -515,6 +519,21 @@ def detect_format(path: str | Path) -> str:
     raise TraceError(f"{path}: empty trace file, cannot detect format")
 
 
+def _open_source(path: str | Path, format: str, name: str | None) -> TraceSource:
+    """Open a trace file as a source without parsing a text format's records."""
+    if format not in FORMAT_CHOICES:
+        raise TraceError(
+            f"unknown trace format {format!r}; choose one of {FORMAT_CHOICES}"
+        )
+    path = Path(path)
+    _require_file(path)
+    if format == "auto":
+        format = detect_format(path)
+    if format == "binary":
+        return BinaryTraceSource(path, name=name)
+    return TextTraceSource(path, format, name=name)
+
+
 def open_trace(
     path: str | Path, format: str = "auto", name: str | None = None
 ) -> TraceSource:
@@ -530,17 +549,9 @@ def open_trace(
     Raises:
         TraceError: on unknown/undetectable formats or malformed files.
     """
-    if format not in FORMAT_CHOICES:
-        raise TraceError(
-            f"unknown trace format {format!r}; choose one of {FORMAT_CHOICES}"
-        )
-    path = Path(path)
-    _require_file(path)
-    if format == "auto":
-        format = detect_format(path)
-    if format == "binary":
-        return BinaryTraceSource(path, name=name)
-    return TextTraceSource(path, format, name=name)
+    source = _open_source(path, format, name)
+    len(source)  # a text source counts, and so validates, its records here
+    return source
 
 
 def read_trace(path: str | Path, format: str = "auto", name: str | None = None) -> Trace:
@@ -549,22 +560,18 @@ def read_trace(path: str | Path, format: str = "auto", name: str | None = None) 
     Convenience for small traces and tests (:meth:`Trace.load` is this call
     with ``format="text"``); replay :func:`open_trace`'s source directly for
     out-of-core replay.  The result is :meth:`Trace.from_columns` over the
-    concatenated segments, so no per-access record is built.
+    concatenated segments, so no per-access record is built, and a text
+    file is parsed once: its record count is the concatenated length.
 
     Raises:
         TraceError: on a missing file, an unknown or undetectable format,
             or a malformed file (text formats name ``path:line``).
     """
-    source = open_trace(path, format=format, name=name)
-    try:
+    with _open_source(path, format, name) as source:
         segments = list(source.segments())
-        if not segments:
-            return Trace(name=source.name)
-        kinds, addresses = zip(*segments)
-        return Trace.from_columns(
-            source.name, np.concatenate(kinds), np.concatenate(addresses)
-        )
-    finally:
-        close = getattr(source, "close", None)
-        if close is not None:
-            close()
+    if not segments:
+        return Trace(name=source.name)
+    kinds, addresses = zip(*segments)
+    return Trace.from_columns(
+        source.name, np.concatenate(kinds), np.concatenate(addresses)
+    )

@@ -50,12 +50,6 @@ over_fast_segmenting = pytest.mark.parametrize(
     "segment_accesses", (None, 701), ids=("whole", "segmented")
 )
 
-#: Runs the fast engine's CPU path with the L1-filtered stream computed
-#: in place and loaded from a warm artifact cache.  Tests take the value
-#: as ``l1_stream``.
-over_l1_stream = pytest.mark.parametrize("l1_stream", ("uncached", "warm"))
-
-
 def small_l2(**overrides) -> CacheLevelConfig:
     """A small L2 geometry that keeps the harness quick but conflict-rich."""
     params = dict(
@@ -157,19 +151,9 @@ def run_both_engines(
 
 
 def run_both_cpu_engines(
-    scheme,
-    trace,
-    sim_config=None,
-    seed=1,
-    ones_count=100,
-    artifact_cache="off",
-    **kwargs,
+    scheme, trace, sim_config=None, seed=1, ones_count=100, **kwargs
 ):
     """Run one CPU trace through both engines over identical hierarchies.
-
-    When ``artifact_cache`` names a cache, a throwaway fast run on a
-    separate L2 stores the L1-filtered stream first, so the measured fast
-    run replays it from the warm cache.
 
     Returns:
         ``(reference_result, fast_result, reference_hierarchy,
@@ -182,28 +166,11 @@ def run_both_cpu_engines(
     fast_cache = build_cache(
         scheme, config=sim_config.hierarchy.l2, seed=seed, ones_count=ones_count, **kwargs
     )
-    if artifact_cache != "off":
-        warming_cache = build_cache(
-            scheme, config=sim_config.hierarchy.l2, seed=seed, ones_count=ones_count, **kwargs
-        )
-        run_cpu_trace(
-            warming_cache,
-            trace,
-            config=sim_config,
-            seed=seed,
-            engine="fast",
-            artifact_cache=artifact_cache,
-        )
     reference_result, reference_hierarchy = run_cpu_trace(
         reference_cache, trace, config=sim_config, seed=seed, engine="reference"
     )
     fast_result, fast_hierarchy = run_cpu_trace(
-        fast_cache,
-        trace,
-        config=sim_config,
-        seed=seed,
-        engine="fast",
-        artifact_cache=artifact_cache,
+        fast_cache, trace, config=sim_config, seed=seed, engine="fast"
     )
     return (
         reference_result,

@@ -3,24 +3,18 @@
 :class:`~repro.cache.SetAssociativeCache` keeps every set no caller has
 touched as objects in frame-indexed NumPy columns, and the SoA kernel
 gathers and scatters those columns over the touched frames.  These tests
-pin the two consequences that the equivalence grids cannot see:
-
-* a cold fast-path replay (L2 or CPU level, any scheme) constructs no
-  :class:`~repro.cache.CacheBlock` and no :class:`~repro.cache.CacheSet`,
-  so per-set object loops cannot creep back into the kernel;
-* the L1-stream artifact sidecar, now written straight from the L1
-  columns, is byte-identical to the one the object path wrote, so
-  existing artifact caches keep hitting.
+pin the consequence that the equivalence grids cannot see: a cold
+fast-path replay (L2 or CPU level, any scheme) constructs no
+:class:`~repro.cache.CacheBlock` and no :class:`~repro.cache.CacheSet`, so
+per-set object loops cannot creep back into the kernel.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 import pytest
 from equivalence_utils import (
-    EQUIVALENCE_POLICIES,
     EQUIVALENCE_SCHEMES,
     build_cache,
     small_hierarchy_config,
@@ -84,72 +78,8 @@ def test_cold_l2_replay_builds_no_block_objects(constructions, scheme, policy):
     assert constructions == Counter(CacheSet=1, CacheBlock=config.associativity)
 
 
-@pytest.mark.parametrize("l1_stream", ("uncached", "warm"))
-def test_cold_cpu_replay_builds_no_block_objects(constructions, l1_stream, tmp_path):
+def test_cold_cpu_replay_builds_no_block_objects(constructions):
     sim_config = small_hierarchy_config()
-    artifacts = tmp_path / "artifacts" if l1_stream == "warm" else "off"
-    runs = 2 if l1_stream == "warm" else 1  # the second run loads the sidecar
-    for _ in range(runs):
-        cache = build_cache("reap", config=sim_config.hierarchy.l2)
-        run_cpu_trace(
-            cache,
-            cpu_trace(),
-            config=sim_config,
-            engine="fast",
-            artifact_cache=artifacts,
-        )
+    cache = build_cache("reap", config=sim_config.hierarchy.l2)
+    run_cpu_trace(cache, cpu_trace(), config=sim_config, engine="fast")
     assert constructions == Counter()
-
-
-def object_path_sidecar(hierarchy) -> dict:
-    """The L1 end-state sidecar as the object path wrote it, block by block.
-
-    A fresh hierarchy's filter touches exactly the sets that end holding a
-    valid line (an L1 never invalidates), so those are the sets exported.
-    """
-    state: dict = {}
-    for side in ("l1i", "l1d"):
-        cache = getattr(hierarchy, side)
-        policy = cache.replacement
-        touched = sorted({set_index for set_index, _, _ in cache.resident_blocks()})
-        state[side] = {
-            "sets": [
-                [s, [dict(vars(block)) for block in cache.blocks_in_set(s)]]
-                for s in touched
-            ],
-            "rows": [[s, policy.export_set_state(s)] for s in touched],
-            "globals": policy.export_global_state(),
-            "tick": cache._tick,
-            "stats": dict(vars(cache.stats)),
-        }
-    state["hierarchy"] = dict(vars(hierarchy.stats))
-    return state
-
-
-@pytest.mark.parametrize("l1_policy", EQUIVALENCE_POLICIES)
-def test_l1_sidecar_bytes_equal_the_object_path(l1_policy, tmp_path):
-    sim_config = small_hierarchy_config(l1_replacement=l1_policy)
-    trace = cpu_trace()
-    run_cpu_trace(
-        build_cache("reap", config=sim_config.hierarchy.l2),
-        trace,
-        config=sim_config,
-        seed=2,
-        engine="fast",
-        artifact_cache=tmp_path,
-    )
-    (sidecar,) = (tmp_path / "l1").glob("*.state")
-    _, reference_hierarchy = run_cpu_trace(
-        build_cache("reap", config=sim_config.hierarchy.l2),
-        trace,
-        config=sim_config,
-        seed=2,
-        engine="reference",
-    )
-    expected = json.dumps(
-        object_path_sidecar(reference_hierarchy),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    ).encode("ascii")
-    assert sidecar.read_bytes() == expected

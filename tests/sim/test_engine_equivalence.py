@@ -5,10 +5,8 @@ because it is *numerically indistinguishable* from the per-record reference
 loop.  This module is the contract: it sweeps every fast-path scheme across
 SPEC-profile and synthetic workloads, every built-in replacement policy,
 both trace levels (L2 and CPU/hierarchy) and multiple seeds — with the fast
-L2 replay run whole and in ragged segments, and the fast CPU path run with
-its L1-filtered stream computed and served from a warm artifact cache — and
-asserts
-field-by-field equality of
+L2 replay run whole and in ragged segments — and asserts field-by-field
+equality of
 
 * the :class:`~repro.sim.SchemeRunResult` snapshot (ints exact, floats to
   1e-12 relative),
@@ -41,6 +39,7 @@ from repro.sim import (
     supports_fast_path,
 )
 from repro.workloads import (
+    ARTIFACT_CACHE_ENV,
     AccessKind,
     Trace,
     TraceRecord,
@@ -61,7 +60,6 @@ from equivalence_utils import (
     build_cache,
     interleaved_l2,
     over_fast_segmenting,
-    over_l1_stream,
     run_both_cpu_engines,
     run_both_engines,
     small_hierarchy_config,
@@ -232,55 +230,63 @@ class TestScrubbingScheme:
         assert_caches_equivalent(ref_cache, fast_cache)
 
 
-def artifact_spec(l1_stream: str, tmp_path):
-    """The artifact-cache spec for one ``over_l1_stream`` case."""
-    return tmp_path / "artifacts" if l1_stream == "warm" else "off"
-
-
 class TestHierarchyTraces:
     """run_cpu_trace equivalence: HierarchyStatistics and L1 contents too."""
 
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    @over_l1_stream
-    def test_cpu_traces_all_schemes(self, scheme, l1_stream, tmp_path):
+    def test_cpu_traces_all_schemes(self, scheme):
         trace = cpu_trace(seed=1)
         reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-            scheme, trace, seed=1, artifact_cache=artifact_spec(l1_stream, tmp_path)
+            scheme, trace, seed=1
         )
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
         assert_caches_equivalent(ref_cache, fast_cache)
 
     @pytest.mark.parametrize("l1_policy", EQUIVALENCE_POLICIES)
-    @over_l1_stream
-    def test_cpu_traces_l1_policies(self, l1_policy, l1_stream, tmp_path):
+    def test_cpu_traces_l1_policies(self, l1_policy):
         sim_config = small_hierarchy_config(l1_replacement=l1_policy)
         trace = cpu_trace(seed=2)
         reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-            "reap",
-            trace,
-            sim_config=sim_config,
-            seed=2,
-            artifact_cache=artifact_spec(l1_stream, tmp_path),
+            "reap", trace, sim_config=sim_config, seed=2
         )
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
         assert_caches_equivalent(ref_cache, fast_cache)
 
     @pytest.mark.parametrize("l2_policy", ("fifo", "ler"))
-    @over_l1_stream
-    def test_cpu_traces_l2_policies(self, l2_policy, l1_stream, tmp_path):
+    def test_cpu_traces_l2_policies(self, l2_policy):
         sim_config = small_hierarchy_config(
             l2_config=small_l2(replacement=l2_policy)
         )
         trace = cpu_trace(seed=3)
         reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-            "conventional",
-            trace,
-            sim_config=sim_config,
-            seed=3,
-            artifact_cache=artifact_spec(l1_stream, tmp_path),
+            "conventional", trace, sim_config=sim_config, seed=3
         )
+        assert_results_equivalent(reference, fast)
+        assert_hierarchies_equivalent(ref_h, fast_h)
+        assert_caches_equivalent(ref_cache, fast_cache)
+
+    def test_artifact_cache_env_does_not_touch_the_cpu_path(
+        self, tmp_path, monkeypatch
+    ):
+        """The artifact cache holds L2 traces only: a fast CPU run with
+        ``REPRO_ARTIFACT_CACHE`` set writes nothing there and still matches
+        the reference loop."""
+        cache_dir = tmp_path / "artifacts"
+        cache_dir.mkdir()
+        monkeypatch.setenv(ARTIFACT_CACHE_ENV, str(cache_dir))
+        sim_config = small_hierarchy_config()
+        trace = cpu_trace(seed=5, length=2_000)
+        ref_cache = build_cache("reap", config=sim_config.hierarchy.l2, seed=5)
+        fast_cache = build_cache("reap", config=sim_config.hierarchy.l2, seed=5)
+        reference, ref_h = run_cpu_trace(
+            ref_cache, trace, config=sim_config, seed=5, engine="reference"
+        )
+        fast, fast_h = run_cpu_trace(
+            fast_cache, trace, config=sim_config, seed=5, engine="fast"
+        )
+        assert list(cache_dir.iterdir()) == []
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
         assert_caches_equivalent(ref_cache, fast_cache)

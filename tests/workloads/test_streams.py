@@ -258,6 +258,26 @@ class TestTextFormats:
             source = open_trace(path, format=fmt)
             list(source.segments(10))
 
+    def test_read_trace_parses_each_line_once(self, tmp_path, monkeypatch):
+        trace = l2_trace(300)
+        path = tmp_path / "trace.txt"
+        trace.save(path)
+        parsed = []
+        parse = TextTraceSource._parse_text
+
+        def counting(line):
+            parsed.append(line)
+            return parse(line)
+
+        monkeypatch.setattr(TextTraceSource, "_parse_text", staticmethod(counting))
+        loaded = read_trace(path, format="text")
+        assert len(parsed) == 300
+        assert len(loaded) == 300
+        assert np.array_equal(loaded.decoded()[1], trace.decoded()[1])
+        parsed.clear()
+        Trace.load(path)
+        assert len(parsed) == 300
+
     def test_unknown_text_format_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("R 0x40\n")
