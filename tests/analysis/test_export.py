@@ -77,6 +77,15 @@ class TestJSONExport:
         assert payload["metrics"]["reap"]["mttf_improvement"] > 1.0
         assert payload["baseline"]["scheme"] == "conventional"
 
+    def test_comparison_dict_is_the_store_dict_plus_metrics(self, comparisons):
+        from repro.campaign import comparison_to_dict as store_comparison_to_dict
+
+        payload = comparison_to_dict(comparisons[0])
+        assert list(payload) == ["workload", "baseline", "alternatives", "metrics"]
+        metrics = payload.pop("metrics")
+        assert payload == store_comparison_to_dict(comparisons[0])
+        assert list(metrics) == [r.scheme for r in comparisons[0].alternatives]
+
     def test_round_trip_file(self, tmp_path, comparisons):
         path = comparisons_to_json(comparisons, tmp_path / "comparisons.json")
         loaded = load_comparisons_summary(path)

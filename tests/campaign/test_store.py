@@ -1,5 +1,6 @@
 """Tests for the JSONL result store: round-trips, conflicts, durability."""
 
+import hashlib
 import json
 
 import pytest
@@ -56,6 +57,25 @@ class TestSerialisation:
         clone = comparison_from_dict(comparison_to_dict(comparison))
         assert clone == comparison
         assert clone.baseline.extra == {"note": 1.0}
+
+    def test_store_and_export_share_one_serialiser(self):
+        from repro.analysis import export
+        from repro.campaign import store
+        from repro.sim import results
+
+        assert store.run_result_to_dict is results.run_result_to_dict
+        assert store.comparison_to_dict is results.comparison_to_dict
+        assert comparison_to_dict is results.comparison_to_dict
+        assert "_result_to_dict" not in vars(export)
+
+    def test_canonical_payload_bytes_are_pinned(self):
+        """Store lines hash this payload: its canonical bytes must not move."""
+        from repro.campaign.hashing import canonical_json
+
+        payload = canonical_json(comparison_to_dict(make_comparison()))
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == (
+            "1ad8b4f9cfa28fe8c8870d43eec375e005222d286805809a77f4dc30321dae02"
+        )
 
     def test_malformed_payload_raises(self):
         with pytest.raises(CampaignError):

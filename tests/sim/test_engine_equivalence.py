@@ -38,6 +38,7 @@ from repro.sim import (
     run_l2_trace,
     supports_fast_path,
 )
+from repro.telemetry import MemorySink, telemetry
 from repro.workloads import (
     ARTIFACT_CACHE_ENV,
     AccessKind,
@@ -267,8 +268,9 @@ class TestHierarchyTraces:
         assert_hierarchies_equivalent(ref_h, fast_h)
         assert_caches_equivalent(ref_cache, fast_cache)
 
+    @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
     def test_artifact_cache_env_does_not_touch_the_cpu_path(
-        self, tmp_path, monkeypatch
+        self, scheme, tmp_path, monkeypatch
     ):
         """The artifact cache holds L2 traces only: a fast CPU run with
         ``REPRO_ARTIFACT_CACHE`` set writes nothing there and still matches
@@ -278,8 +280,8 @@ class TestHierarchyTraces:
         monkeypatch.setenv(ARTIFACT_CACHE_ENV, str(cache_dir))
         sim_config = small_hierarchy_config()
         trace = cpu_trace(seed=5, length=2_000)
-        ref_cache = build_cache("reap", config=sim_config.hierarchy.l2, seed=5)
-        fast_cache = build_cache("reap", config=sim_config.hierarchy.l2, seed=5)
+        ref_cache = build_cache(scheme, config=sim_config.hierarchy.l2, seed=5)
+        fast_cache = build_cache(scheme, config=sim_config.hierarchy.l2, seed=5)
         reference, ref_h = run_cpu_trace(
             ref_cache, trace, config=sim_config, seed=5, engine="reference"
         )
@@ -290,6 +292,110 @@ class TestHierarchyTraces:
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
         assert_caches_equivalent(ref_cache, fast_cache)
+
+    @pytest.mark.parametrize(
+        "add_leakage", (True, False), ids=("leakage", "no-leakage")
+    )
+    def test_both_engines_share_the_epilogue(self, add_leakage):
+        """One time base, leakage step and snapshot serve both engines: the
+        result counts realised L2 requests over one cycle per CPU reference."""
+        sim_config = small_hierarchy_config()
+        trace = cpu_trace(seed=6, length=2_000)
+        runs = {}
+        for engine in ("reference", "fast"):
+            cache = build_cache("reap", config=sim_config.hierarchy.l2, seed=6)
+            result, hierarchy = run_cpu_trace(
+                cache,
+                trace,
+                config=sim_config,
+                seed=6,
+                add_leakage=add_leakage,
+                engine=engine,
+            )
+            assert result.simulated_time_s == len(trace) * sim_config.cycle_time_s
+            assert result.num_accesses == (
+                hierarchy.stats.l2_reads + hierarchy.stats.l2_writebacks
+            )
+            assert (result.leakage_energy_pj > 0) is add_leakage
+            runs[engine] = (result, hierarchy, cache)
+        (reference, ref_h, ref_cache), (fast, fast_h, fast_cache) = (
+            runs["reference"],
+            runs["fast"],
+        )
+        assert_results_equivalent(reference, fast)
+        assert_hierarchies_equivalent(ref_h, fast_h)
+        assert_caches_equivalent(ref_cache, fast_cache)
+
+    @pytest.mark.parametrize(
+        "engine, replay_spans",
+        (
+            ("reference", ["reference.replay"]),
+            ("fast", ["kernel.decode", "kernel.l1_filter", "kernel.decode"]),
+        ),
+        ids=("reference", "fast"),
+    )
+    def test_replay_step_spans(self, engine, replay_spans):
+        """The replay step is the only part that differs between engines:
+        the fast step decodes the CPU stream, filters it through the L1s
+        and decodes the realised L2 stream, each under its own span."""
+        sim_config = small_hierarchy_config()
+        cache = build_cache("reap", config=sim_config.hierarchy.l2)
+        sink = MemorySink()
+        with telemetry(sink):
+            run_cpu_trace(
+                cache, cpu_trace(seed=1, length=1_000), config=sim_config, engine=engine
+            )
+        engines = [
+            (e["engine"], e["path"]) for e in sink.events if e["name"] == "sim.engine"
+        ]
+        assert engines == [(engine, "cpu")]
+        names = [
+            e["name"]
+            for e in sink.events
+            if e.get("kind") == "span"
+            and e["name"] in ("reference.replay", "kernel.decode", "kernel.l1_filter")
+        ]
+        assert names == replay_spans
+
+    @pytest.mark.parametrize(
+        "fault", ("l2-read-record", "l2-write-record", "custom-scheme")
+    )
+    def test_fast_step_refuses_before_any_mutation(self, fault):
+        """The fast step checks the L2 scheme before it emits anything, and
+        the record kinds before it filters or replays anything."""
+        from repro.core import DataValueProfile
+
+        sim_config = small_hierarchy_config()
+        records = [TraceRecord(AccessKind.LOAD, 0x1000)]
+        if fault == "custom-scheme":
+            cache = _CustomScheme(
+                config=sim_config.hierarchy.l2,
+                p_cell=1e-8,
+                data_profile=DataValueProfile.constant(100),
+                seed=1,
+            )
+            match = "fast path does not support"
+        else:
+            kind = {
+                "l2-read-record": AccessKind.L2_READ,
+                "l2-write-record": AccessKind.L2_WRITE,
+            }[fault]
+            records.append(TraceRecord(kind, 0x2000))
+            cache = build_cache("reap", config=sim_config.hierarchy.l2)
+            match = "expects CPU-level records"
+        sink = MemorySink()
+        with telemetry(sink), pytest.raises(SimulationError, match=match):
+            run_cpu_trace(
+                cache,
+                Trace(name="bad", records=records),
+                config=sim_config,
+                engine="fast",
+            )
+        assert cache.stats.accesses == 0
+        assert cache.energy.dynamic_pj == 0.0
+        names = [e["name"] for e in sink.events]
+        assert "kernel.l1_filter" not in names
+        assert ("sim.engine" in names) is (fault != "custom-scheme")
 
     def test_cpu_trace_leakage_optional(self):
         sim_config = small_hierarchy_config()

@@ -12,13 +12,16 @@ from repro.config import CacheLevelConfig
 from repro.telemetry import MemorySink, telemetry
 from repro.workloads import (
     ARTIFACT_CACHE_ENV,
+    AccessKind,
     ArtifactCache,
     BinaryTraceSource,
     Trace,
     generate_l2_trace,
     get_profile,
+    open_trace,
 )
 from repro.workloads.artifacts import _reset_warned_roots
+from repro.workloads.trace import _KIND_INDEX
 
 
 def small_l2() -> CacheLevelConfig:
@@ -243,3 +246,104 @@ class TestUnwritableCacheDir:
             ArtifactCache(tmp_path / "b").l2_trace(profile, config, 200, seed=7)
         relevant = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(relevant) == 2
+
+
+READ = _KIND_INDEX[AccessKind.L2_READ]
+WRITE = _KIND_INDEX[AccessKind.L2_WRITE]
+
+#: One text trace per text format, with the columns each one decodes to.
+TEXT_TRACES = {
+    "text": (
+        "R 0x40\nW 0x1000\nR 0x2040\n",
+        ([READ, WRITE, READ], [0x40, 0x1000, 0x2040]),
+    ),
+    "din": (
+        "0 400000\n1 400040\n2 8000\n",
+        ([READ, WRITE, READ], [0x400000, 0x400040, 0x8000]),
+    ),
+    "lackey": (
+        "I  0023C790,2\n L 04EB8B98,8\n M 0421C7D0,4\n",
+        (
+            [READ, READ, READ, WRITE],
+            [0x0023C790, 0x04EB8B98, 0x0421C7D0, 0x0421C7D0],
+        ),
+    ),
+}
+
+
+def source_columns(source) -> tuple[list[int], list[int]]:
+    """A source's whole ``(kinds, addresses)`` columns, as lists."""
+    segments = list(source.segments())
+    kinds = np.concatenate([k for k, _ in segments])
+    addresses = np.concatenate([a for _, a in segments])
+    return kinds.tolist(), addresses.tolist()
+
+
+class TestBinaryTextTraceMirror:
+    """The second trace kind: a text trace file converted once to binary."""
+
+    @pytest.mark.parametrize("fmt", sorted(TEXT_TRACES))
+    def test_miss_converts_then_hit_serves_identical_columns(self, fmt, tmp_path):
+        body, expected = TEXT_TRACES[fmt]
+        path = tmp_path / f"trace.{fmt}"
+        path.write_text(body)
+        cache = ArtifactCache(tmp_path / "cache")
+        sink = MemorySink()
+        with telemetry(sink):
+            with open_trace(path, format=fmt) as text:
+                cold = cache.binary_text_trace(path, text)
+            with open_trace(path, format=fmt) as text:
+                warm = cache.binary_text_trace(path, text)
+        with cold, warm:
+            assert isinstance(cold, BinaryTraceSource)
+            assert isinstance(warm, BinaryTraceSource)
+            assert cold.name == warm.name == "trace"
+            assert source_columns(cold) == expected
+            assert source_columns(warm) == expected
+        events = artifact_events(sink)
+        assert events[:2] == [("trace", "miss"), ("trace", "store")]
+        assert events.count(("trace", "miss")) == 1
+        assert events[-1] == ("trace", "hit")
+
+    def test_editing_the_file_invalidates_the_mirror(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("R 0x40\n")
+        cache = ArtifactCache(tmp_path / "cache")
+        with open_trace(path) as text, cache.binary_text_trace(path, text) as first:
+            assert source_columns(first) == ([READ], [0x40])
+        path.write_text("W 0x80\nR 0xc0\n")
+        with open_trace(path) as text, cache.binary_text_trace(path, text) as second:
+            assert source_columns(second) == ([WRITE, READ], [0x80, 0xC0])
+        assert len(list((tmp_path / "cache" / "traces").iterdir())) == 2
+
+    def test_unwritable_cache_returns_the_text_source(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.txt"
+        path.write_text("R 0x40\nW 0x1000\n")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with open_trace(path) as text:
+                served = ArtifactCache(tmp_path / "cache").binary_text_trace(path, text)
+                assert served is text
+                assert source_columns(served) == ([READ, WRITE], [0x40, 0x1000])
+        relevant = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(relevant) == 1
+
+    def test_the_cache_holds_only_trace_files(self, tmp_path):
+        """Both kinds publish one ``traces/<key>.reaptrc`` file and nothing
+        else: the cache root holds the ``traces`` directory alone."""
+        root = tmp_path / "cache"
+        cache = ArtifactCache(root)
+        cache.l2_trace(get_profile("gcc"), small_l2(), 300, seed=1)
+        path = tmp_path / "trace.txt"
+        path.write_text("R 0x40\n")
+        with open_trace(path) as text, cache.binary_text_trace(path, text):
+            pass
+        assert [entry.name for entry in root.iterdir()] == ["traces"]
+        files = sorted((root / "traces").iterdir())
+        assert len(files) == 2
+        assert all(f.suffix == ".reaptrc" and f.is_file() for f in files)

@@ -51,6 +51,51 @@ def collect(source, segment_accesses):
     return kinds, addresses, len(segments)
 
 
+#: One record line per text format, for a read (0) or a write (1) at an
+#: address; kept to one record per line (no lackey ``M``).
+TEXT_LINE_TEMPLATES = {
+    "text": lambda write, address: f"{'W' if write else 'R'} 0x{address:x}",
+    "din": lambda write, address: f"{int(write)} {address:x}",
+    "lackey": lambda write, address: f" {'S' if write else 'L'} {address:08X},8",
+}
+
+
+def text_trace_columns(num_lines: int) -> tuple[list[int], list[int]]:
+    """The decoded columns of :func:`write_text_trace`'s file, as lists."""
+    read, write = _KIND_INDEX[AccessKind.L2_READ], _KIND_INDEX[AccessKind.L2_WRITE]
+    kinds = [write if index % 7 == 3 else read for index in range(num_lines)]
+    return kinds, [64 * index for index in range(num_lines)]
+
+
+def write_text_trace(tmp_path, fmt: str, num_lines: int):
+    """Write a ``num_lines``-record trace in text format ``fmt``."""
+    kinds, addresses = text_trace_columns(num_lines)
+    write = _KIND_INDEX[AccessKind.L2_WRITE]
+    template = TEXT_LINE_TEMPLATES[fmt]
+    path = tmp_path / f"trace.{fmt}"
+    path.write_text(
+        "".join(
+            template(kind == write, address) + "\n"
+            for kind, address in zip(kinds, addresses)
+        )
+    )
+    return path
+
+
+def count_parses(monkeypatch, fmt: str) -> list[str]:
+    """Record every line :class:`TextTraceSource` hands its ``fmt`` parser."""
+    name = f"_parse_{fmt}"
+    parse = getattr(TextTraceSource, name)
+    parsed: list[str] = []
+
+    def counting(line):
+        parsed.append(line)
+        return parse(line)
+
+    monkeypatch.setattr(TextTraceSource, name, staticmethod(counting))
+    return parsed
+
+
 class TestBinaryFormat:
     def test_roundtrip_is_identical(self, tmp_path):
         trace = l2_trace(2500)
@@ -258,25 +303,52 @@ class TestTextFormats:
             source = open_trace(path, format=fmt)
             list(source.segments(10))
 
-    def test_read_trace_parses_each_line_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("num_lines", (0, 1, 300))
+    @pytest.mark.parametrize("fmt", TEXT_LINE_TEMPLATES)
+    def test_read_trace_parses_each_line_once(
+        self, tmp_path, monkeypatch, fmt, num_lines
+    ):
+        path = write_text_trace(tmp_path, fmt, num_lines)
+        parsed = count_parses(monkeypatch, fmt)
+        loaded = read_trace(path, format=fmt)
+        assert len(parsed) == num_lines
+        kinds, addresses = text_trace_columns(num_lines)
+        assert len(loaded) == num_lines
+        assert loaded.decoded()[0].tolist() == kinds
+        assert loaded.decoded()[1].tolist() == addresses
+
+    def test_trace_load_parses_each_line_once(self, tmp_path, monkeypatch):
         trace = l2_trace(300)
         path = tmp_path / "trace.txt"
         trace.save(path)
-        parsed = []
-        parse = TextTraceSource._parse_text
-
-        def counting(line):
-            parsed.append(line)
-            return parse(line)
-
-        monkeypatch.setattr(TextTraceSource, "_parse_text", staticmethod(counting))
-        loaded = read_trace(path, format="text")
+        parsed = count_parses(monkeypatch, "text")
+        loaded = Trace.load(path)
         assert len(parsed) == 300
-        assert len(loaded) == 300
+        assert np.array_equal(loaded.decoded()[0], trace.decoded()[0])
         assert np.array_equal(loaded.decoded()[1], trace.decoded()[1])
-        parsed.clear()
-        Trace.load(path)
-        assert len(parsed) == 300
+
+    @pytest.mark.parametrize("fmt", TEXT_LINE_TEMPLATES)
+    def test_open_trace_counts_once_then_each_pass_parses_once(
+        self, tmp_path, monkeypatch, fmt
+    ):
+        path = write_text_trace(tmp_path, fmt, 50)
+        parsed = count_parses(monkeypatch, fmt)
+        with open_trace(path, format=fmt) as source:
+            assert len(parsed) == 50  # the count taken on open
+            assert len(source) == len(source) == 50
+            assert len(parsed) == 50
+            collect(source, 20)
+            assert len(parsed) == 100
+
+    @pytest.mark.parametrize("fmt", TEXT_LINE_TEMPLATES)
+    def test_read_trace_names_path_and_line_of_a_malformed_record(
+        self, tmp_path, fmt
+    ):
+        path = write_text_trace(tmp_path, fmt, 3)
+        with path.open("a") as handle:
+            handle.write("not a record\n")
+        with pytest.raises(TraceError, match=rf"trace\.{fmt}:4"):
+            read_trace(path, format=fmt)
 
     def test_unknown_text_format_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
