@@ -134,13 +134,18 @@ def _resolve_trace(
     :class:`Trace` has nothing to close.
     """
     from ..workloads.artifacts import ArtifactCache
-    from ..workloads.streams import TextTraceSource, open_trace
+    from ..workloads.streams import TextTraceSource, detect_format, open_trace
 
     cache = ArtifactCache.resolve(artifact_cache)
     if settings.trace_file is not None:
-        trace = open_trace(settings.trace_file)
-        if cache is not None and isinstance(trace, TextTraceSource):
-            trace = cache.binary_text_trace(settings.trace_file, trace)
+        path = settings.trace_file
+        trace_format = detect_format(path)
+        if cache is not None and trace_format != "binary":
+            # The mirror is keyed by the file's stat and a text source parses
+            # nothing until read: a hit parses nothing, a miss once (converting).
+            trace = cache.binary_text_trace(path, TextTraceSource(path, trace_format))
+        else:
+            trace = open_trace(path, trace_format)
     elif cache is not None:
         trace = cache.l2_trace(
             profile, settings.l2_config, settings.num_accesses, settings.seed

@@ -75,13 +75,11 @@ Bit-identical to the reference loop by construction:
   ones the reference engine memoises.
 
 The CPU-level entry (:func:`filter_through_l1_soa`) replays each L1 with
-:func:`_replay_l1`, which additionally run-length-encodes the stream:
-consecutive references of one L1 to the same block are guaranteed hits
-after the first, so each run costs one Python iteration instead of one per
-record.  The realised L2 stream is merged back in global order for the L2
-replay above.  Both functional loops keep their per-set state in one shared
-core, :class:`_FrameState`: the column gather, flat lists over the touched
-frames, the free-way scan, victim selection and the final policy flush.
+:func:`_replay_l1`, which run-length-encodes the stream first: consecutive
+references of one L1 to the same block are guaranteed hits after the first,
+so each run is one access of the same :func:`functional_pass`, the one
+pass 1 of both levels, and a vectorised pass 2 of its own.  The realised L2
+stream is merged back in global order for the L2 replay above.
 
 The differential harness in ``tests/sim/test_engine_equivalence.py`` sweeps
 this kernel against the reference engine across every scheme, replacement
@@ -114,6 +112,19 @@ from ..telemetry import span as telemetry_span
 #: Delivery-kind codes; :data:`repro.sim.fastpath._SCHEME_MODES` maps each
 #: scheme to one of the first three.
 _CONVENTIONAL, _REAP, _SERIAL, _WRITEBACK = 0, 1, 2, 3
+
+#: Exposure rules of :func:`functional_pass`: how the per-way unchecked-read
+#: exposure a victim choice may read (LER) evolves.  It stays zero on an L1,
+#: whose blocks never record reads; under the accumulating L2 schemes it
+#: grows with every read of the set; under REAP and restore any read resets
+#: the whole set; under serial access only a way's own access resets it.
+(
+    _EXPOSURE_ZERO,
+    _EXPOSURE_ACCUMULATES,
+    _EXPOSURE_READS_RESET,
+    _EXPOSURE_OWN_RESET,
+) = range(4)
+
 
 def _patrol_visit_schedule(
     credit: float, rate: float, count: int
@@ -344,11 +355,12 @@ def resolve_probability_keys(
 class _FrameState:
     """Flat pass-1 state of one set-associative cache, over its touched sets.
 
-    The core both functional replays share (:func:`functional_pass` for the
-    L2 and :func:`_replay_l1`).  The sets a replay touches are gathered up
-    front from the substrate's block columns, in ascending set order, by one
-    fancy index per column.  Set ``sets[k]`` becomes *slot* ``k`` and owns
-    the local frames ``k * associativity + way``; every flat list here is
+    The state :func:`functional_pass` keeps for whichever cache level it
+    replays: the L2 under its scheme, or an L1 over its run-collapsed stream
+    (:func:`_replay_l1`).  The sets a replay touches are gathered up front
+    from the substrate's block columns, in ascending set order, by one fancy
+    index per column.  Set ``sets[k]`` becomes *slot* ``k`` and owns the
+    local frames ``k * associativity + way``; every flat list here is
     indexed by slot or by local frame, and ``frames`` maps a local frame
     back to its global one for the caller's scatter.  All resident lines
     share one dict keyed by the packed (tag, set) address and valued with
@@ -359,9 +371,9 @@ class _FrameState:
     class constant of each of the five built-in policies (the only ones the
     fast path admits):
 
-    * ``"position"`` (LRU, LER) — the tick advances exactly once per access,
-      so ``pend`` keeps each frame's last touch position; victims are chosen
-      over the mixed stored/deferred timestamps
+    * ``"position"`` (LRU, LER) — the tick advances exactly once per
+      reference, so ``pend`` keeps each frame's last touch position; victims
+      are chosen over the mixed stored/deferred timestamps
       (``soa_victim_positions``) and :meth:`flush` realises the positions
       of all touched sets at once (``soa_apply_last_positions``) and
       settles the tick (``soa_commit``).
@@ -373,14 +385,12 @@ class _FrameState:
       Random's victim draws) are applied scalar, in trace order.
 
     Policy rows move in and out as one batched index of the policy's
-    ``rows`` array.  The policy's ``victim_uses_exposure`` (only LER's is
-    true) says whether its victim choice reads the per-way unchecked-read
-    exposure; when it is false the callers skip tracking live exposures.
+    ``rows`` array.
     """
 
     __slots__ = (
         "assoc", "index_bits", "sets", "frames", "policy", "pol_globals",
-        "uses_exposure", "position_mode", "ordered_mode", "tick_base", "tags",
+        "position_mode", "ordered_mode", "tick_base", "tags",
         "valid", "dirty", "pend", "nvalid", "init_nvalid", "rows", "queues",
         "resident",
     )
@@ -395,7 +405,6 @@ class _FrameState:
         self.frames = frames = substrate.set_frames(sets)
         self.policy = policy
         self.pol_globals = policy.compact_globals()
-        self.uses_exposure = policy.victim_uses_exposure
         self.position_mode = policy.soa_mode == "position"
         self.ordered_mode = policy.soa_mode == "ordered"
         self.tick_base = policy.soa_tick_base() if self.position_mode else 0
@@ -452,16 +461,24 @@ class _FrameState:
         del self.resident[(self.tags[frame] << self.index_bits) | self.sets[slot]]
         return frame
 
-    def flush(self, num_accesses: int) -> None:
-        """Apply the deferred transitions and write the policy rows back."""
+    def flush(self, count: int, run_ends: np.ndarray | None) -> None:
+        """Apply the deferred transitions and write the policy rows back.
+
+        ``count`` accesses were replayed; with ``run_ends`` each access was a
+        run of references ending before ``run_ends[i]``.
+        """
         policy = self.policy
         if self.position_mode:
             # Position mode never mutates the gathered rows.
             rows = policy.rows[self.sets]
-            policy.soa_apply_last_positions(
-                rows, np.reshape(self.pend, rows.shape), self.tick_base
-            )
-            policy.soa_commit(self.tick_base, num_accesses)
+            last = np.reshape(self.pend, rows.shape)
+            if run_ends is not None:
+                # A run's touch is its last reference.  The map is monotone,
+                # so no victim choice made over run indices changes.
+                last = np.where(last >= 0, run_ends[last] - 1, -1)
+                count = int(run_ends[-1])
+            policy.soa_apply_last_positions(rows, last, self.tick_base)
+            policy.soa_commit(self.tick_base, count)
         else:
             rows = self.rows
             if self.ordered_mode:
@@ -688,7 +705,8 @@ def replay_l2_soa(
     policy = cache.cache.replacement
 
     def pass1():
-        product = _freeze(functional_pass(cache, *columns, scheme_mode))
+        rule, patrol = _l2_pass1_inputs(cache, scheme_mode)
+        product = _freeze(functional_pass(cache.cache, *columns, rule, patrol))
         # The policy end state a hit re-applies.
         return product, _read_only(policy.rows[product.touched_sets]), tuple(
             policy.export_global_state()
@@ -716,33 +734,64 @@ def replay_l2_soa(
             timed.add(memo=outcome)
 
 
+def _l2_pass1_inputs(cache, scheme_mode: int) -> tuple[int, tuple | None]:
+    """What :func:`functional_pass` reads of an L2's protection scheme.
+
+    Returns:
+        ``(exposure_rule, patrol)``: the scheme's exposure rule, and the
+        patrol scrubber's ``(rate, credit, cursor, scrubbed lines, frames)``
+        or ``None`` without one.
+    """
+    if type(cache) is RestoreCache or scheme_mode == _REAP:
+        rule = _EXPOSURE_READS_RESET
+    elif scheme_mode == _CONVENTIONAL:
+        rule = _EXPOSURE_ACCUMULATES
+    else:
+        rule = _EXPOSURE_OWN_RESET
+    if type(cache) is ScrubbingCache:
+        return rule, (cache.scrub_rate, *cache.patrol_walk_state())
+    return rule, None
+
+
 def functional_pass(
-    cache,
+    substrate: SetAssociativeCache,
     codes: np.ndarray,
     set_indices: np.ndarray,
     tags: np.ndarray,
-    scheme_mode: int,
+    exposure_rule: int,
+    patrol: tuple | None = None,
+    run_ends: np.ndarray | None = None,
 ) -> FunctionalProduct:
     """Pass 1: hit/miss, victim and eviction for every access, in order.
 
     The only order-dependent work, done by one lean Python loop; replacement
-    transitions are deferred and flushed into the policy at the end.  The
-    scheme enters only through the exposure counters a policy's victim
-    choice may read (LER) and through the patrol scrubber, so for every
-    other combination the product is the same across schemes and
-    ``p_cell``.  Mutates the replacement policy only: block state is read
-    from the substrate's columns (current inside
+    transitions are deferred and flushed into the policy at the end.  It
+    serves every cache level: the L2 under its protection scheme and each
+    L1 over its run-collapsed stream (:func:`_replay_l1`).  The scheme
+    enters only through the exposure counters a policy's victim choice may
+    read (LER) and through the patrol scrubber, so for every other
+    combination the product is the same across schemes and ``p_cell``.
+    Mutates the replacement policy only: block state is read from the
+    substrate's columns (current inside
     :meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`) and
-    written by :func:`apply_exposure`.
+    written by the caller (:func:`apply_exposure` for the L2).
 
-    Args are as for :func:`replay_l2_soa`; ``codes`` must be non-empty.
+    Args:
+        substrate: The cache whose blocks and policy are replayed.
+        codes: Per-access write flags (0 read, nonzero write); non-empty.
+        set_indices: Per-access set indices.
+        tags: Per-access tags.
+        exposure_rule: One of the ``_EXPOSURE_*`` rules.
+        patrol: The patrol scrubber's state (see :func:`_l2_pass1_inputs`),
+            or ``None`` without one.
+        run_ends: With each access a run of references to one block: the
+            end offset of each run in the reference stream.  The policy then
+            ticks once per reference, and a run's touch is its last one.
     """
     count = len(codes)
-    substrate = cache.cache
     assoc = substrate.associativity
     columns = substrate.columns
-    restore = type(cache) is RestoreCache
-    scrubbing = type(cache) is ScrubbingCache
+    scrubbing = patrol is not None
     touched = np.unique(set_indices)
     if scrubbing:
         # The patrol also visits sets the stream does not access: any set
@@ -754,7 +803,7 @@ def functional_pass(
     policy = state.policy
     pol_globals = state.pol_globals
     pol_fill = policy.compact_on_fill
-    uses_exposure = state.uses_exposure
+    uses_exposure = policy.victim_uses_exposure and exposure_rule != _EXPOSURE_ZERO
     position_mode = state.position_mode
     ordered_mode = state.ordered_mode
     tags_l, valid_l, dirty_l, pend_l = state.tags, state.valid, state.dirty, state.pend
@@ -766,8 +815,8 @@ def functional_pass(
     # under the accumulating schemes the live unchecked count of a way is
     # the set's read rank minus the rank at the way's last reset; under the
     # self-scrubbing schemes it is the initial exposure until any reset.
-    exp_is_rr = scheme_mode == _CONVENTIONAL and not restore
-    exp_reads_reset = restore or scheme_mode == _REAP
+    exp_is_rr = exposure_rule == _EXPOSURE_ACCUMULATES
+    exp_reads_reset = exposure_rule == _EXPOSURE_READS_RESET
     exp_l = (-columns.unchecked_reads[state.frames]).tolist() if uses_exposure else None
     rr_l = [0] * num_slots if uses_exposure else None
     zeros_exposure = [0] * assoc
@@ -780,10 +829,7 @@ def functional_pass(
     vis_frame: list[int] = []
 
     if scrubbing:
-        scrub_rate = cache.scrub_rate
-        scrub_credit, scrub_cursor, scrubbed_lines, total_frames = (
-            cache.patrol_walk_state()
-        )
+        scrub_rate, scrub_credit, scrub_cursor, scrubbed_lines, total_frames = patrol
         slot_of = np.full(substrate.num_sets, -1, dtype=np.int64)
         slot_of[touched] = np.arange(num_slots)
     # The patrol scrubber only interacts with the functional replay through
@@ -914,7 +960,7 @@ def functional_pass(
         vis_frame = slot_of[visited // assoc] * assoc + visited % assoc
         scrubbed_lines += len(vis_frame)
 
-    state.flush(count)
+    state.flush(count, run_ends)
     miss_idx = np.array(miss_positions, dtype=np.int64)
     evicted = np.zeros(count, dtype=bool)
     evicted[miss_idx] = evicted_flags
@@ -1538,28 +1584,26 @@ def _replay_l1(
     tags: np.ndarray,
     stores: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-pass, run-length-aware replay of one functional (SRAM) L1 cache.
+    """Run-collapsed replay of one functional (SRAM) L1 cache.
 
     Equivalent to :meth:`repro.cache.SetAssociativeCache.access` per record
     (with ``fill_ones_count=0``, as the hierarchy uses it) — same counters,
-    same block fields, same replacement transitions — but mirrors the L2
-    kernel's pass split over the shared :class:`_FrameState` core:
+    same block fields, same replacement transitions — in three steps:
 
-    * **Pass 1** (sequential) extracts runs of consecutive same-block
-      references vectorised, then walks them with a lean loop that resolves
-      only the genuinely order-dependent work — residency, victim choice
-      and eviction bookkeeping — while deferring replacement transitions
-      through the policy's SoA protocol.  A hit run costs one dict probe
-      plus one flat store.
+    * **Runs.**  Maximal runs of consecutive same-block references are
+      extracted vectorised; every reference after a run's first is a
+      guaranteed hit.
+    * **Pass 1** is the one :func:`functional_pass`, over one key per run: a
+      run writes iff it holds a store, the exposure rule is zero (L1 blocks
+      never record reads), and the run ends map the deferred touches back
+      to references, so the policy ticks once per reference.
     * **Pass 2** (vectorised) reconstructs every counter and per-block
-      field closed-form from the run columns: hit/miss counters are mask
-      sums, per-frame fill counts a ``bincount``, and the final recency
-      tick of each frame the last tick-updating run that touched it; the
-      touched frames are scattered back into the block columns.
-
-    Bit-identical to a per-run loop: pass 1 performs the identical policy
-    calls at the identical points in the stream, and every pass-2 quantity
-    is an integer reconstruction of the same arithmetic.
+      field closed-form from the run columns and the functional product:
+      hit/miss counters are mask sums, per-frame fill counts a
+      ``bincount``, the final recency tick of each frame the last
+      tick-updating run that touched it, and each dirty victim's tag the
+      tag of the previous fill of its frame; the touched frames are
+      scattered back into the block columns.
 
     Args:
         cache: The L1 cache (mutated in place; its columns must be current,
@@ -1580,8 +1624,6 @@ def _replay_l1(
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
 
-    # Run extraction: maximal runs of consecutive same-(set, tag)
-    # references collapse to one pass-1 iteration each.
     change = np.empty(n, dtype=bool)
     change[0] = True
     change[1:] = (sets[1:] != sets[:-1]) | (tags[1:] != tags[:-1])
@@ -1592,102 +1634,40 @@ def _replay_l1(
         np.where(stores, np.arange(n, dtype=np.int64), -1)
     )
     run_sets = sets[run_starts]
+    run_tags = tags[run_starts].astype(np.int64)
     n_stores_r = store_cum[run_ends] - store_cum[run_starts]
     last_off_r = last_store[run_ends - 1] - run_starts
-    first_store_r = stores[run_starts]
+    has_store_r = n_stores_r > 0
 
-    # -- pass 1: functional replay of the runs ------------------------------------
-    touched = np.unique(run_sets)
-    state = _FrameState(cache, touched)
-    assoc = state.assoc
-    index_bits = state.index_bits
-    keys = (tags[run_starts].astype(np.int64) << index_bits) | run_sets
-
-    key_list = keys.tolist()
-    ends_l = run_ends.tolist()
-    nst_l = n_stores_r.tolist()
-    slots_l = np.searchsorted(touched, run_sets).tolist()
-    first_store_l = first_store_r.tolist()
-    way_l = [0] * len(key_list)
-    miss_runs: list[int] = []
-    miss_wb: list[int] = []
-    evictions = 0
-
-    tags_f, valid_f, dirty_f, pend_f = state.tags, state.valid, state.dirty, state.pend
-    rows, queues, nvalid_f = state.rows, state.queues, state.nvalid
-    resident = state.resident
-    resident_get = resident.get
-    claim_free, evict = state.claim_free, state.evict
-    # The L1s never record reads on their blocks, so the per-way
-    # unchecked-read exposure seen by victim selection is always zero.
-    zeros = [0] * assoc
-
-    def handle_miss(r: int, key: int) -> int:
-        """Shared miss path: victim choice, eviction bookkeeping, fill."""
-        nonlocal evictions
-        slot = slots_l[r]
-        wb_tag = -1
-        if nvalid_f[slot] < assoc:
-            frame = claim_free(slot)
-        else:
-            frame = evict(slot, zeros)
-            evictions += 1
-            if dirty_f[frame]:
-                wb_tag = tags_f[frame]
-        tags_f[frame] = key >> index_bits
-        # Write-allocate: an incoming store dirties the fresh line.
-        dirty_f[frame] = bool(first_store_l[r])
-        resident[key] = frame
-        way_l[r] = frame
-        miss_runs.append(r)
-        miss_wb.append(wb_tag)
-        return frame
-
-    if state.position_mode:
-        # The common case (LRU-family policy): a hit run is one dict
-        # probe plus one deferred last-touch position store.
-        for r, (key, end, nst) in enumerate(zip(key_list, ends_l, nst_l)):
-            frame = resident_get(key)
-            if frame is None:
-                frame = handle_miss(r, key)
-            else:
-                way_l[r] = frame
-            pend_f[frame] = end - 1
-            if nst:
-                dirty_f[frame] = True
-    else:
-        pol_globals = state.pol_globals
-        pol_fill = state.policy.compact_on_fill
-        ordered_mode = state.ordered_mode
-        for r, (key, nst) in enumerate(zip(key_list, nst_l)):
-            frame = resident_get(key)
-            hit = frame is not None
-            if not hit:
-                frame = handle_miss(r, key)
-            else:
-                way_l[r] = frame
-            if nst:
-                dirty_f[frame] = True
-            slot = slots_l[r]
-            way = frame - slot * assoc
-            if ordered_mode:
-                queue = queues[slot]
-                if not queue or queue[-1] != way:
-                    queue.append(way)
-            elif not hit:
-                pol_fill(pol_globals, rows[slot], way)
-    state.flush(n)
+    functional = functional_pass(
+        cache, has_store_r, run_sets, run_tags, _EXPOSURE_ZERO, run_ends=run_ends
+    )
 
     # -- pass 2: vectorised counters and block fields -----------------------------
-    run_frame = np.array(way_l, dtype=np.int64)
-    miss_idx = np.array(miss_runs, dtype=np.int64)
-    wb_tags = np.array(miss_wb, dtype=np.int64)
+    run_frame = functional.frames
+    miss_idx = functional.miss_positions
     miss_mask = np.zeros(len(run_frame), dtype=bool)
     miss_mask[miss_idx] = True
+    frames = cache.set_frames(functional.touched_sets)
+    columns = cache.columns
+    # A victim holds what the previous fill of its frame brought in, or,
+    # before any fill, the frame's tag at the start of the replay.
+    miss_frames = run_frame[miss_idx]
+    by_frame = np.argsort(miss_frames, kind="stable")
+    sorted_frames = miss_frames[by_frame]
+    previous = np.roll(run_tags[miss_idx][by_frame], 1)
+    first_fill = np.ones(len(by_frame), dtype=bool)
+    first_fill[1:] = sorted_frames[1:] != sorted_frames[:-1]
+    victim_tags = np.empty_like(previous)
+    victim_tags[by_frame] = np.where(
+        first_fill, columns.tag[frames][sorted_frames], previous
+    )
+    wb_tags = np.where(functional.evict_dirty[miss_idx], victim_tags, -1)
+
     demand_writes = int(n_stores_r.sum())
     demand_reads = n - demand_writes
     n_miss = int(miss_idx.size)
-    write_misses = int(np.count_nonzero(first_store_r[miss_idx]))
+    write_misses = int(np.count_nonzero(stores[run_starts][miss_idx]))
     read_misses = n_miss - write_misses
     stats = cache.stats
     stats.demand_reads += demand_reads
@@ -1697,22 +1677,19 @@ def _replay_l1(
     stats.write_hits += demand_writes - write_misses
     stats.write_misses += write_misses
     stats.fills += n_miss
-    stats.evictions += evictions
-    stats.dirty_evictions += int(np.count_nonzero(wb_tags >= 0))
+    stats.evictions += int(np.count_nonzero(functional.evicted))
+    stats.dirty_evictions += int(np.count_nonzero(functional.evict_dirty))
     # One data-array write per fill plus one per store, minus the store
     # folded into a write-allocate fill (same arithmetic as the per-access
     # object path, summed instead of accumulated).
     stats.data_way_writes += demand_writes + n_miss - write_misses
-    stats.tag_comparisons += n * assoc
+    stats.tag_comparisons += n * cache.associativity
 
     # Final recency tick per frame: the last run that updated it — a fill
     # stamps start+1, a store run stamps the last store's position+1, a
     # store run over a fill overwrites the fill stamp.
-    frames = state.frames
-    columns = cache.columns
     tick0 = cache._tick  # noqa: SLF001 - engine-internal state sync
     ticks = columns.last_access_tick[frames]
-    has_store_r = n_stores_r > 0
     upd = miss_mask | has_store_r
     if upd.any():
         tick_vals = (
@@ -1723,10 +1700,10 @@ def _replay_l1(
         uniq_f, first_idx = np.unique(run_frame[upd][::-1], return_index=True)
         ticks[uniq_f] = tick_vals[::-1][first_idx]
 
-    columns.tag[frames] = tags_f
-    columns.valid[frames] = valid_f
-    columns.dirty[frames] = dirty_f
-    columns.fills[frames] += np.bincount(run_frame[miss_mask], minlength=len(frames))
+    columns.tag[frames] = functional.tags
+    columns.valid[frames] = functional.valid
+    columns.dirty[frames] = functional.dirty
+    columns.fills[frames] += np.bincount(miss_frames, minlength=len(frames))
     columns.last_access_tick[frames] = ticks
     cache._tick = tick0 + n  # noqa: SLF001 - engine-internal state sync
     return sub_positions[run_starts[miss_idx]], run_sets[miss_idx], wb_tags
@@ -1735,7 +1712,7 @@ def _replay_l1(
 def filter_through_l1_soa(
     hierarchy: CacheHierarchy, codes: np.ndarray, addresses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the CPU stream through run-length-encoded two-pass L1 models.
+    """Run the CPU stream through the run-collapsed L1 replays.
 
     Args:
         hierarchy: The cache hierarchy whose L1s are replayed (mutated).

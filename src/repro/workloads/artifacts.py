@@ -225,8 +225,9 @@ class ArtifactCache:
         """A binary-format mirror of a text trace file, converted once.
 
         Keyed by the file's identity (absolute path, size, mtime): editing
-        the file invalidates the entry.  On any cache failure the original
-        ``source`` is returned unchanged.
+        the file invalidates the entry.  ``source`` is read only on a miss,
+        to convert it.  On any cache failure the original ``source`` is
+        returned unchanged.
         """
         try:
             stat = Path(path).stat()
@@ -254,5 +255,7 @@ class ArtifactCache:
         if not self._publish(cache_path, write_to):
             return source
         _emit("store", nbytes=cache_path.stat().st_size)
-        converted = self._open_trace(cache_path)
-        return converted if converted is not None else source
+        # Opened uncounted: serving a fresh conversion is not a hit.
+        with contextlib.suppress(TraceError, OSError, ValueError):
+            return BinaryTraceSource(cache_path)
+        return source

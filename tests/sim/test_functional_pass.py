@@ -17,7 +17,7 @@ from equivalence_utils import small_l2
 
 from repro.core import DataValueProfile, build_protected_cache
 from repro.sim.fastpath import _SCHEME_MODES, _decode_arrays
-from repro.sim.soa import functional_pass
+from repro.sim.soa import _l2_pass1_inputs, functional_pass
 from repro.workloads import generate_l2_trace, get_profile
 
 #: Policies whose victim choice ignores exposure (LER reads it).
@@ -43,7 +43,11 @@ def product(trace, scheme: str, policy: str, p_cell: float):
     )
     codes, set_indices, tags = _decode_arrays(cache, *trace.decoded())
     return functional_pass(
-        cache, codes, set_indices, tags, _SCHEME_MODES[type(cache)]
+        cache.cache,
+        codes,
+        set_indices,
+        tags,
+        *_l2_pass1_inputs(cache, _SCHEME_MODES[type(cache)]),
     )
 
 

@@ -207,7 +207,9 @@ def exposure_product(trace, scheme: str, p_cell: float = 1e-8, ecc=None):
     codes, set_indices, tags = _decode_arrays(cache, *trace.decoded())
     mode = _SCHEME_MODES[type(cache)]
     samples = cache.data_profile.sample_many(len(codes))
-    functional = soa.functional_pass(cache, codes, set_indices, tags, mode)
+    functional = soa.functional_pass(
+        cache.cache, codes, set_indices, tags, *soa._l2_pass1_inputs(cache, mode)
+    )
     return soa.exposure_pass(cache, codes, mode, functional, samples), cache
 
 

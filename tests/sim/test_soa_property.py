@@ -19,6 +19,15 @@ random subset of sets is then taken as objects through ``blocks_in_set``
 with the block references kept, and the fast replay, which works on the
 block columns, must leave exactly the reference state and show it through
 the kept references.
+
+A third property covers the CPU path: a generated CPU trace (instruction
+fetches, loads and stores, any store fraction, same-block runs, sometimes
+no instruction fetch at all) through tiny L1s (1-8 sets, 1-4 ways) under
+any built-in L1 policy, over a small L2 under any scheme.  The fast
+:func:`repro.sim.run_cpu_trace` must leave exactly the reference's L1
+blocks, policy rows and statistics, hierarchy counters and L2 result.
+Its companion replays the L1 filter alone over L1s a reference prefix has
+warmed, so victims are also lines the replay did not bring in.
 """
 
 from __future__ import annotations
@@ -30,21 +39,29 @@ from equivalence_utils import (
     EQUIVALENCE_POLICIES,
     EQUIVALENCE_SCHEMES,
     assert_caches_equivalent,
+    assert_hierarchies_equivalent,
     assert_results_equivalent,
     build_cache,
+    run_both_cpu_engines,
     run_both_engines,
     small_l2,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cache import CacheHierarchy
+from repro.config import CacheLevelConfig, HierarchyConfig, SimulationConfig
 from repro.sim import run_l2_trace
+from repro.sim.soa import filter_through_l1_soa
 from repro.telemetry import MemorySink, telemetry
-from repro.workloads.trace import _KIND_INDEX, AccessKind
+from repro.workloads.trace import _KIND_INDEX, AccessKind, Trace
 
 BLOCK_BYTES = 64
 _READ = _KIND_INDEX[AccessKind.L2_READ]
 _WRITE = _KIND_INDEX[AccessKind.L2_WRITE]
+_IFETCH = _KIND_INDEX[AccessKind.IFETCH]
+_LOAD = _KIND_INDEX[AccessKind.LOAD]
+_STORE = _KIND_INDEX[AccessKind.STORE]
 
 
 @dataclass(frozen=True)
@@ -323,3 +340,183 @@ def test_soa_equals_reference_over_mixed_residency(mixed):
         assert block == expected, (set_index, way)
         assert block.last_access_tick == expected.last_access_tick, (set_index, way)
     assert_caches_equivalent(reference_cache, fast_cache)
+
+
+@dataclass(frozen=True)
+class CPUScenario:
+    num_sets: int  # per L1
+    assoc: int  # per L1
+    l1_policy: str
+    scheme: str  # of the L2
+    records: tuple  # (kind index, block, byte offset) per reference
+
+
+@st.composite
+def cpu_scenarios(draw) -> CPUScenario:
+    num_sets = draw(st.sampled_from((1, 2, 4, 8)))
+    policy = draw(st.sampled_from(EQUIVALENCE_POLICIES))
+    # Tree PLRU needs a power-of-two way count.
+    assoc = draw(st.sampled_from((1, 2, 4)) if policy == "plru" else st.integers(1, 4))
+    ifetch_percent = draw(st.sampled_from((0, 30, 100)))
+    store_percent = draw(st.integers(0, 100))
+    kind_st = st.tuples(st.integers(0, 99), st.integers(0, 99)).map(
+        lambda rolls: (
+            _IFETCH
+            if rolls[0] < ifetch_percent
+            else (_STORE if rolls[1] < store_percent else _LOAD)
+        )
+    )
+    # A few more blocks than one set holds, spread over all sets.
+    block_st = st.integers(0, num_sets * (assoc + 2) - 1)
+    offset_st = st.sampled_from((0, 8, 63))
+    single = st.tuples(kind_st, block_st, offset_st).map(lambda ref: [ref])
+    # A same-block run: several references to one block in a row.
+    run = st.tuples(
+        block_st, st.lists(st.tuples(kind_st, offset_st), min_size=2, max_size=12)
+    ).map(lambda r: [(kind, r[0], offset) for kind, offset in r[1]])
+    groups = draw(st.lists(st.one_of(single, run), min_size=1, max_size=30))
+    return CPUScenario(
+        num_sets=num_sets,
+        assoc=assoc,
+        l1_policy=policy,
+        scheme=draw(st.sampled_from(EQUIVALENCE_SCHEMES)),
+        records=tuple(ref for group in groups for ref in group),
+    )
+
+
+def cpu_scenario_config(scenario: CPUScenario) -> SimulationConfig:
+    """Tiny L1I/L1D of the scenario's geometry over an 8-set, 4-way L2.
+
+    The L2 is as large as the largest L1 the scenarios draw, as the
+    hierarchy requires, and small enough to evict too.
+    """
+
+    def l1(name: str) -> CacheLevelConfig:
+        return CacheLevelConfig(
+            name=name,
+            size_bytes=scenario.num_sets * scenario.assoc * BLOCK_BYTES,
+            associativity=scenario.assoc,
+            block_size_bytes=BLOCK_BYTES,
+            replacement=scenario.l1_policy,
+        )
+
+    l2 = small_l2(
+        size_bytes=8 * 4 * BLOCK_BYTES, associativity=4, block_size_bytes=BLOCK_BYTES
+    )
+    return SimulationConfig(
+        hierarchy=HierarchyConfig(l1i=l1("L1I"), l1d=l1("L1D"), l2=l2)
+    )
+
+
+def cpu_trace_of(scenario: CPUScenario) -> Trace:
+    return Trace.from_columns(
+        "generated-cpu",
+        np.array([kind for kind, _, _ in scenario.records], dtype=np.int8),
+        np.array(
+            [block * BLOCK_BYTES + offset for _, block, offset in scenario.records],
+            dtype=np.int64,
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=cpu_scenarios())
+@example(
+    # Stores only, no instruction fetch: every L1D victim is dirty and
+    # each write-back's tag comes from the previous fill of its frame.
+    scenario=CPUScenario(
+        num_sets=1,
+        assoc=2,
+        l1_policy="lru",
+        scheme="reap",
+        records=tuple((_STORE, block % 3, 0) for block in range(7)),
+    )
+)
+@example(
+    # A same-block run under LER: the run's last reference is its recency
+    # touch, and the L1's victim choice reads no exposure.
+    scenario=CPUScenario(
+        num_sets=1,
+        assoc=2,
+        l1_policy="ler",
+        scheme="conventional",
+        records=(
+            (_LOAD, 0, 0),
+            (_LOAD, 1, 0),
+            (_STORE, 0, 8),
+            (_LOAD, 0, 63),
+            (_IFETCH, 2, 0),
+            (_LOAD, 2, 0),
+            (_LOAD, 1, 0),
+        ),
+    )
+)
+def test_cpu_path_equals_reference(scenario):
+    reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
+        scenario.scheme,
+        cpu_trace_of(scenario),
+        sim_config=cpu_scenario_config(scenario),
+    )
+    assert_results_equivalent(reference, fast)
+    assert_hierarchies_equivalent(ref_h, fast_h)
+    assert_caches_equivalent(ref_cache, fast_cache)
+
+
+class RecordingL2:
+    """An L2 stand-in that records the request stream the L1s issue."""
+
+    def __init__(self) -> None:
+        self.requests: list[tuple[int, int]] = []
+
+    def read(self, address: int) -> None:
+        self.requests.append((0, address))
+
+    def write(self, address: int) -> None:
+        self.requests.append((1, address))
+
+
+def replay_reference(hierarchy: CacheHierarchy, records) -> None:
+    issue = {
+        _IFETCH: hierarchy.fetch_instruction,
+        _LOAD: hierarchy.load,
+        _STORE: hierarchy.store,
+    }
+    for kind, block, offset in records:
+        issue[kind](block * BLOCK_BYTES + offset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=cpu_scenarios(), data=st.data())
+@example(
+    # The prefix leaves a dirty line the replay evicts first: the write-back
+    # tag is the one the line held when the replay started.
+    scenario=CPUScenario(
+        num_sets=1,
+        assoc=1,
+        l1_policy="lru",
+        scheme="conventional",
+        records=((_STORE, 0, 0), (_LOAD, 1, 0), (_STORE, 2, 0)),
+    ),
+    data=None,
+)
+def test_l1_filter_over_warm_l1s_equals_reference(scenario, data):
+    prefix = (
+        1 if data is None else data.draw(st.integers(0, len(scenario.records)))
+    )
+    config = cpu_scenario_config(scenario).hierarchy
+    reference_l2, fast_l2 = RecordingL2(), RecordingL2()
+    reference = CacheHierarchy(config, reference_l2, seed=3)
+    fast = CacheHierarchy(config, fast_l2, seed=3)
+    for hierarchy in (reference, fast):
+        replay_reference(hierarchy, scenario.records[:prefix])
+    replay_reference(reference, scenario.records[prefix:])
+    rest = scenario.records[prefix:]
+    # The CPU kind indices are the filter's codes (0 ifetch, 1 load, 2 store).
+    cpu_codes = np.array([kind for kind, _, _ in rest], dtype=np.int8)
+    addresses = np.array(
+        [block * BLOCK_BYTES + offset for _, block, offset in rest], dtype=np.int64
+    )
+    l2_codes, l2_addresses = filter_through_l1_soa(fast, cpu_codes, addresses)
+    issued = list(zip(l2_codes.tolist(), l2_addresses.tolist()))
+    assert fast_l2.requests + issued == reference_l2.requests
+    assert_hierarchies_equivalent(reference, fast)
