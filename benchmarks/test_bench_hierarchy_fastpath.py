@@ -59,8 +59,9 @@ def _run_mix(settings, trace, engine: str, schemes=("conventional", "reap")) -> 
             data_profile=settings.data_profile(index + 1),
             seed=index + 1,
         )
-        # REAP would hit conventional's pass-1 memo entry, and a repeated
-        # round both memo entries; time the whole kernel.
+        # REAP would hit conventional's L1 and pass-1 memo entries, and a
+        # repeated round every entry; time the whole kernel, L1 filter
+        # included, so the floors keep measuring it.
         clear_kernel_memo()
         run_cpu_trace(cache, trace, config=config, seed=index + 1, engine=engine)
     return time.perf_counter() - start

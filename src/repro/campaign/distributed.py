@@ -225,7 +225,8 @@ def recv_frame(
             raise FrameAuthError("frame failed HMAC verification")
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and over-long integers.
+    except (ValueError, RecursionError) as exc:
         raise CampaignError(f"malformed protocol frame ({exc})") from exc
     if not isinstance(message, dict) or "type" not in message:
         raise CampaignError("malformed protocol frame (no 'type')")
@@ -358,7 +359,8 @@ def load_checkpoint(path: str | Path) -> dict[str, Any] | None:
         return None
     try:
         state = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and over-long integers.
+    except (OSError, ValueError, RecursionError) as exc:
         raise CampaignError(f"unreadable coordinator checkpoint {path}: {exc}") from exc
     if (
         not isinstance(state, dict)

@@ -121,7 +121,8 @@ class FaultPlan:
         """Rebuild a plan from :meth:`to_json` output."""
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError covers bad JSON and integers over Python's digit limit.
+        except (ValueError, RecursionError) as exc:
             raise CampaignError(f"malformed fault plan JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise CampaignError("fault plan JSON must be an object")

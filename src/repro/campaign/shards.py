@@ -104,7 +104,8 @@ class ShardedResultStore(BaseResultStore):
     def _read_manifest(self, manifest_path: Path) -> dict:
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers.
+        except (OSError, ValueError, RecursionError) as exc:
             raise CampaignError(f"unreadable store manifest {manifest_path}: {exc}") from exc
         if (
             not isinstance(manifest, dict)

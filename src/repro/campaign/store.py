@@ -213,7 +213,8 @@ def _load_jsonl_once(path: Path, lines: dict[str, str]) -> bool:
         if stripped:
             try:
                 record = json.loads(stripped)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            # ValueError covers bad JSON and integers over the digit limit.
+            except (ValueError, RecursionError) as exc:
                 if not complete:
                     # Tail of a crashed append: drop it and repair the file
                     # so future appends start on a fresh line.

@@ -109,10 +109,11 @@ def _replay_cpu_trace(hierarchy: CacheHierarchy, trace: Trace) -> None:
     emit_event("sim.engine", engine="fast", path="cpu", scheme=scheme)
     with span("kernel.decode", scheme=scheme, path="cpu", accesses=len(trace)):
         cpu_codes, cpu_addresses = _decode_cpu(trace)
-    with span("kernel.l1_filter", scheme=scheme, accesses=len(trace)):
-        l2_codes, l2_addresses = filter_through_l1_soa(
+    with span("kernel.l1_filter", scheme=scheme, accesses=len(trace)) as timed:
+        l2_codes, l2_addresses, outcome = filter_through_l1_soa(
             hierarchy, cpu_codes, cpu_addresses
         )
+        timed.add(memo=outcome)
     with span("kernel.decode", scheme=scheme, path="l2", accesses=len(l2_codes)):
         codes = np.asarray(l2_codes, dtype=np.int8)
         addresses = np.asarray(l2_addresses, dtype=np.int64)

@@ -46,16 +46,17 @@ inside :meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`, so a
 set a caller already holds as objects is copied into the columns on entry
 and back out on exit; a cold replay builds no block object at all.
 
-Both products are memoised in one process-local LRU of
-:data:`KERNEL_MEMO_ENTRIES` entries, for cold starts only: the substrate is
-untouched (no set held as objects, tick 0) and every energy total is 0.0.
-The pass-1 product and the policy's end state are keyed by exactly what
-pass 1 reads (:func:`_pass1_key`), the exposure product by that key plus
-what the exposure pass reads (:func:`_exposure_key`).  So a ``p_cell``
-sweep runs pass 1 once per distinct cold input and the exposure pass once
-per scheme; every point runs only the apply step.  Every warm start (a
-later segment, a prefix-warmed cache, one with leakage already charged)
-bypasses the memo.  :func:`clear_kernel_memo` empties it; the
+Both products, and the CPU level's L1 product (below), are memoised in one
+process-local LRU of :data:`KERNEL_MEMO_ENTRIES` entries, for cold starts
+only: the substrate is untouched (no set held as objects, tick 0) and every
+energy total is 0.0.  The pass-1 product and the policy's end state are
+keyed by exactly what pass 1 reads (:func:`_pass1_key`), the exposure
+product by that key plus what the exposure pass reads
+(:func:`_exposure_key`).  So a ``p_cell`` sweep runs pass 1 once per
+distinct cold input and the exposure pass once per scheme; every point runs
+only the apply step.  Every warm start (a later segment, a prefix-warmed
+cache, one with leakage already charged) bypasses the memo.
+:func:`clear_kernel_memo` empties it; the ``kernel.l1_filter``,
 ``kernel.pass1`` and ``kernel.pass2`` spans report
 ``memo="hit"|"miss"|"bypass"``.
 
@@ -79,7 +80,14 @@ The CPU-level entry (:func:`filter_through_l1_soa`) replays each L1 with
 references of one L1 to the same block are guaranteed hits after the first,
 so each run is one access of the same :func:`functional_pass`, the one
 pass 1 of both levels, and a vectorised pass 2 of its own.  The realised L2
-stream is merged back in global order for the L2 replay above.
+stream is merged back in global order for the L2 replay above.  The whole
+filter's result is a frozen :class:`L1FilterProduct` (the L2 stream, each
+L1's end state over its touched sets, the counter deltas), which
+:func:`_apply_l1` writes on a memo miss and hit alike.  It is the memo's
+third kind, ``"l1"``: a cold hierarchy (both L1s untouched, every hierarchy
+counter 0) is keyed by both L1 geometries and policy states and the CPU
+columns (:func:`_l1_key`), and nothing of the L2, so every L2 scheme and
+sweep point over one CPU input runs the filter once.
 
 The differential harness in ``tests/sim/test_engine_equivalence.py`` sweeps
 this kernel against the reference engine across every scheme, replacement
@@ -546,9 +554,48 @@ class ExposureProduct:
     tick_scheme: np.ndarray  # ... that tick counts on the scheme's counter
 
 
-#: Entry cap of the kernel memo.  A ``p_cell`` sweep over the four schemes
+#: The block columns an L1 replay writes, in :class:`L1Product` field order.
+_L1_COLUMNS = ("tag", "valid", "dirty", "fills", "last_access_tick")
+
+
+@dataclass(frozen=True)
+class L1Product:
+    """What :func:`_replay_l1` leaves in one L1, as :func:`_apply_l1` writes it.
+
+    Block columns are end values over the touched frames (``touched_sets[k]``
+    owns frames ``k * associativity + way``), as are the policy rows over
+    the touched sets.
+    """
+
+    touched_sets: np.ndarray  # per slot: set index, ascending
+    tag: np.ndarray  # per touched frame: end value
+    valid: np.ndarray
+    dirty: np.ndarray
+    fills: np.ndarray
+    last_access_tick: np.ndarray
+    rows: np.ndarray  # per touched set: policy row after the replay
+    policy_globals: tuple  # the policy's exported global state after
+    tick: int  # the cache's tick after
+    stats: tuple  # (CacheStatistics field, delta) pairs
+
+
+@dataclass(frozen=True)
+class L1FilterProduct:
+    """What :func:`filter_through_l1_soa` derives from one CPU stream."""
+
+    l2_codes: np.ndarray  # the realised L2 stream: 0 demand read, 1 write-back
+    l2_addresses: np.ndarray
+    l1i: L1Product
+    l1d: L1Product
+    stats: tuple  # (HierarchyStatistics field, delta) pairs
+
+
+#: Entry cap of the kernel memo, over its three kinds (``"l1"``,
+#: ``"pass1"``, ``"exposure"``).  A ``p_cell`` sweep over the four schemes
 #: keeps six live entries: two pass-1 products (the scrubbing one and
-#: everyone else's) and one exposure product per scheme.
+#: everyone else's) and one exposure product per scheme.  A CPU trace under
+#: conventional and REAP keeps four: one L1 product, one pass-1 product and
+#: two exposure products.
 KERNEL_MEMO_ENTRIES = 8
 
 
@@ -591,6 +638,12 @@ def _freeze(product):
         if isinstance(value, np.ndarray):
             _read_only(value)
     return product
+
+
+def _add_deltas(stats, deltas: tuple) -> None:
+    """Add a product's ``(field, delta)`` pairs to a statistics record."""
+    for name, delta in deltas:
+        setattr(stats, name, getattr(stats, name) + delta)
 
 
 def _memoised(key: tuple | None, held: tuple, fresh: tuple, compute):
@@ -1541,9 +1594,7 @@ def apply_exposure(
     if exposure.restore_ones is not None:
         _record_restore_runs(cache, exposure.restore_ones, exposure.restore_counts)
     substrate = cache.cache
-    stats = substrate.stats
-    for name, delta in exposure.stats:
-        setattr(stats, name, getattr(stats, name) + delta)
+    _add_deltas(substrate.stats, exposure.stats)
     totals = cache.energy
     for name, total in exposure.energy:
         setattr(totals, name, total)
@@ -1583,7 +1634,7 @@ def _replay_l1(
     sets: np.ndarray,
     tags: np.ndarray,
     stores: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, L1Product]:
     """Run-collapsed replay of one functional (SRAM) L1 cache.
 
     Equivalent to :meth:`repro.cache.SetAssociativeCache.access` per record
@@ -1602,27 +1653,37 @@ def _replay_l1(
       hit/miss counters are mask sums, per-frame fill counts a
       ``bincount``, the final recency tick of each frame the last
       tick-updating run that touched it, and each dirty victim's tag the
-      tag of the previous fill of its frame; the touched frames are
-      scattered back into the block columns.
+      tag of the previous fill of its frame.
+
+    Pass 1 leaves the policy in its end state; everything else is returned
+    as an :class:`L1Product` for :func:`_apply_l1` to write.
 
     Args:
-        cache: The L1 cache (mutated in place; its columns must be current,
-            see :meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`).
+        cache: The L1 cache (its policy is mutated; its columns must be
+            current, see
+            :meth:`~repro.cache.cache.SetAssociativeCache.synced_columns`).
         sub_positions: Global trace positions of this cache's records.
         sets: Per-record set indices.
         tags: Per-record tags.
         stores: Per-record store flags.
 
     Returns:
-        ``(miss_positions, miss_sets, miss_wb_tags)`` — the global position
-        and set of every missing run's first reference, and the evicted
-        dirty victim's tag (-1 when nothing dirty was evicted), in stream
-        order.
+        ``(miss_positions, miss_sets, miss_wb_tags, product)`` — the global
+        position and set of every missing run's first reference, and the
+        evicted dirty victim's tag (-1 when nothing dirty was evicted), in
+        stream order; and the cache's end state.
     """
     n = int(len(sub_positions))
+    columns = cache.columns
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
+        return empty, empty, empty, _l1_product(
+            cache,
+            empty,
+            *(getattr(columns, name)[empty] for name in _L1_COLUMNS),
+            count=0,
+            stats=(),
+        )
 
     change = np.empty(n, dtype=bool)
     change[0] = True
@@ -1649,7 +1710,6 @@ def _replay_l1(
     miss_mask = np.zeros(len(run_frame), dtype=bool)
     miss_mask[miss_idx] = True
     frames = cache.set_frames(functional.touched_sets)
-    columns = cache.columns
     # A victim holds what the previous fill of its frame brought in, or,
     # before any fill, the frame's tag at the start of the replay.
     miss_frames = run_frame[miss_idx]
@@ -1669,21 +1729,22 @@ def _replay_l1(
     n_miss = int(miss_idx.size)
     write_misses = int(np.count_nonzero(stores[run_starts][miss_idx]))
     read_misses = n_miss - write_misses
-    stats = cache.stats
-    stats.demand_reads += demand_reads
-    stats.demand_writes += demand_writes
-    stats.read_hits += demand_reads - read_misses
-    stats.read_misses += read_misses
-    stats.write_hits += demand_writes - write_misses
-    stats.write_misses += write_misses
-    stats.fills += n_miss
-    stats.evictions += int(np.count_nonzero(functional.evicted))
-    stats.dirty_evictions += int(np.count_nonzero(functional.evict_dirty))
-    # One data-array write per fill plus one per store, minus the store
-    # folded into a write-allocate fill (same arithmetic as the per-access
-    # object path, summed instead of accumulated).
-    stats.data_way_writes += demand_writes + n_miss - write_misses
-    stats.tag_comparisons += n * cache.associativity
+    stats = (
+        ("demand_reads", demand_reads),
+        ("demand_writes", demand_writes),
+        ("read_hits", demand_reads - read_misses),
+        ("read_misses", read_misses),
+        ("write_hits", demand_writes - write_misses),
+        ("write_misses", write_misses),
+        ("fills", n_miss),
+        ("evictions", int(np.count_nonzero(functional.evicted))),
+        ("dirty_evictions", int(np.count_nonzero(functional.evict_dirty))),
+        # One data-array write per fill plus one per store, minus the store
+        # folded into a write-allocate fill (same arithmetic as the
+        # per-access object path, summed instead of accumulated).
+        ("data_way_writes", demand_writes + n_miss - write_misses),
+        ("tag_comparisons", n * cache.associativity),
+    )
 
     # Final recency tick per frame: the last run that updated it — a fill
     # stamps start+1, a store run stamps the last store's position+1, a
@@ -1700,19 +1761,82 @@ def _replay_l1(
         uniq_f, first_idx = np.unique(run_frame[upd][::-1], return_index=True)
         ticks[uniq_f] = tick_vals[::-1][first_idx]
 
-    columns.tag[frames] = functional.tags
-    columns.valid[frames] = functional.valid
-    columns.dirty[frames] = functional.dirty
-    columns.fills[frames] += np.bincount(miss_frames, minlength=len(frames))
-    columns.last_access_tick[frames] = ticks
-    cache._tick = tick0 + n  # noqa: SLF001 - engine-internal state sync
-    return sub_positions[run_starts[miss_idx]], run_sets[miss_idx], wb_tags
+    product = _l1_product(
+        cache,
+        functional.touched_sets,
+        functional.tags,
+        functional.valid,
+        functional.dirty,
+        columns.fills[frames] + np.bincount(miss_frames, minlength=len(frames)),
+        ticks,
+        count=n,
+        stats=stats,
+    )
+    return sub_positions[run_starts[miss_idx]], run_sets[miss_idx], wb_tags, product
+
+
+def _l1_product(
+    cache: SetAssociativeCache, touched_sets: np.ndarray, *end_columns, count, stats
+) -> L1Product:
+    """Freeze an L1 replay's end state, with the policy's as pass 1 left it."""
+    policy = cache.replacement
+    return _freeze(
+        L1Product(
+            touched_sets,
+            *end_columns,
+            rows=policy.rows[touched_sets],
+            policy_globals=tuple(policy.export_global_state()),
+            tick=cache._tick + count,  # noqa: SLF001 - engine-internal state sync
+            stats=stats,
+        )
+    )
+
+
+def _apply_l1(cache: SetAssociativeCache, product: L1Product) -> None:
+    """Write an L1 replay's end state: the one writer on a memo miss and hit."""
+    columns = cache.columns
+    frames = cache.set_frames(product.touched_sets)
+    for name in _L1_COLUMNS:
+        getattr(columns, name)[frames] = getattr(product, name)
+    policy = cache.replacement
+    policy.rows[product.touched_sets] = product.rows
+    policy.import_global_state(list(product.policy_globals))
+    cache._tick = product.tick  # noqa: SLF001 - engine-internal state sync
+    _add_deltas(cache.stats, product.stats)
+
+
+def _l1_key(hierarchy: CacheHierarchy, columns: tuple) -> tuple:
+    """Everything the L1 filter reads from a cold hierarchy.
+
+    Per L1 its geometry and policy state (plain ticks, or Random's
+    bit-generator state and with it the seed); the CPU columns enter by
+    digest and are confirmed like the pass-1 columns.  Nothing of the L2
+    enters: the L1s send it the same stream under every scheme.
+    """
+    return (
+        "l1",
+        *(
+            (
+                cache.config,
+                type(cache.replacement),
+                repr(cache.replacement.export_global_state()),
+            )
+            for cache in (hierarchy.l1i, hierarchy.l1d)
+        ),
+        _digest(columns),
+    )
 
 
 def filter_through_l1_soa(
     hierarchy: CacheHierarchy, codes: np.ndarray, addresses: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, str]:
     """Run the CPU stream through the run-collapsed L1 replays.
+
+    A cold hierarchy (both L1s untouched, every hierarchy counter 0) takes
+    the whole :class:`L1FilterProduct` from the kernel memo when it has
+    filtered the same CPU columns through the same L1s before; every other
+    start bypasses it.  Either way the product is written by the same
+    :func:`_apply_l1` calls.
 
     Args:
         hierarchy: The cache hierarchy whose L1s are replayed (mutated).
@@ -1720,10 +1844,35 @@ def filter_through_l1_soa(
         addresses: Per-record addresses.
 
     Returns:
-        ``(l2_codes, l2_addresses)`` arrays — code 0 demand read, 1
+        ``(l2_codes, l2_addresses, outcome)`` — code 0 demand read, 1
         write-back, in the exact order the reference hierarchy would issue
-        them to the L2.
+        them to the L2 (read-only arrays); and the memo outcome, one of
+        ``"hit"``, ``"miss"`` and ``"bypass"``.
     """
+    l1i, l1d = hierarchy.l1i, hierarchy.l1d
+    columns = (codes, addresses)
+    cold = (
+        l1i.untouched()
+        and l1d.untouched()
+        and not any(astuple(hierarchy.stats))
+    )
+    with l1i.synced_columns(), l1d.synced_columns():
+        product, _, outcome = _memoised(
+            _l1_key(hierarchy, columns) if cold else None,
+            (),
+            columns,
+            lambda: _l1_filter_pass(hierarchy, codes, addresses),
+        )
+        _apply_l1(l1i, product.l1i)
+        _apply_l1(l1d, product.l1d)
+    _add_deltas(hierarchy.stats, product.stats)
+    return product.l2_codes, product.l2_addresses, outcome
+
+
+def _l1_filter_pass(
+    hierarchy: CacheHierarchy, codes: np.ndarray, addresses: np.ndarray
+) -> L1FilterProduct:
+    """Replay both L1s (policies only) and merge their L2 streams."""
     l1i, l1d = hierarchy.l1i, hierarchy.l1d
     is_ifetch = codes == 0
     i_batch = l1i.mapper.decompose_batch(addresses[is_ifetch])
@@ -1740,17 +1889,16 @@ def filter_through_l1_soa(
     data_writes = int(np.count_nonzero(d_stores))
     data_reads = int(d_positions.size) - data_writes
 
-    with l1i.synced_columns(), l1d.synced_columns():
-        i_pos, _, i_wb_tag = _replay_l1(
-            l1i,
-            i_positions,
-            i_batch.indices,
-            i_batch.tags,
-            np.zeros(i_positions.size, dtype=bool),
-        )
-        d_pos, d_sets, d_wb_tag = _replay_l1(
-            l1d, d_positions, d_batch.indices, d_batch.tags, d_stores
-        )
+    i_pos, _, i_wb_tag, i_product = _replay_l1(
+        l1i,
+        i_positions,
+        i_batch.indices,
+        i_batch.tags,
+        np.zeros(i_positions.size, dtype=bool),
+    )
+    d_pos, d_sets, d_wb_tag, d_product = _replay_l1(
+        l1d, d_positions, d_batch.indices, d_batch.tags, d_stores
+    )
     # Only the data side can evict dirty lines (the instruction stream
     # never stores), which the assert pins down.
     assert not i_wb_tag.size or int(i_wb_tag.max()) < 0, "L1I emitted a write-back"
@@ -1780,13 +1928,21 @@ def filter_through_l1_soa(
     l2_codes[wb_slots] = 1
     l2_addresses[wb_slots] = wb_o[has_wb]
 
-    stats = hierarchy.stats
-    stats.instruction_fetches += instruction_fetches
-    stats.data_reads += data_reads
-    stats.data_writes += data_writes
-    stats.l2_reads += l2_reads
-    stats.l2_writebacks += l2_writebacks
-    return l2_codes, l2_addresses
+    return _freeze(
+        L1FilterProduct(
+            l2_codes=l2_codes,
+            l2_addresses=l2_addresses,
+            l1i=i_product,
+            l1d=d_product,
+            stats=(
+                ("instruction_fetches", instruction_fetches),
+                ("data_reads", data_reads),
+                ("data_writes", data_writes),
+                ("l2_reads", l2_reads),
+                ("l2_writebacks", l2_writebacks),
+            ),
+        )
+    )
 
 
 class _EventStreams(NamedTuple):

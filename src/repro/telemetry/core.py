@@ -425,7 +425,8 @@ def read_events(path: str | Path) -> Iterator[dict[str, Any]]:
             continue
         try:
             event = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers.
+        except (ValueError, RecursionError) as exc:
             raise TelemetryError(
                 f"malformed telemetry line {index + 1} in {path}: {exc}"
             ) from exc
@@ -434,7 +435,7 @@ def read_events(path: str | Path) -> Iterator[dict[str, Any]]:
     if tail.strip():
         try:
             event = json.loads(tail.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             return  # truncated tail: the writer died mid-append
         if isinstance(event, dict):
             yield event

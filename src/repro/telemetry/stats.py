@@ -28,6 +28,9 @@ _PHASE_ORDER = (
     "reference.replay",
 )
 
+#: Kernel spans whose ``memo`` field reports a kernel-memo outcome.
+_MEMO_SPANS = ("kernel.l1_filter", "kernel.pass1", "kernel.pass2")
+
 
 @dataclass
 class SpanStats:
@@ -165,7 +168,8 @@ class TelemetryStats:
     #: fallback reason -> occurrence count, from ``engine.fallback`` events.
     fallbacks: dict[str, int] = field(default_factory=dict)
     #: (kernel pass, memo outcome) -> count, from the ``memo`` field of the
-    #: ``kernel.pass1``/``kernel.pass2`` spans (outcome hit/miss/bypass).
+    #: ``kernel.l1_filter``/``kernel.pass1``/``kernel.pass2`` spans (outcome
+    #: hit/miss/bypass).
     kernel_memo: dict[tuple[str, str], int] = field(default_factory=dict)
     campaign: CampaignStats = field(default_factory=CampaignStats)
     distributed: DistributedStats = field(default_factory=DistributedStats)
@@ -224,7 +228,7 @@ class TelemetryAggregator:
         elif name == "job.execute":
             campaign.job_elapsed_s += duration
             campaign.accesses += int(event.get("accesses", 0) or 0)
-        elif name in ("kernel.pass1", "kernel.pass2") and "memo" in event:
+        elif name in _MEMO_SPANS and "memo" in event:
             memo = self.stats.kernel_memo
             key = (name.removeprefix("kernel."), str(event["memo"]))
             memo[key] = memo.get(key, 0) + 1

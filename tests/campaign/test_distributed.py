@@ -14,6 +14,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from campaign_test_utils import fast_settings
 from repro.campaign import (
@@ -28,6 +30,7 @@ from repro.campaign import (
     run_worker,
 )
 from repro.campaign.distributed import (
+    FrameAuth,
     parse_address,
     recv_frame,
     request,
@@ -43,6 +46,72 @@ def small_spec(workloads=("gcc", "mcf", "namd", "xalancbmk"), num_accesses=800):
         workloads=workloads,
         base_settings=fast_settings(num_accesses=num_accesses),
     )
+
+
+#: JSON-shaped bodies, which get past UTF-8 decoding to the JSON decoder.
+_json_bodies = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=16),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(("type", "payload", "x")), children, max_size=3),
+    max_leaves=12,
+).map(lambda value: json.dumps(value).encode("utf-8"))
+
+
+class TestHostileFrames:
+    """Arbitrary bytes on the wire: only ``CampaignError``, ``None`` or a frame."""
+
+    AUTH = FrameAuth("fuzz-key")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        body=st.one_of(st.binary(max_size=512), _json_bodies),
+        length=st.one_of(st.none(), st.integers(0, 2048), st.integers(0, 2**32 - 1)),
+        authed=st.booleans(),
+        mac=st.sampled_from(("valid", "absent", "random")),
+        garbage=st.binary(max_size=32),
+    )
+    @example(
+        body=b'{"type": 1' + b"0" * 5000 + b"}",
+        length=None,
+        authed=True,
+        mac="valid",
+        garbage=b"",
+    )
+    def test_recv_frame_raises_only_campaign_errors(
+        self, body, length, authed, mac, garbage
+    ):
+        """Bodies and length prefixes of any shape, with and without auth.
+
+        ``length=None`` announces the true size; ``mac="valid"`` signs the
+        hostile body with the receiver's key, so it reaches the decoder.
+        """
+        signed = {
+            "valid": self.AUTH.sign(body) + body,
+            "absent": body,
+            "random": garbage + body,
+        }[mac]
+        announced = len(signed) if length is None else length
+        self.assert_only_project_errors(
+            announced.to_bytes(4, "big") + signed, self.AUTH if authed else None
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(wire=st.binary(max_size=600), authed=st.booleans())
+    def test_arbitrary_wire_bytes(self, wire, authed):
+        """Truncated prefixes and bodies included: the peer closes after ``wire``."""
+        self.assert_only_project_errors(wire, self.AUTH if authed else None)
+
+    @staticmethod
+    def assert_only_project_errors(wire: bytes, auth) -> None:
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(wire)
+            left.shutdown(socket.SHUT_WR)
+            try:
+                message = recv_frame(right, auth)
+            except CampaignError:  # FrameAuthError included
+                return
+        assert message is None or (isinstance(message, dict) and "type" in message)
 
 
 class TestFrameProtocol:
@@ -68,8 +137,13 @@ class TestFrameProtocol:
 
     @pytest.mark.parametrize(
         "body",
-        (b"\xff\xfe", b"{not json", b"[" * 100_000),
-        ids=("non-utf8", "non-json", "nested"),
+        (
+            b"\xff\xfe",
+            b"{not json",
+            b"[" * 100_000,
+            b'{"type": 1' + b"0" * 5000 + b"}",
+        ),
+        ids=("non-utf8", "non-json", "nested", "bigint"),
     )
     def test_undecodable_body_rejected(self, body):
         left, right = socket.socketpair()

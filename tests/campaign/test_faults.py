@@ -61,7 +61,16 @@ class TestFaultPlan:
         with pytest.raises(CampaignError, match=r"\[0, 1\]"):
             FaultPlan(**{field: 1.5})
 
-    @pytest.mark.parametrize("text", ["not json", "[1,2]", '{"no_such_knob": 1}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            "[1,2]",
+            '{"no_such_knob": 1}',
+            pytest.param("[" * 100_000, id="nested"),
+            pytest.param('{"seed": ' + "1" * 5000 + "}", id="bigint"),
+        ],
+    )
     def test_malformed_plan_json_rejected(self, text):
         with pytest.raises(CampaignError, match="fault plan"):
             FaultPlan.from_json(text)
@@ -316,6 +325,7 @@ class TestCheckpointResume:
             b"[1,2,3]",
             b"\xff\xfe",
             pytest.param(b"[" * 100_000, id="nested"),
+            pytest.param(b'{"kind": ' + b"1" * 5000 + b"}", id="bigint"),
         ],
     )
     def test_load_checkpoint_garbage_fails_loudly(self, tmp_path, content):

@@ -121,7 +121,9 @@ class TestShardedStore:
             ShardedResultStore(directory)
 
     @pytest.mark.parametrize(
-        "content", (b"\xff\xfe\n", b"[" * 100_000), ids=("non-utf8", "nested")
+        "content",
+        (b"\xff\xfe\n", b"[" * 100_000, b'{"schema": ' + b"1" * 5000 + b"}"),
+        ids=("non-utf8", "nested", "bigint"),
     )
     def test_undecodable_manifest_raises(self, tmp_path, content):
         ShardedResultStore(tmp_path / "store")
@@ -195,7 +197,9 @@ class TestFailureRecovery:
         assert len(reloaded) == 2
 
     @pytest.mark.parametrize(
-        "line", ("not json at all", "[" * 100_000), ids=("non-json", "nested")
+        "line",
+        ("not json at all", "[" * 100_000, '{"key": ' + "1" * 5000 + "}"),
+        ids=("non-json", "nested", "bigint"),
     )
     def test_complete_corrupt_line_raises(self, tmp_path, line):
         store = ShardedResultStore(tmp_path / "store", shard_width=1)
@@ -223,7 +227,9 @@ class TestFailureRecovery:
         assert path.read_text().endswith("\n")
 
     @pytest.mark.parametrize(
-        "tail", ('{"tail', "[" * 100_000), ids=("cut", "nested")
+        "tail",
+        ('{"tail', "[" * 100_000, '{"key": ' + "1" * 5000 + "}"),
+        ids=("cut", "nested", "bigint"),
     )
     def test_plain_store_truncated_tail_recovers_too(self, tmp_path, tail):
         store = ResultStore(tmp_path / "store.jsonl")

@@ -127,7 +127,9 @@ class TestResultStore:
         assert store.path.exists()
 
     @pytest.mark.parametrize(
-        "line", ("not json", "[" * 100_000), ids=("non-json", "nested")
+        "line",
+        ("not json", "[" * 100_000, '{"key": ' + "1" * 5000 + "}"),
+        ids=("non-json", "nested", "bigint"),
     )
     def test_rejects_invalid_json_line(self, tmp_path, line):
         path = tmp_path / "store.jsonl"

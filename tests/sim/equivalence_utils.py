@@ -279,3 +279,16 @@ def assert_hierarchies_equivalent(reference, fast) -> None:
     )
     assert_substrates_equivalent("L1I", reference.l1i, fast.l1i)
     assert_substrates_equivalent("L1D", reference.l1d, fast.l1d)
+
+
+class RecordingL2:
+    """An L2 stand-in that records the request stream the L1s issue."""
+
+    def __init__(self) -> None:
+        self.requests: list[tuple[int, int]] = []
+
+    def read(self, address: int) -> None:
+        self.requests.append((0, address))
+
+    def write(self, address: int) -> None:
+        self.requests.append((1, address))

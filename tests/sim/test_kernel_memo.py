@@ -1,15 +1,18 @@
-"""The kernel memo: a repeated cold-start replay shares its pass-1 and exposure products.
+"""The kernel memo: a repeated cold-start replay shares its L1, pass-1 and exposure products.
 
 :func:`repro.sim.soa.replay_l2_soa` serves pass 1 and the exposure half of
 pass 2 of a cold cache (untouched substrate, every energy total 0.0) from
 one small process-local memo.  The pass-1 product is keyed by everything
 pass 1 reads; the exposure product by that key plus everything the exposure
 pass reads.  The apply step, which alone reads ``p_cell``, the ECC strength
-and the interleaving lanes, runs on every replay.  These tests pin that a
-hit leaves exactly the reference engine's state, that the keys separate
-what must differ, and that warm starts always run both passes.  The
-``memo`` field of the ``kernel.pass1`` and ``kernel.pass2`` spans reports
-each outcome.
+and the interleaving lanes, runs on every replay.  On the CPU path,
+:func:`repro.sim.soa.filter_through_l1_soa` serves the whole L1 filter of a
+cold hierarchy (both L1s untouched, every hierarchy counter 0) from the
+same memo, keyed by both L1 geometries and policy states and the CPU
+columns.  These tests pin that a hit leaves exactly the reference engine's
+state, that the keys separate what must differ, and that warm starts always
+run every pass.  The ``memo`` field of the ``kernel.l1_filter``,
+``kernel.pass1`` and ``kernel.pass2`` spans reports each outcome.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import pytest
 from equivalence_utils import (
     EQUIVALENCE_POLICIES,
     EQUIVALENCE_SCHEMES,
+    RecordingL2,
     assert_caches_equivalent,
     assert_hierarchies_equivalent,
     assert_results_equivalent,
@@ -31,12 +35,20 @@ from equivalence_utils import (
     small_l2,
 )
 
+from repro.cache import CacheHierarchy
 from repro.config import ECCConfig, ECCKind
 from repro.core import DataValueProfile, build_protected_cache
 from repro.sim import run_cpu_trace, run_l2_trace, soa
-from repro.sim.fastpath import _SCHEME_MODES, _decode_arrays
+from repro.sim.fastpath import _SCHEME_MODES, _decode_arrays, _decode_cpu
 from repro.telemetry import MemorySink, telemetry
-from repro.workloads import generate_l2_trace, get_profile, hot_loop_trace
+from repro.workloads import (
+    generate_l2_trace,
+    get_profile,
+    hot_loop_trace,
+    mixed_trace,
+    pointer_chase_trace,
+    sequential_trace,
+)
 from repro.workloads.trace import Trace
 
 #: Cache-building options whose exposure products must differ.
@@ -459,26 +471,221 @@ def test_exposure_entry_shares_the_pass1_input_columns(trace):
     assert len(exposure_inputs) == len(pass1_inputs) + 1  # plus the samples
 
 
+@pytest.fixture(scope="module")
+def cpu_trace():
+    """A CPU mix whose stores make the small L1D write dirty victims back."""
+    return mixed_trace(
+        "cpu-memo-mix",
+        [
+            hot_loop_trace(num_accesses=1500, data_bytes=8 * 1024, seed=5),
+            pointer_chase_trace(num_accesses=700, seed=6),
+            sequential_trace(num_accesses=800, store_fraction=0.3, seed=7),
+        ],
+        seed=8,
+    )
+
+
+def cpu_reference(scheme: str, cpu_trace, sim_config, seed: int = 1):
+    cache = build_cache(scheme, config=sim_config.hierarchy.l2)
+    result, hierarchy = run_cpu_trace(
+        cache, cpu_trace, config=sim_config, seed=seed, engine="reference"
+    )
+    return result, hierarchy, cache
+
+
+def cpu_replay(scheme: str, cpu_trace, sim_config, seed: int = 1):
+    """A fast CPU replay on a fresh hierarchy; returns (result, hierarchy, cache, sink)."""
+    cache = build_cache(scheme, config=sim_config.hierarchy.l2)
+    sink = MemorySink()
+    with telemetry(sink):
+        result, hierarchy = run_cpu_trace(
+            cache, cpu_trace, config=sim_config, seed=seed, engine="fast"
+        )
+    return result, hierarchy, cache, sink
+
+
+def assert_cpu_equals_reference(run, expected) -> None:
+    result, hierarchy, cache = run[:3]
+    reference_result, reference_hierarchy, reference_cache = expected
+    assert_results_equivalent(reference_result, result)
+    assert_hierarchies_equivalent(reference_hierarchy, hierarchy)
+    assert_caches_equivalent(reference_cache, cache)
+
+
+def l1_outcomes(run) -> list[str]:
+    return memo_outcomes(run[3], "kernel.l1_filter")
+
+
 def test_cpu_path_hits_and_equals_reference():
     sim_config = small_hierarchy_config()
     cpu_trace = hot_loop_trace(num_accesses=3000, data_bytes=8 * 1024, seed=5)
-    reference_cache = build_cache("reap", config=sim_config.hierarchy.l2)
-    reference_result, reference_hierarchy = run_cpu_trace(
-        reference_cache, cpu_trace, config=sim_config, engine="reference"
-    )
+    expected = cpu_reference("reap", cpu_trace, sim_config)
     outcomes = []
     for _ in range(2):
-        cache = build_cache("reap", config=sim_config.hierarchy.l2)
-        sink = MemorySink()
-        with telemetry(sink):
-            result, hierarchy = run_cpu_trace(
-                cache, cpu_trace, config=sim_config, engine="fast"
-            )
-        outcomes += both_outcomes(sink)
-        assert_results_equivalent(reference_result, result)
-        assert_hierarchies_equivalent(reference_hierarchy, hierarchy)
-        assert_caches_equivalent(reference_cache, cache)
-    assert outcomes == [("miss", "miss"), ("hit", "hit")]
+        run = cpu_replay("reap", cpu_trace, sim_config)
+        outcomes += [(l1, *l2) for l1, l2 in zip(l1_outcomes(run), both_outcomes(run[3]))]
+        assert_cpu_equals_reference(run, expected)
+    assert outcomes == [("miss", "miss", "miss"), ("hit", "hit", "hit")]
+
+
+@pytest.mark.parametrize("scheme", ("conventional", "reap", "scrubbing"))
+@pytest.mark.parametrize("policy", EQUIVALENCE_POLICIES)
+def test_second_cold_cpu_replay_hits_the_l1_product(cpu_trace, policy, scheme):
+    sim_config = small_hierarchy_config(l1_replacement=policy)
+    expected = cpu_reference(scheme, cpu_trace, sim_config)
+    # The stream must make the L1D write back, or the hit path is vacuous.
+    assert expected[1].stats.l2_writebacks > 0
+    first = cpu_replay(scheme, cpu_trace, sim_config)
+    second = cpu_replay(scheme, cpu_trace, sim_config)
+    assert (l1_outcomes(first), l1_outcomes(second)) == (["miss"], ["hit"])
+    assert_cpu_equals_reference(first, expected)
+    assert_cpu_equals_reference(second, expected)
+
+
+def test_l2_schemes_share_one_l1_product(cpu_trace):
+    """Nothing of the L2 enters the key: every scheme after the first hits."""
+    sim_config = small_hierarchy_config()
+    outcomes = []
+    for scheme in EQUIVALENCE_SCHEMES:
+        run = cpu_replay(scheme, cpu_trace, sim_config)
+        outcomes += l1_outcomes(run)
+        assert_cpu_equals_reference(run, cpu_reference(scheme, cpu_trace, sim_config))
+    assert outcomes == ["miss"] + ["hit"] * (len(EQUIVALENCE_SCHEMES) - 1)
+    assert memo_kinds().count("l1") == 1
+
+
+def test_lru_l1_keys_ignore_the_driver_seed(cpu_trace):
+    sim_config = small_hierarchy_config()
+    outcomes = []
+    for seed in (1, 2):
+        run = cpu_replay("reap", cpu_trace, sim_config, seed=seed)
+        outcomes += l1_outcomes(run)
+        assert_cpu_equals_reference(
+            run, cpu_reference("reap", cpu_trace, sim_config, seed=seed)
+        )
+    assert outcomes == ["miss", "hit"]
+
+
+def test_random_l1_seeds_make_distinct_l1_entries(cpu_trace):
+    sim_config = small_hierarchy_config(l1_replacement="random")
+    outcomes = []
+    for seed in (1, 2, 2):
+        run = cpu_replay("conventional", cpu_trace, sim_config, seed=seed)
+        outcomes += l1_outcomes(run)
+        assert_cpu_equals_reference(
+            run, cpu_reference("conventional", cpu_trace, sim_config, seed=seed)
+        )
+    assert outcomes == ["miss", "miss", "hit"]
+    products = [
+        entry.value for key, entry in soa._kernel_memo.items() if key[0] == "l1"
+    ]
+    assert len(products) == 2
+    assert not np.array_equal(products[0].l1d.tag, products[1].l1d.tag)
+
+
+def test_l1d_geometry_makes_distinct_l1_entries(cpu_trace):
+    base = small_hierarchy_config()
+    hierarchy = base.hierarchy
+    wider = dataclasses.replace(
+        base,
+        hierarchy=dataclasses.replace(
+            hierarchy, l1d=dataclasses.replace(hierarchy.l1d, associativity=2)
+        ),
+    )
+    assert wider.hierarchy.l1d.num_sets != hierarchy.l1d.num_sets
+    outcomes = []
+    for sim_config in (base, wider):
+        run = cpu_replay("reap", cpu_trace, sim_config)
+        outcomes += l1_outcomes(run)
+        assert_cpu_equals_reference(run, cpu_reference("reap", cpu_trace, sim_config))
+    assert outcomes == ["miss", "miss"]
+
+
+def replay_records(hierarchy: CacheHierarchy, codes, addresses) -> None:
+    """The per-record hierarchy calls, over decoded CPU codes."""
+    issue = (hierarchy.fetch_instruction, hierarchy.load, hierarchy.store)
+    for code, address in zip(codes.tolist(), addresses.tolist()):
+        issue[code](address)
+
+
+def test_reference_warmed_l1s_bypass(cpu_trace):
+    config = small_hierarchy_config().hierarchy
+    codes, addresses = _decode_cpu(cpu_trace)
+    cold = CacheHierarchy(config, RecordingL2(), seed=1)
+    assert soa.filter_through_l1_soa(cold, codes, addresses)[2] == "miss"
+    reference, fast = (CacheHierarchy(config, RecordingL2(), seed=1) for _ in range(2))
+    for hierarchy in (reference, fast):
+        replay_records(hierarchy, codes[:500], addresses[:500])
+    replay_records(reference, codes, addresses)
+    l2_codes, l2_addresses, outcome = soa.filter_through_l1_soa(fast, codes, addresses)
+    assert outcome == "bypass"
+    issued = list(zip(l2_codes.tolist(), l2_addresses.tolist()))
+    assert fast.l2.requests + issued == reference.l2.requests
+    assert_hierarchies_equivalent(reference, fast)
+
+
+@pytest.mark.parametrize("policy", EQUIVALENCE_POLICIES)
+def test_l1_hit_continues_like_the_reference(cpu_trace, policy):
+    """A hit restores the ticks too: later references stamp the same recency."""
+    config = small_hierarchy_config(l1_replacement=policy).hierarchy
+    codes, addresses = _decode_cpu(cpu_trace)
+    reference, missed, hit = (
+        CacheHierarchy(config, RecordingL2(), seed=1) for _ in range(3)
+    )
+    replay_records(reference, codes, addresses)
+    outcomes = [soa.filter_through_l1_soa(h, codes, addresses)[2] for h in (missed, hit)]
+    assert outcomes == ["miss", "hit"]
+    for hierarchy in (reference, missed, hit):
+        replay_records(hierarchy, codes[:400], addresses[:400])
+    assert_hierarchies_equivalent(reference, missed)
+    assert_hierarchies_equivalent(reference, hit)
+
+
+def test_nonzero_hierarchy_counters_bypass(cpu_trace):
+    """Untouched L1s under counted traffic: the deltas add to the counters."""
+    codes, addresses = _decode_cpu(cpu_trace)
+    cold = CacheHierarchy(small_hierarchy_config().hierarchy, RecordingL2(), seed=1)
+    soa.filter_through_l1_soa(cold, codes, addresses)
+    counted = CacheHierarchy(small_hierarchy_config().hierarchy, RecordingL2(), seed=1)
+    counted.stats.l2_reads = 7
+    assert counted.l1i.untouched() and counted.l1d.untouched()
+    assert soa.filter_through_l1_soa(counted, codes, addresses)[2] == "bypass"
+    assert counted.stats.l2_reads == cold.stats.l2_reads + 7
+    counted.stats.l2_reads -= 7
+    assert_hierarchies_equivalent(cold, counted)
+
+
+def test_colliding_l1_digests_are_confirmed_against_the_columns(cpu_trace, monkeypatch):
+    """A digest collision reads as a miss, never as a wrong L1 product."""
+    monkeypatch.setattr(soa, "_digest", lambda columns: b"")
+    sim_config = small_hierarchy_config()
+    other = hot_loop_trace(num_accesses=3000, data_bytes=8 * 1024, seed=9)
+    outcomes = []
+    for replayed in (cpu_trace, other, other, cpu_trace):
+        run = cpu_replay("conventional", replayed, sim_config)
+        outcomes += l1_outcomes(run)
+        assert_cpu_equals_reference(
+            run, cpu_reference("conventional", replayed, sim_config)
+        )
+    assert outcomes == ["miss", "miss", "hit", "miss"]
+
+
+def test_l1_product_rejects_writes(cpu_trace):
+    cpu_replay("reap", cpu_trace, small_hierarchy_config())
+    (entry,) = [entry for key, entry in soa._kernel_memo.items() if key[0] == "l1"]
+    product = entry.value
+    for held in (product, product.l1i, product.l1d):
+        for field in dataclasses.fields(held):
+            value = getattr(held, field.name)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError):
+                    value[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            held.stats = ()
+    assert product.l1d.touched_sets.size and product.l1d.rows.size
+    for column in entry.inputs:
+        with pytest.raises(ValueError):
+            column[0] = 0
 
 
 def test_memo_field_reads_miss_hit_bypass(trace):

@@ -25,7 +25,9 @@ fetches, loads and stores, any store fraction, same-block runs, sometimes
 no instruction fetch at all) through tiny L1s (1-8 sets, 1-4 ways) under
 any built-in L1 policy, over a small L2 under any scheme.  The fast
 :func:`repro.sim.run_cpu_trace` must leave exactly the reference's L1
-blocks, policy rows and statistics, hierarchy counters and L2 result.
+blocks, policy rows and statistics, hierarchy counters and L2 result, and
+so must a second fast run on a fresh hierarchy, which takes its whole L1
+filter from the kernel memo.
 Its companion replays the L1 filter alone over L1s a reference prefix has
 warmed, so victims are also lines the replay did not bring in.
 """
@@ -38,6 +40,7 @@ import numpy as np
 from equivalence_utils import (
     EQUIVALENCE_POLICIES,
     EQUIVALENCE_SCHEMES,
+    RecordingL2,
     assert_caches_equivalent,
     assert_hierarchies_equivalent,
     assert_results_equivalent,
@@ -51,7 +54,7 @@ from hypothesis import strategies as st
 
 from repro.cache import CacheHierarchy
 from repro.config import CacheLevelConfig, HierarchyConfig, SimulationConfig
-from repro.sim import run_l2_trace
+from repro.sim import run_cpu_trace, run_l2_trace
 from repro.sim.soa import filter_through_l1_soa
 from repro.telemetry import MemorySink, telemetry
 from repro.workloads.trace import _KIND_INDEX, AccessKind, Trace
@@ -452,27 +455,29 @@ def cpu_trace_of(scenario: CPUScenario) -> Trace:
     )
 )
 def test_cpu_path_equals_reference(scenario):
+    trace = cpu_trace_of(scenario)
+    sim_config = cpu_scenario_config(scenario)
     reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-        scenario.scheme,
-        cpu_trace_of(scenario),
-        sim_config=cpu_scenario_config(scenario),
+        scenario.scheme, trace, sim_config=sim_config
     )
     assert_results_equivalent(reference, fast)
     assert_hierarchies_equivalent(ref_h, fast_h)
     assert_caches_equivalent(ref_cache, fast_cache)
-
-
-class RecordingL2:
-    """An L2 stand-in that records the request stream the L1s issue."""
-
-    def __init__(self) -> None:
-        self.requests: list[tuple[int, int]] = []
-
-    def read(self, address: int) -> None:
-        self.requests.append((0, address))
-
-    def write(self, address: int) -> None:
-        self.requests.append((1, address))
+    # A second fresh hierarchy takes its whole L1 filter from the memo.
+    again_cache = build_cache(
+        scenario.scheme, config=sim_config.hierarchy.l2, ones_count=100
+    )
+    sink = MemorySink()
+    with telemetry(sink):
+        again, again_h = run_cpu_trace(
+            again_cache, trace, config=sim_config, engine="fast"
+        )
+    assert [
+        event["memo"] for event in sink.events if event["name"] == "kernel.l1_filter"
+    ] == ["hit"]
+    assert_results_equivalent(reference, again)
+    assert_hierarchies_equivalent(ref_h, again_h)
+    assert_caches_equivalent(ref_cache, again_cache)
 
 
 def replay_reference(hierarchy: CacheHierarchy, records) -> None:
@@ -516,7 +521,7 @@ def test_l1_filter_over_warm_l1s_equals_reference(scenario, data):
     addresses = np.array(
         [block * BLOCK_BYTES + offset for _, block, offset in rest], dtype=np.int64
     )
-    l2_codes, l2_addresses = filter_through_l1_soa(fast, cpu_codes, addresses)
+    l2_codes, l2_addresses, _ = filter_through_l1_soa(fast, cpu_codes, addresses)
     issued = list(zip(l2_codes.tolist(), l2_addresses.tolist()))
     assert fast_l2.requests + issued == reference_l2.requests
     assert_hierarchies_equivalent(reference, fast)

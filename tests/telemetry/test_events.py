@@ -150,8 +150,12 @@ class TestFileSinkRoundTrip:
 
     @pytest.mark.parametrize(
         "tail",
-        ('{"ts": 1.0, "kind": "event", "na', "[" * 100_000),
-        ids=("cut", "nested"),
+        (
+            '{"ts": 1.0, "kind": "event", "na',
+            "[" * 100_000,
+            '{"ts": ' + "1" * 5000 + "}",
+        ),
+        ids=("cut", "nested", "bigint"),
     )
     def test_truncated_tail_tolerated(self, tmp_path, tail):
         path = tmp_path / "events.jsonl"
@@ -162,7 +166,9 @@ class TestFileSinkRoundTrip:
         assert [e["name"] for e in read_events(path)] == ["kept"]
 
     @pytest.mark.parametrize(
-        "line", ("not json", "[" * 100_000), ids=("non-json", "nested")
+        "line",
+        ("not json", "[" * 100_000, '{"ts": ' + "1" * 5000 + "}"),
+        ids=("non-json", "nested", "bigint"),
     )
     def test_malformed_mid_file_raises(self, tmp_path, line):
         path = tmp_path / "events.jsonl"

@@ -57,9 +57,17 @@ class TestSpanAggregation:
                 span_event("kernel.pass2", 0.1, scheme="reap", memo="bypass"),
                 span_event("kernel.pass1", 0.1, scheme="reap"),  # older logs
                 span_event("kernel.pass2", 0.1, scheme="reap"),
+                span_event("kernel.l1_filter", 0.2, scheme="reap", memo="miss"),
+                span_event("kernel.l1_filter", 0.01, scheme="reap", memo="hit"),
+                span_event("kernel.l1_filter", 0.01, scheme="conventional", memo="hit"),
+                span_event("kernel.l1_filter", 0.1, scheme="reap", memo="bypass"),
+                span_event("kernel.l1_filter", 0.2, scheme="reap"),  # older logs
             ]
         )
         assert stats.kernel_memo == {
+            ("l1_filter", "miss"): 1,
+            ("l1_filter", "hit"): 2,
+            ("l1_filter", "bypass"): 1,
             ("pass1", "miss"): 1,
             ("pass1", "hit"): 2,
             ("pass1", "bypass"): 1,
@@ -68,7 +76,8 @@ class TestSpanAggregation:
             ("pass2", "bypass"): 1,
         }
         section = render_telemetry_stats(stats).split("kernel memo\n")[1]
-        rows = [line.split() for line in section.splitlines()[2:8]]
+        rows = [line.split() for line in section.splitlines()[2:11]]
+        assert ["l1_filter", "hit", "2"] in rows
         assert ["pass1", "hit", "2"] in rows
         assert ["pass2", "miss", "2"] in rows
 

@@ -1,6 +1,9 @@
 """Tests for the CPU-level synthetic trace generators."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.workloads import (
@@ -11,6 +14,7 @@ from repro.workloads import (
     sequential_trace,
     strided_trace,
 )
+from repro.workloads.synthetic import _mix_picks
 
 
 class TestSequential:
@@ -98,3 +102,36 @@ class TestMixed:
     def test_rejects_empty_component_list(self):
         with pytest.raises(TraceError):
             mixed_trace("mix", [])
+
+
+def rng_choice_picks(lengths, seed):
+    """The per-step ``rng.choice`` loop :func:`mixed_trace` is defined by."""
+    rng = np.random.default_rng(seed)
+    remaining = list(lengths)
+    picks = []
+    while any(remaining):
+        weights = np.array(remaining, dtype=float)
+        weights /= weights.sum()
+        choice = int(rng.choice(len(remaining), p=weights))
+        picks.append(choice)
+        remaining[choice] -= 1
+    return picks
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lengths=st.lists(
+        st.one_of(st.just(0), st.integers(1, 59)), min_size=1, max_size=10
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_mix_sampler_equals_numpy_rng_choice_on_installed_numpy(lengths, seed):
+    """The batched sampler replays ``Generator.choice`` exactly.
+
+    numpy promises no stream stability across versions (NEP 19): if an
+    upgrade changes how ``choice`` draws or searches, this test fails by
+    name before any golden trace hash does.
+    """
+    assert _mix_picks(lengths, np.random.default_rng(seed)) == rng_choice_picks(
+        lengths, seed
+    )
