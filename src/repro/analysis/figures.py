@@ -143,6 +143,13 @@ def build_figure5(
     settings: ExperimentSettings | None = None,
 ) -> Figure5Data:
     """Reproduce Fig. 5: REAP MTTF normalised to the conventional cache."""
+    return comparisons_to_figure5(_reap_comparisons(workloads, settings))
+
+
+def _reap_comparisons(
+    workloads: Sequence[str] | None, settings: ExperimentSettings | None
+) -> list[WorkloadComparison]:
+    """Conventional-vs-REAP runs over ``workloads`` (default: all profiles)."""
     names = list(workloads) if workloads is not None else [p.name for p in all_profiles()]
     runner = ExperimentRunner(
         names,
@@ -150,25 +157,7 @@ def build_figure5(
         baseline=ProtectionScheme.CONVENTIONAL,
         alternatives=(ProtectionScheme.REAP,),
     )
-    comparisons = runner.run()
-    rows = []
-    for comparison in comparisons:
-        rows.append(
-            Figure5Row(
-                workload=comparison.workload,
-                mttf_improvement=comparison.mttf_improvement("reap"),
-                baseline_expected_failures=comparison.baseline.expected_failures,
-                reap_expected_failures=comparison.alternative("reap").expected_failures,
-                max_concealed_reads=comparison.baseline.max_accumulated_reads,
-            )
-        )
-    improvements = [r.mttf_improvement for r in rows]
-    return Figure5Data(
-        rows=tuple(rows),
-        average_improvement=sum(improvements) / len(improvements),
-        min_improvement=min(improvements),
-        max_improvement=max(improvements),
-    )
+    return runner.run()
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +198,7 @@ def build_figure6(
     settings: ExperimentSettings | None = None,
 ) -> Figure6Data:
     """Reproduce Fig. 6: REAP dynamic energy normalised to the conventional cache."""
-    names = list(workloads) if workloads is not None else [p.name for p in all_profiles()]
-    runner = ExperimentRunner(
-        names,
-        settings=settings,
-        baseline=ProtectionScheme.CONVENTIONAL,
-        alternatives=(ProtectionScheme.REAP,),
-    )
-    comparisons = runner.run()
-    rows = []
-    for comparison in comparisons:
-        rows.append(
-            Figure6Row(
-                workload=comparison.workload,
-                relative_dynamic_energy=comparison.relative_dynamic_energy("reap"),
-                overhead_percent=comparison.energy_overhead_percent("reap"),
-                read_fraction=comparison.baseline.read_fraction,
-                hit_rate=comparison.baseline.hit_rate,
-            )
-        )
-    overheads = [r.overhead_percent for r in rows]
-    return Figure6Data(
-        rows=tuple(rows),
-        average_overhead_percent=sum(overheads) / len(overheads),
-        min_overhead_percent=min(overheads),
-        max_overhead_percent=max(overheads),
-    )
+    return comparisons_to_figure6(_reap_comparisons(workloads, settings))
 
 
 def comparisons_to_figure5(comparisons: Sequence[WorkloadComparison]) -> Figure5Data:

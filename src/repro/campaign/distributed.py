@@ -32,7 +32,8 @@ retry attempt's result is the one that counts.
 
 The wire format is deliberately primitive: one length-prefixed JSON frame
 (4-byte big-endian length, UTF-8 JSON body) per message, one
-request/response exchange per connection.  Messages:
+request/response exchange per connection, each served on its own daemon
+thread by a :class:`socketserver.ThreadingTCPServer`.  Messages:
 
 ========== ============================== ===================================
 direction  message                        response
@@ -54,11 +55,11 @@ dropped without a reply — and without disturbing the campaign.
 
 Crash recovery: give the coordinator a ``checkpoint`` path and it
 periodically snapshots its job queue, attempts, poison list and lease
-table (atomic ``mkstemp`` + ``rename``, the artifact-cache publish
-discipline).  :meth:`Coordinator.resume_from_checkpoint` rebuilds pending
-work by diffing the checkpoint against the *result store* — the durable
-truth — so a killed-and-restarted coordinator finishes the campaign with
-a byte-identical store.
+table (atomically, through :func:`repro._files.publish`).
+:meth:`Coordinator.resume_from_checkpoint` rebuilds pending work by
+diffing the checkpoint against the *result store* — the durable truth —
+so a killed-and-restarted coordinator finishes the campaign with a
+byte-identical store.
 
 All network and store paths consult :mod:`repro.campaign.faults`, so every
 failure mode above can be injected deterministically in the chaos suite.
@@ -74,8 +75,8 @@ import queue
 import random
 import secrets
 import socket
+import socketserver
 import struct
-import tempfile
 import threading
 import time
 import zlib
@@ -84,6 +85,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from .._files import publish
 from ..errors import CampaignError, FrameAuthError
 from ..telemetry import activate, emit_counter, emit_event
 from ..telemetry import current as telemetry_current
@@ -105,6 +107,15 @@ AUTH_KEY_ENV = "REPRO_AUTH_KEY"
 
 #: ``kind`` marker of a coordinator checkpoint file.
 CHECKPOINT_KIND = "coordinator-checkpoint"
+
+#: Minimum seconds between two unforced coordinator checkpoint writes.
+CHECKPOINT_INTERVAL_S = 2.0
+
+#: Worker sleep between first-contact retries (and idle polls by default).
+WORKER_POLL_S = 0.2
+
+#: Shutdown check interval of the serve loop: bounds how long close() waits.
+_SERVE_POLL_S = 0.05
 
 _LENGTH = struct.Struct(">I")
 
@@ -415,6 +426,22 @@ class _Lease:
     nonce: str | None = None
 
 
+class _CoordinatorServer(socketserver.ThreadingTCPServer):
+    """The coordinator's listener: one daemon thread per connection."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+    request_queue_size = 64
+    coordinator: "Coordinator"
+
+
+class _Connection(socketserver.BaseRequestHandler):
+    """One request/response exchange, served by :meth:`Coordinator._handle`."""
+
+    def handle(self) -> None:
+        self.server.coordinator._handle(self.request)
+
+
 class Coordinator:
     """Serves the pending-job queue to pull-based workers over TCP.
 
@@ -433,8 +460,8 @@ class Coordinator:
             poison list (reported at the end of :meth:`results` and via
             ``repro-reap stats``) instead of failing the whole campaign.
         checkpoint: Path to periodically snapshot the queue/lease state to
-            (atomic replace); ``None`` disables checkpointing.
-        checkpoint_interval_s: Minimum seconds between checkpoint writes.
+            (atomic replace, at most every :data:`CHECKPOINT_INTERVAL_S`
+            unless forced); ``None`` disables checkpointing.
         frame_timeout_s: Per-connection send/recv timeout.
 
     The listening socket opens at construction, so workers may connect
@@ -449,7 +476,6 @@ class Coordinator:
         auth_key: "str | bytes | FrameAuth | None" = None,
         quarantine: bool = False,
         checkpoint: str | Path | None = None,
-        checkpoint_interval_s: float = 2.0,
         frame_timeout_s: float = 10.0,
     ) -> None:
         if lease_timeout_s <= 0:
@@ -467,7 +493,6 @@ class Coordinator:
         self._checkpoint_path = Path(checkpoint) if checkpoint is not None else None
         if self._checkpoint_path is not None:
             self._checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-        self._checkpoint_interval = checkpoint_interval_s
         self._checkpoint_lock = threading.Lock()
         self._checkpoint_dirty = False
         self._last_checkpoint = 0.0
@@ -490,14 +515,15 @@ class Coordinator:
         # the creating scope's telemetry session and re-enter it in them.
         self._telemetry = telemetry_current()
         self._closed = threading.Event()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
+        self._server = _CoordinatorServer((host, port), _Connection)
+        self._server.coordinator = self
         self._host = host
-        self._port = self._listener.getsockname()[1]
+        self._port = self._server.server_address[1]
         self._thread = threading.Thread(
-            target=self._serve, name="campaign-coordinator", daemon=True
+            target=self._server.serve_forever,
+            args=(_SERVE_POLL_S,),
+            name="campaign-coordinator",
+            daemon=True,
         )
         self._thread.start()
 
@@ -638,14 +664,8 @@ class Coordinator:
             return
         self._write_checkpoint(force=True)
         self._closed.set()
-        try:
-            # Unblock accept() promptly with a self-connection.
-            poke_host = "127.0.0.1" if self._host == "0.0.0.0" else self._host
-            with socket.create_connection((poke_host, self._port), timeout=1.0):
-                pass
-        except OSError:
-            pass
-        self._listener.close()
+        self._server.shutdown()
+        self._server.server_close()
         self._thread.join(timeout=5.0)
 
     def __enter__(self) -> "Coordinator":
@@ -659,9 +679,9 @@ class Coordinator:
     def _write_checkpoint(self, force: bool = False) -> None:
         """Snapshot the queue/lease state to the checkpoint path.
 
-        Throttled to ``checkpoint_interval_s`` unless ``force``; published
-        with ``mkstemp`` + ``os.replace`` (the artifact-cache discipline),
-        so readers only ever see a complete checkpoint.
+        Throttled to :data:`CHECKPOINT_INTERVAL_S` unless ``force``;
+        published with :func:`repro._files.publish`, so readers only ever
+        see a complete checkpoint.
         """
         path = self._checkpoint_path
         if path is None:
@@ -670,7 +690,7 @@ class Coordinator:
         with self._lock:
             if not force and (
                 not self._checkpoint_dirty
-                or now - self._last_checkpoint < self._checkpoint_interval
+                or now - self._last_checkpoint < CHECKPOINT_INTERVAL_S
             ):
                 return
             state = {
@@ -693,22 +713,9 @@ class Coordinator:
             self._last_checkpoint = now
             pending_count = len(self._pending)
             lease_count = len(self._leases)
+        text = json.dumps(state, sort_keys=True, separators=(",", ":"))
         with self._checkpoint_lock:
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(state, handle, sort_keys=True, separators=(",", ":"))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            publish(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
         emit_event(
             "coordinator.checkpoint",
             jobs=len(state["payloads"]),
@@ -719,22 +726,10 @@ class Coordinator:
 
     # -- server internals ------------------------------------------------------
 
-    def _serve(self) -> None:
-        while not self._closed.is_set():
-            try:
-                conn, _peer = self._listener.accept()
-            except OSError:
-                return
-            if self._closed.is_set():
-                conn.close()
-                return
-            threading.Thread(
-                target=self._handle, args=(conn,), daemon=True
-            ).start()
-
     def _handle(self, conn: socket.socket) -> None:
+        """Answer one frame on ``conn`` (the server closes it afterwards)."""
         try:
-            with activate(self._telemetry), conn:
+            with activate(self._telemetry):
                 conn.settimeout(self._frame_timeout)
                 try:
                     message = recv_frame(conn, self._auth)
@@ -1121,11 +1116,9 @@ def run_worker(
     worker_id: str | None = None,
     max_jobs: int | None = None,
     connect_retry_s: float = 30.0,
-    poll_interval_s: float = 0.2,
     reconnect_timeout_s: float = 5.0,
     backoff_base_s: float = 0.1,
     backoff_max_s: float = 2.0,
-    backoff_seed: int | None = None,
     frame_timeout_s: float = 10.0,
     auth_key: "str | bytes | FrameAuth | None" = None,
 ) -> int:
@@ -1143,15 +1136,15 @@ def run_worker(
         max_jobs: Stop after this many jobs (``None`` = unlimited); the
             distributed tests use it to model bounded workers.
         connect_retry_s: How long to keep retrying the *first* contact, so
-            workers may be started before the coordinator.
-        poll_interval_s: Sleep between first-contact retries/idle polls.
+            workers may be started before the coordinator (retried every
+            :data:`WORKER_POLL_S`).
         reconnect_timeout_s: How long one continuous coordinator outage
             may last (after first contact) before the worker gives up and
             exits cleanly; transient hiccups inside the budget are ridden
             out with exponential backoff instead of killing the worker.
         backoff_base_s: First reconnect delay; doubles per retry.
-        backoff_max_s: Reconnect delay ceiling.
-        backoff_seed: Jitter seed (default: derived from the worker id).
+        backoff_max_s: Reconnect delay ceiling.  The jitter is seeded from
+            the worker id.
         frame_timeout_s: Per-exchange connect/send/recv timeout.
         auth_key: Shared HMAC frame key (default: ``REPRO_AUTH_KEY``).
     """
@@ -1165,11 +1158,9 @@ def run_worker(
         worker_id or default_worker_id(),
         max_jobs,
         connect_retry_s,
-        poll_interval_s,
         reconnect_timeout_s,
         backoff_base_s,
         backoff_max_s,
-        backoff_seed,
         frame_timeout_s,
         FrameAuth.resolve(auth_key),
     )
@@ -1205,20 +1196,16 @@ def _run_worker_loop(
     worker: str,
     max_jobs: int | None,
     connect_retry_s: float,
-    poll_interval_s: float,
     reconnect_timeout_s: float,
     backoff_base_s: float,
     backoff_max_s: float,
-    backoff_seed: int | None,
     frame_timeout_s: float,
     auth: FrameAuth | None,
 ) -> int:
     executed = 0
     contacted = False
     first_deadline = time.monotonic() + connect_retry_s
-    outage = _Reconnector(
-        worker, reconnect_timeout_s, backoff_base_s, backoff_max_s, backoff_seed
-    )
+    outage = _Reconnector(worker, reconnect_timeout_s, backoff_base_s, backoff_max_s)
     while True:
         try:
             reply = request(
@@ -1234,7 +1221,7 @@ def _run_worker_loop(
                         f"worker {worker} could not reach coordinator at "
                         f"{address} within {connect_retry_s}s: {exc}"
                     ) from exc
-                time.sleep(poll_interval_s)
+                time.sleep(WORKER_POLL_S)
                 continue
             # Coordinator unreachable mid-campaign: back off and retry
             # until the outage budget runs out (restart recovery window),
@@ -1248,7 +1235,7 @@ def _run_worker_loop(
         if kind == "shutdown":
             return executed
         if kind == "wait":
-            time.sleep(float(reply.get("delay_s", poll_interval_s)))
+            time.sleep(float(reply.get("delay_s", WORKER_POLL_S)))
             continue
         if kind != "job":
             raise CampaignError(f"unexpected coordinator reply {kind!r}")

@@ -15,7 +15,10 @@ files.  Sharding buys two things over the single-file store:
 * **Concurrent writers.** Every append is a single ``O_APPEND`` write of a
   whole line, and writers of different jobs usually land on different
   files, so several campaign processes (or several coordinators on a
-  shared filesystem) can fill one store simultaneously.
+  shared filesystem) can fill one store simultaneously.  The manifest and
+  compacted shards are published through :func:`repro._files.publish`
+  (a unique temporary file per writer), so processes that create or
+  compact one store at once all succeed.
 * **Cheap merging.** Two stores filled on different machines merge
   shard-by-shard (:func:`repro.campaign.tools.merge_stores`); after
   :meth:`compact`, equal stores are byte-identical file-by-file.
@@ -33,7 +36,7 @@ from pathlib import Path
 from ..errors import CampaignError
 from .hashing import canonical_json
 from .spec import SCHEMA_VERSION
-from .store import BaseResultStore, load_jsonl_records
+from .store import BaseResultStore, _write_lines, load_jsonl_records
 
 #: Manifest file marking a directory as a sharded store.
 MANIFEST_NAME = "store.json"
@@ -90,15 +93,8 @@ class ShardedResultStore(BaseResultStore):
             if not 1 <= self._shard_width <= 8:
                 raise CampaignError("shard_width must be between 1 and 8")
             self._path.mkdir(parents=True, exist_ok=True)
-            tmp = manifest_path.with_suffix(".tmp")
-            tmp.write_text(
-                canonical_json(
-                    {"schema": SCHEMA_VERSION, "shard_width": self._shard_width}
-                )
-                + "\n",
-                encoding="utf-8",
-            )
-            tmp.replace(manifest_path)
+            manifest = {"schema": SCHEMA_VERSION, "shard_width": self._shard_width}
+            _write_lines(manifest_path, [canonical_json(manifest)])
         self._load()
 
     def _read_manifest(self, manifest_path: Path) -> dict:
@@ -185,7 +181,4 @@ class ShardedResultStore(BaseResultStore):
             if shard.name not in by_shard:
                 os.unlink(shard)
         for name, lines in by_shard.items():
-            shard = self._path / name
-            tmp = shard.with_suffix(shard.suffix + ".tmp")
-            tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            tmp.replace(shard)
+            _write_lines(self._path / name, lines)

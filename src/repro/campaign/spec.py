@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from ..core import ProtectionScheme
@@ -177,9 +178,10 @@ class JobSpec:
         )
         object.__setattr__(self, "point", _normalise_point(self.point))
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Content hash identifying this job in the result store."""
+        """Content hash identifying this job in the result store (computed
+        once: the fields are frozen)."""
         return content_hash({"schema": SCHEMA_VERSION, "job": self.to_dict()})
 
     @property

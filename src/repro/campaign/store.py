@@ -12,7 +12,8 @@ down.  Files are append-only while a campaign runs (crash-safe
 resumability: every completed job survives), each append is a single
 ``O_APPEND`` write of one whole line (safe for concurrent writers on a
 local filesystem), and :meth:`ResultStore.compact` rewrites files sorted by
-key for deterministic whole-file bytes.
+key for deterministic whole-file bytes, published atomically through
+:func:`repro._files.publish`.
 
 Two rules keep stores mergeable across machines and code versions:
 
@@ -44,6 +45,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+from .._files import publish
 from ..errors import CampaignError
 
 # The serialisers live beside the result types (the JSON export uses them
@@ -140,6 +142,12 @@ def _append_line(path: Path, line: str) -> None:
             os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Atomically replace ``path`` with one record line per entry."""
+    text = "".join(line + "\n" for line in lines)
+    publish(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
 
 
 def _repair_file(path: Path, expected_raw: str, repaired: str) -> bool:
@@ -414,9 +422,5 @@ class ResultStore(BaseResultStore):
     def compact(self) -> None:
         """Rewrite the file with entries sorted by key (deterministic bytes)."""
         ordered = [self._lines[key] for key in sorted(self._lines)]
-        tmp_path = self._path.with_suffix(self._path.suffix + ".tmp")
-        tmp_path.write_text(
-            "".join(line + "\n" for line in ordered), encoding="utf-8"
-        )
-        tmp_path.replace(self._path)
+        _write_lines(self._path, ordered)
         self._lines = {json.loads(line)["key"]: line for line in ordered}

@@ -51,7 +51,7 @@ from .analysis import (
     render_table1,
 )
 from .analysis.export import figure3_to_csv, figure5_to_csv, figure6_to_csv
-from .errors import CampaignError
+from .errors import CampaignError, ReproError
 from .sim import ExperimentSettings, format_table
 from .workloads import FIGURE3_WORKLOADS, all_profiles, get_profile
 
@@ -122,7 +122,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
         print(render_figure3(series))
         print()
         if args.csv:
-            path = figure3_to_csv(series, f"{args.csv.rstrip('.csv')}_{workload}.csv")
+            path = figure3_to_csv(series, f"{args.csv.removesuffix('.csv')}_{workload}.csv")
             print(f"[wrote {path}]")
     return 0
 
@@ -676,15 +676,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (2 for a
+    :class:`~repro.errors.ReproError`, reported as one stderr line)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Validate workload names early so typos fail with a clear message.
-    workloads = getattr(args, "workloads", None)
-    if workloads:
-        for name in workloads:
+    try:
+        # Validate workload names early so typos fail with a clear message.
+        for name in getattr(args, "workloads", None) or ():
             get_profile(name)
-    return args.handler(args)
+        return args.handler(args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution convenience

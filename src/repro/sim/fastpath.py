@@ -56,7 +56,8 @@ from ..core.serial import SerialAccessCache
 from ..errors import SimulationError
 from ..telemetry import emit_event, span
 from ..workloads.trace import KIND_ORDER, Trace
-from .soa import _CONVENTIONAL, _REAP, _SERIAL, filter_through_l1_soa, replay_l2_soa
+from .soa import _CONVENTIONAL, _REAP, _SERIAL, _read_only
+from .soa import filter_through_l1_soa, replay_l2_soa
 
 #: Scheme classes the fast path replays (exact types: a subclass may change
 #: behaviour the batched kernel does not know about), with the kernel's
@@ -118,9 +119,8 @@ def _replay_cpu_trace(hierarchy: CacheHierarchy, trace: Trace) -> None:
         codes = np.asarray(l2_codes, dtype=np.int8)
         addresses = np.asarray(l2_addresses, dtype=np.int64)
         batch = l2_cache.cache.mapper.decompose_batch(addresses)
-    replay_l2_soa(
-        l2_cache, codes, batch.indices, batch.tags, _SCHEME_MODES[type(l2_cache)]
-    )
+        set_indices, tags = _read_only(batch.indices), _read_only(batch.tags)
+    replay_l2_soa(l2_cache, codes, set_indices, tags, _SCHEME_MODES[type(l2_cache)])
 
 
 #: Remaps :data:`repro.workloads.trace.KIND_ORDER` indices (IFETCH, LOAD,
@@ -141,7 +141,8 @@ def _decode_arrays(
             f"{KIND_ORDER[int(kinds[bad[0]])]}"
         )
     batch = cache.cache.mapper.decompose_batch(addresses)
-    return codes, batch.indices, batch.tags
+    # Read-only, so the kernel memo can hold the columns without a copy.
+    return _read_only(codes), _read_only(batch.indices), _read_only(batch.tags)
 
 
 def replay_l2_segments(cache: ProtectedCache, segments) -> int:
@@ -205,4 +206,4 @@ def _decode_cpu(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
             f"run_cpu_trace expects CPU-level records, got "
             f"{KIND_ORDER[int(kinds[bad[0]])]}"
         )
-    return codes, addresses
+    return _read_only(codes), addresses  # the trace's addresses are read-only

@@ -602,7 +602,7 @@ KERNEL_MEMO_ENTRIES = 8
 class _MemoEntry(NamedTuple):
     """One memoised cold-start product and the inputs a hit is confirmed on."""
 
-    inputs: tuple  # read-only copies of the input columns
+    inputs: tuple  # the input columns, read-only
     value: object  # the product (pass 1: with the policy's end state)
 
 
@@ -651,8 +651,9 @@ def _memoised(key: tuple | None, held: tuple, fresh: tuple, compute):
 
     ``key`` is ``None`` when the replay is not a cold start.  The inputs are
     ``held`` (read-only arrays the memo already holds) plus ``fresh`` (the
-    caller's, copied read-only on a miss); a hit is confirmed against them,
-    so a digest collision can never serve a wrong product.
+    caller's; a miss keeps one by reference when it is read-only and owns
+    its data, and a read-only copy otherwise); a hit is confirmed against
+    them, so a digest collision can never serve a wrong product.
 
     Returns:
         ``(value, inputs, outcome)``: the inputs as the memo holds them, and
@@ -670,9 +671,11 @@ def _memoised(key: tuple | None, held: tuple, fresh: tuple, compute):
         with suppress(KeyError):
             _kernel_memo.move_to_end(key)
         return entry.value, entry.inputs, "hit"
-    entry = _kernel_memo[key] = _MemoEntry(
-        held + tuple(_read_only(np.array(column)) for column in fresh), compute()
+    kept = tuple(
+        c if c.flags.owndata and not c.flags.writeable else _read_only(np.array(c))
+        for c in fresh
     )
+    entry = _kernel_memo[key] = _MemoEntry(held + kept, compute())
     with suppress(KeyError):
         while len(_kernel_memo) > KERNEL_MEMO_ENTRIES:
             _kernel_memo.popitem(last=False)
@@ -753,7 +756,7 @@ def replay_l2_soa(
     cold = cache.cache.untouched() and all(t == 0.0 for t in astuple(cache.energy))
     # One ones-count sample per access, consumed in trace order exactly as
     # the per-access sample() calls of the scalar loops.
-    samples = np.asarray(cache.data_profile.sample_many(count), dtype=np.int64)
+    samples = _read_only(np.asarray(cache.data_profile.sample_many(count), np.int64))
     scheme = cache.scheme_name()
     policy = cache.cache.replacement
 

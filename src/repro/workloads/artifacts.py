@@ -18,12 +18,13 @@ to whole-trace replay, so results are byte-identical with the cache cold,
 warm, or disabled.
 
 Concurrency and failure semantics mirror the campaign result stores:
-artifacts are written to a temporary file in the cache directory and
-published with an atomic :func:`os.replace`, so racing writers each leave a
-complete file and the last one wins (both compute identical bytes for one
-key).  A truncated or corrupt artifact reads as a miss and is recomputed
-(and rewritten, healing the entry); an unwritable cache directory degrades
-to uncached operation with a single deduplicated warning per directory.
+artifacts are published with :func:`repro._files.publish` (a unique
+temporary file in the cache directory, fsynced and renamed into place), so
+racing writers each leave a complete file and the last one wins (both
+compute identical bytes for one key).  A truncated or corrupt artifact
+reads as a miss and is recomputed (and rewritten, healing the entry); an
+unwritable cache directory degrades to uncached operation with a single
+deduplicated warning per directory.
 
 The cache location is an operational knob — CLI ``--artifact-cache`` or the
 ``REPRO_ARTIFACT_CACHE`` environment variable — and never enters job
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
+from .._files import publish
 from ..errors import TraceError
 from ..telemetry import emit_counter
 from .generator import generate_l2_trace
@@ -117,31 +118,19 @@ class ArtifactCache:
     # -- low-level storage ------------------------------------------------------
 
     def _publish(self, path: Path, write_to) -> bool:
-        """Write an artifact atomically; degrade (with one warning) on failure.
+        """Publish an artifact (:func:`repro._files.publish`); degrade
+        (with one warning) on failure.
 
-        ``write_to`` receives a temporary path in the same directory and
-        must leave a complete file there; the temp file is then renamed
-        over ``path``.  Racing writers both succeed — artifact content is a
-        pure function of the key, so whichever rename lands last publishes
-        the same bytes.
+        Racing writers both succeed — artifact content is a pure function
+        of the key, so whichever rename lands last publishes the same bytes.
         """
-        tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-            )
-            os.close(fd)
-            write_to(tmp)
-            os.replace(tmp, path)
+            publish(path, write_to)
             return True
         except OSError as exc:
             self._warn_unwritable(exc)
             return False
-        finally:
-            if tmp is not None:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
 
     def _warn_unwritable(self, exc: Exception) -> None:
         root_key = str(self.root)

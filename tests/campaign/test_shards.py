@@ -2,6 +2,9 @@
 
 import json
 import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -267,6 +270,58 @@ class TestConcurrentWriters:
             record = store.record(key)
             assert record["key"] == key
             assert store.entry_line(key) == canonical_json(record)
+
+
+def gate_os_replace(monkeypatch, parties: int = 2) -> None:
+    """Hold every ``os.replace`` until ``parties`` threads are at one, so
+    each thread has written its temporary file before any rename lands."""
+    barrier = threading.Barrier(parties, timeout=10.0)
+    real_replace = os.replace
+
+    def gated(src, dst):
+        barrier.wait()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", gated)
+
+
+def run_together(*calls):
+    with ThreadPoolExecutor(len(calls)) as pool:
+        return [future.result() for future in [pool.submit(c) for c in calls]]
+
+
+class TestConcurrentPublishers:
+    def test_two_openers_of_a_fresh_store_both_write_the_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "store"
+        gate_os_replace(monkeypatch)
+        stores = run_together(
+            lambda: ShardedResultStore(directory),
+            lambda: ShardedResultStore(directory),
+        )
+        assert [s.shard_width for s in stores] == [2, 2]
+        assert sorted(p.name for p in directory.iterdir()) == ["store.json"]
+        assert ShardedResultStore(directory).shard_width == 2
+
+    @pytest.mark.parametrize(
+        "open_store_at",
+        (
+            lambda root: ResultStore(root / "store.jsonl"),
+            lambda root: ShardedResultStore(root / "store"),
+        ),
+        ids=("plain", "sharded"),
+    )
+    def test_two_compactions_at_once_both_publish(
+        self, tmp_path, monkeypatch, open_store_at
+    ):
+        fill_store(open_store_at(tmp_path), WORKLOADS[:1])
+        first, second = open_store_at(tmp_path), open_store_at(tmp_path)
+        expected = sorted(p.name for p in tmp_path.rglob("*"))
+        gate_os_replace(monkeypatch)
+        run_together(first.compact, second.compact)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == expected
+        assert len(open_store_at(tmp_path)) == 1
 
 
 class TestMerge:

@@ -14,6 +14,24 @@ class TestJobSpec:
         assert a.key == b.key
         assert len(a.key) == 64  # sha256 hex
 
+    def test_key_is_hashed_once_per_instance(self, monkeypatch):
+        import pickle
+
+        from repro.campaign import spec
+
+        calls = []
+        real_hash = spec.content_hash
+        monkeypatch.setattr(
+            spec, "content_hash", lambda payload: calls.append(1) or real_hash(payload)
+        )
+        job = JobSpec(workload="gcc", settings=fast_settings())
+        keys = {job.key for _ in range(4)}
+        expected = real_hash({"schema": spec.SCHEMA_VERSION, "job": job.to_dict()})
+        assert len(calls) == 1 and keys == {expected}
+        # The cached key travels with a pickled job and leaves equality alone.
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job and clone.key == job.key and len(calls) == 1
+
     def test_key_changes_with_any_identity_field(self):
         base = JobSpec(workload="gcc", settings=fast_settings())
         assert base.key != JobSpec(workload="mcf", settings=fast_settings()).key

@@ -688,6 +688,26 @@ def test_l1_product_rejects_writes(cpu_trace):
             column[0] = 0
 
 
+def test_l1_entry_holds_the_trace_addresses_without_a_copy(cpu_trace):
+    """The trace's own address column is read-only and owns its data."""
+    cpu_replay("reap", cpu_trace, small_hierarchy_config())
+    (entry,) = [entry for key, entry in soa._kernel_memo.items() if key[0] == "l1"]
+    assert entry.inputs[1] is cpu_trace.decoded()[1]
+
+
+def test_writable_inputs_are_copied_into_the_entry(cpu_trace):
+    """A caller's writable column is copied, so writing to it later cannot
+    change what a hit is confirmed against."""
+    codes, addresses = _decode_cpu(cpu_trace)
+    writable = addresses.copy()
+    hierarchy = CacheHierarchy(small_hierarchy_config().hierarchy, RecordingL2(), seed=1)
+    soa.filter_through_l1_soa(hierarchy, codes, writable)
+    (entry,) = [entry for key, entry in soa._kernel_memo.items() if key[0] == "l1"]
+    assert entry.inputs[0] is codes
+    assert entry.inputs[1] is not writable and not entry.inputs[1].flags.writeable
+    np.testing.assert_array_equal(entry.inputs[1], addresses)
+
+
 def test_memo_field_reads_miss_hit_bypass(trace):
     sink = MemorySink()
     with telemetry(sink):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import _parse_sweep_arguments, _parse_sweep_value, build_parser, main
-from repro.errors import CampaignError, ConfigurationError
+from repro.errors import CampaignError
 
 
 class TestParser:
@@ -59,9 +59,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "perlbench" in out and "Failure rate" in out
 
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(ConfigurationError):
-            main(["fig5", "--accesses", "1000", "not-a-benchmark"])
+    def test_unknown_workload_rejected(self, capsys):
+        assert main(["fig5", "--accesses", "1000", "not-a-benchmark"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-reap: error: ")
+        assert "not-a-benchmark" in line
+
+    def test_project_errors_exit_2_without_a_traceback(self, capsys):
+        assert main(["fig5", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-reap: error: ") and "Traceback" not in err
+
+    def test_fig3_csv_keeps_the_stem(self, tmp_path, capsys):
+        """``--csv results.csv`` names one file per panel
+        ``results_<workload>.csv``: only the ``.csv`` suffix is dropped."""
+        stem = tmp_path / "results"
+        argv = ["fig3", "--accesses", "3000", "--csv", f"{stem}.csv", "perlbench"]
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results_perlbench.csv"]
+        assert f"[wrote {stem}_perlbench.csv]" in capsys.readouterr().out
 
 
 class TestCampaignCommand:
@@ -202,11 +220,11 @@ class TestTelemetryCLI:
         assert "\r" in err and "jobs 1/1" in err
         assert "campaign finished: 1 jobs" in err
 
-    def test_stats_on_missing_file_fails_cleanly(self, tmp_path):
-        from repro.errors import TelemetryError
-
-        with pytest.raises(TelemetryError):
-            main(["stats", str(tmp_path / "missing.jsonl")])
+    def test_stats_on_missing_file_fails_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["stats", str(missing)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro-reap: error: ") and str(missing) in line
 
 
 class TestStoreCommands:
