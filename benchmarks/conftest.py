@@ -21,6 +21,8 @@ claim is checked against the recorded floors, not just asserted.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,11 @@ from repro.config import paper_l2_config
 from repro.core import ProtectionScheme
 from repro.sim import ExperimentRunner, ExperimentSettings
 from repro.workloads import all_profiles
+
+# The streaming bench segments its replay with the sim suite's helper.
+_SIM_TESTS = Path(__file__).resolve().parent.parent / "tests" / "sim"
+if str(_SIM_TESTS) not in sys.path:
+    sys.path.insert(0, str(_SIM_TESTS))
 
 
 def pytest_configure(config):

@@ -28,6 +28,7 @@ import time
 import tracemalloc
 
 from conftest import bench_settings
+from equivalence_utils import segmented
 from repro.core import build_protected_cache
 from repro.sim import run_l2_trace
 from repro.sim.soa import clear_kernel_memo
@@ -70,9 +71,7 @@ def _replay_peak(settings, path) -> tuple[int, float, int]:
         accesses = len(source)
         tracemalloc.start()
         start = time.perf_counter()
-        run_l2_trace(
-            cache, source, engine="fast", segment_accesses=SEGMENT_ACCESSES
-        )
+        run_l2_trace(cache, segmented(source, SEGMENT_ACCESSES), engine="fast")
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()

@@ -35,7 +35,7 @@ import random
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Iterator, Mapping
 
 from ..errors import CampaignError
@@ -126,6 +126,14 @@ class FaultPlan:
             raise CampaignError(f"malformed fault plan JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise CampaignError("fault plan JSON must be an object")
+        types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+        for name, value in payload.items():
+            # Unknown names are left to the constructor, which rejects them.
+            expected, check = types.get(name, ("", lambda _: True))
+            if not check(value):
+                raise CampaignError(
+                    f"malformed fault plan: {name} must be {expected}, got {value!r}"
+                )
         try:
             return cls(
                 **{
@@ -138,6 +146,27 @@ class FaultPlan:
             )
         except TypeError as exc:
             raise CampaignError(f"malformed fault plan: {exc}") from exc
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_ints(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+#: The JSON form of each annotation a :class:`FaultPlan` field carries:
+#: ``(description, check)``.
+_JSON_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "tuple[int, ...]": ("a list of integers", _is_ints),
+    "Mapping[str, tuple[int, ...]]": (
+        "an object of integer lists",
+        lambda v: isinstance(v, dict) and all(map(_is_ints, v.values())),
+    ),
+}
 
 
 class FaultInjector:

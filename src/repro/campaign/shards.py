@@ -18,7 +18,8 @@ files.  Sharding buys two things over the single-file store:
   shared filesystem) can fill one store simultaneously.  The manifest and
   compacted shards are published through :func:`repro._files.publish`
   (a unique temporary file per writer), so processes that create or
-  compact one store at once all succeed.
+  compact one store at once all succeed; a compaction re-reads each shard
+  under the append lock, so it keeps what other writers appended.
 * **Cheap merging.** Two stores filled on different machines merge
   shard-by-shard (:func:`repro.campaign.tools.merge_stores`); after
   :meth:`compact`, equal stores are byte-identical file-by-file.
@@ -30,13 +31,12 @@ campaign/report/CLI entry point accepts either interchangeably.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from ..errors import CampaignError
 from .hashing import canonical_json
 from .spec import SCHEMA_VERSION
-from .store import BaseResultStore, _write_lines, load_jsonl_records
+from .store import BaseResultStore, _compact_file, _write_lines, load_jsonl_records
 
 #: Manifest file marking a directory as a sharded store.
 MANIFEST_NAME = "store.json"
@@ -174,11 +174,12 @@ class ShardedResultStore(BaseResultStore):
         width are byte-identical file-by-file — the comparison the
         distributed end-to-end test performs.
         """
-        by_shard: dict[str, list[str]] = {}
-        for key in sorted(self._lines):
-            by_shard.setdefault(self.shard_name(key), []).append(self._lines[key])
-        for shard in self._shard_files():
-            if shard.name not in by_shard:
-                os.unlink(shard)
-        for name, lines in by_shard.items():
-            _write_lines(self._path / name, lines)
+        by_shard: dict[str, dict[str, str]] = {
+            shard.name: {} for shard in self._shard_files()
+        }
+        for key, line in self._lines.items():
+            by_shard.setdefault(self.shard_name(key), {})[key] = line
+        merged: dict[str, str] = {}
+        for name, lines in sorted(by_shard.items()):
+            merged.update(_compact_file(self._path / name, lines, remove_empty=True))
+        self._lines = merged

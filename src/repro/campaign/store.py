@@ -114,6 +114,28 @@ def _file_lock(fd: int):
         fcntl.flock(fd, fcntl.LOCK_UN)
 
 
+@contextmanager
+def _locked(path: Path, flags: int):
+    """Yield ``path`` opened (created if missing) and exclusively locked.
+
+    A compaction may replace the file while this waits for the lock; the
+    path is then reopened, so nothing is written to the unlinked file.
+    """
+    while True:
+        fd = os.open(path, flags | os.O_CREAT, 0o644)
+        try:
+            with _file_lock(fd):
+                try:
+                    current = os.path.samestat(os.fstat(fd), os.stat(path))
+                except FileNotFoundError:  # removed: an empty shard compacted away
+                    current = False
+                if current:
+                    yield fd
+                    return
+        finally:
+            os.close(fd)
+
+
 def _append_line(path: Path, line: str) -> None:
     """Append one record line atomically enough for concurrent writers.
 
@@ -121,27 +143,23 @@ def _append_line(path: Path, line: str) -> None:
     does not interleave with other writers on local filesystems, so several
     processes may share one store file and every line stays parseable.  The
     advisory lock additionally fences the append against a concurrent
-    loader's crash repair.
+    loader's crash repair and a compaction.
     """
     data = (line + "\n").encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        with _file_lock(fd):
-            torn = _maybe_torn_length(len(data))
-            if torn is not None:
-                # Injected torn write: persist a prefix of the record and
-                # crash out of the append, exactly the disk state a writer
-                # killed mid-write(2) leaves behind.  The loader's tail
-                # repair must recover it.
-                os.write(fd, data[:torn])
-                os.fsync(fd)
-                raise FaultInjected(
-                    f"injected torn append to {path} ({torn}/{len(data)} bytes)"
-                )
-            os.write(fd, data)
+    with _locked(path, os.O_WRONLY | os.O_APPEND) as fd:
+        torn = _maybe_torn_length(len(data))
+        if torn is not None:
+            # Injected torn write: persist a prefix of the record and crash
+            # out of the append, exactly the disk state a writer killed
+            # mid-write(2) leaves behind.  The loader's tail repair must
+            # recover it.
+            os.write(fd, data[:torn])
             os.fsync(fd)
-    finally:
-        os.close(fd)
+            raise FaultInjected(
+                f"injected torn append to {path} ({torn}/{len(data)} bytes)"
+            )
+        os.write(fd, data)
+        os.fsync(fd)
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -159,23 +177,40 @@ def _repair_file(path: Path, expected_raw: str, repaired: str) -> bool:
     decision was based on.  Returns ``True`` when the repair was applied —
     ``False`` means a writer got in between and the caller must re-load.
     """
-    fd = os.open(path, os.O_RDWR, 0o644)
-    try:
-        with _file_lock(fd):
-            chunks = []
-            while chunk := os.read(fd, 1 << 20):
-                chunks.append(chunk)
-            current = b"".join(chunks).decode("utf-8")
-            if current != expected_raw:
-                return False
-            os.lseek(fd, 0, os.SEEK_SET)
-            data = repaired.encode("utf-8")
-            os.write(fd, data)
-            os.ftruncate(fd, len(data))
-            os.fsync(fd)
-            return True
-    finally:
-        os.close(fd)
+    with _locked(path, os.O_RDWR) as fd:
+        if path.read_bytes() != expected_raw.encode("utf-8"):
+            return False
+        data = repaired.encode("utf-8")
+        os.write(fd, data)
+        os.ftruncate(fd, len(data))
+        os.fsync(fd)
+        return True
+
+
+def _compact_file(
+    path: Path, lines: dict[str, str], remove_empty: bool = False
+) -> dict[str, str]:
+    """Publish ``path`` holding ``lines`` plus every entry on disk, by key.
+
+    The file is re-read under the lock appends take and held until the new
+    file is published, so what other writers appended since ``lines`` were
+    loaded is kept.  With ``remove_empty``, a file left empty is removed.
+
+    Returns:
+        The merged entries, sorted by key.
+    """
+    with _locked(path, os.O_RDONLY):
+        on_disk: dict[str, str] = {}
+        raw = _read_text(path)
+        torn_at = _parse_records(path, raw, on_disk)
+        if torn_at is not None:  # a crashed append's tail: drop it, as a load does
+            _warn_torn(path, raw, torn_at)
+        merged = dict(sorted({**on_disk, **lines}.items()))
+        if merged or not remove_empty:
+            _write_lines(path, list(merged.values()))
+        else:
+            os.unlink(path)
+        return merged
 
 
 def load_jsonl_records(path: Path, lines: dict[str, str]) -> None:
@@ -206,36 +241,59 @@ def load_jsonl_records(path: Path, lines: dict[str, str]) -> None:
 
 def _load_jsonl_once(path: Path, lines: dict[str, str]) -> bool:
     """One load pass; ``False`` when a racing writer forces a re-read."""
+    raw = _read_text(path)
+    torn_at = _parse_records(path, raw, lines)
+    if torn_at is not None:
+        # Tail of a crashed append: drop it and repair the file so future
+        # appends start on a fresh line.
+        if not _repair_file(path, raw, raw[:torn_at]):
+            return False
+        _warn_torn(path, raw, torn_at)
+    elif raw and not raw.endswith("\n"):
+        # A final record that parsed but lost its newline: repair it so the
+        # next append does not glue onto it.
+        return _repair_file(path, raw, raw + "\n")
+    return True
+
+
+def _read_text(path: Path) -> str:
     try:
-        raw = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         # A whole-file read decodes in one call: ``exc.object`` is the file.
         line_number = exc.object.count(b"\n", 0, exc.start) + 1
         raise CampaignError(
             f"{path}:{line_number}: not UTF-8 text ({exc.reason})"
         ) from exc
+
+
+def _warn_torn(path: Path, raw: str, torn_at: int) -> None:
+    line_number = raw.count("\n", 0, torn_at) + 1
+    warnings.warn(
+        f"{path}: discarding truncated final record (line {line_number}); "
+        "a writer likely died mid-append",
+        RuntimeWarning,
+        stacklevel=6,
+    )
+
+
+def _parse_records(path: Path, raw: str, lines: dict[str, str]) -> int | None:
+    """Parse ``raw``'s records into ``lines`` (key -> canonical line).
+
+    Returns the offset of a truncated final record (a crashed append's
+    tail, left unparsed), or ``None``; any other malformed line raises
+    :class:`~repro.errors.CampaignError`.
+    """
     consumed = 0
     for line_number, line in enumerate(raw.splitlines(keepends=True), start=1):
-        complete = line.endswith("\n")
         stripped = line.strip()
         if stripped:
             try:
                 record = json.loads(stripped)
             # ValueError covers bad JSON and integers over the digit limit.
             except (ValueError, RecursionError) as exc:
-                if not complete:
-                    # Tail of a crashed append: drop it and repair the file
-                    # so future appends start on a fresh line.
-                    if not _repair_file(path, raw, raw[:consumed]):
-                        return False
-                    warnings.warn(
-                        f"{path}: discarding truncated final record "
-                        f"(line {line_number}); a writer likely died "
-                        "mid-append",
-                        RuntimeWarning,
-                        stacklevel=5,
-                    )
-                    return True
+                if not line.endswith("\n"):
+                    return consumed
                 raise CampaignError(
                     f"{path}:{line_number}: invalid JSON: {exc}"
                 ) from exc
@@ -252,12 +310,8 @@ def _load_jsonl_once(path: Path, lines: dict[str, str]) -> bool:
             # Re-canonicalise so equality checks compare canonical bytes
             # even if the file was hand-edited or pretty-printed.
             lines[record["key"]] = canonical_json(record)
-        if not complete:
-            # A final record that parsed but lost its newline: repair it so
-            # the next append does not glue onto it.
-            return _repair_file(path, raw, raw + "\n")
         consumed += len(line)
-    return True
+    return None
 
 
 class BaseResultStore:
@@ -420,7 +474,8 @@ class ResultStore(BaseResultStore):
         return self._path
 
     def compact(self) -> None:
-        """Rewrite the file with entries sorted by key (deterministic bytes)."""
-        ordered = [self._lines[key] for key in sorted(self._lines)]
-        _write_lines(self._path, ordered)
-        self._lines = {json.loads(line)["key"]: line for line in ordered}
+        """Rewrite the file with entries sorted by key (deterministic bytes).
+
+        Entries other writers appended since this store loaded are kept.
+        """
+        self._lines = _compact_file(self._path, self._lines)

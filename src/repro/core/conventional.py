@@ -10,12 +10,15 @@ demanded, which is the reliability problem the paper formulates (Eq. 3).
 from __future__ import annotations
 
 from ..config import ReadPathMode
-from .engine import DeliveryOutcome
+from .engine import CONVENTIONAL
 from .protected import ProtectedCache
 
 
 class ConventionalCache(ProtectedCache):
     """Baseline parallel-access, single-decoder cache."""
+
+    #: Demand deliveries pay for the full accumulated exposure (Eq. 3).
+    delivery_kind = CONVENTIONAL
 
     @classmethod
     def read_path_mode(cls) -> ReadPathMode:
@@ -26,7 +29,3 @@ class ConventionalCache(ProtectedCache):
     def scheme_name(cls) -> str:
         """Scheme name used in reports and figures."""
         return "conventional"
-
-    def _deliver(self, block) -> DeliveryOutcome:
-        """Demand deliveries pay for the full accumulated exposure (Eq. 3)."""
-        return self._engine.on_conventional_delivery(block, tick=self._tick)

@@ -7,10 +7,10 @@ object implementing the :class:`repro.cache.NextLevel` protocol — i.e. it can
 be plugged directly under the :class:`repro.cache.CacheHierarchy` front end
 or driven with a raw L2 access stream.
 
-Concrete schemes (conventional, REAP, serial, restore) differ only in their
-read-path mode and in how a demand delivery is charged against the
-reliability model; they implement the two small hooks at the bottom of the
-class.
+Concrete schemes (conventional, REAP, serial, restore, scrubbing) differ
+in their read-path mode and in the closed form a demand delivery pays, which
+each declares once as its ``delivery_kind`` class constant (see
+:mod:`repro.core.engine`).
 """
 
 from __future__ import annotations
@@ -29,11 +29,15 @@ from ..errors import ConfigurationError
 from ..mram import ReadDisturbanceModel
 from ..reliability import AccumulationTracker, MTTFResult
 from .data_profile import DataValueProfile
-from .engine import DeliveryOutcome, ReliabilityEngine
+from .engine import WRITEBACK, DeliveryOutcome, ReliabilityEngine
 
 
 class ProtectedCache(abc.ABC):
     """Base class of the ECC-protected STT-MRAM L2 cache models."""
+
+    #: The engine's delivery-kind code of a demand delivery
+    #: (:data:`repro.core.engine.CONVENTIONAL`, ``REAP`` or ``SERIAL``).
+    delivery_kind: int
 
     def __init__(
         self,
@@ -95,10 +99,6 @@ class ProtectedCache(abc.ABC):
     @abc.abstractmethod
     def scheme_name(cls) -> str:
         """Short human-readable scheme name."""
-
-    @abc.abstractmethod
-    def _deliver(self, block) -> DeliveryOutcome:
-        """Charge the reliability model for a demand delivery of ``block``."""
 
     # -- introspection ----------------------------------------------------------------
 
@@ -256,6 +256,10 @@ class ProtectedCache(abc.ABC):
                 self._engine.on_scrub_read(block, tick=self._tick)
         return outcome
 
+    def _deliver(self, block) -> DeliveryOutcome:
+        """Charge the reliability model for a demand delivery of ``block``."""
+        return self._engine.on_delivery(block, self.delivery_kind, tick=self._tick)
+
     def _handle_eviction(self, result) -> None:
         """Account the write-back of a dirty victim toward memory."""
         evicted = result.evicted
@@ -265,15 +269,11 @@ class ProtectedCache(abc.ABC):
         # decode in every scheme (the write-back path always checks ECC).
         self._energy.record_read_access(ways_read=1, ecc_decodes=1)
         if self._count_writeback_checks and evicted.ones_count > 0:
-            from ..reliability import accumulated_failure_probability
-
-            probability = accumulated_failure_probability(
-                self._engine.p_cell,
-                evicted.ones_count,
-                evicted.unchecked_reads + 1,
-                self._engine.correctable_errors,
+            window = evicted.unchecked_reads + 1
+            probability = self._engine.failure_probability(
+                WRITEBACK, evicted.ones_count, window
             )
-            self._engine.stats.record_check(evicted.unchecked_reads + 1, probability)
+            self._engine.stats.record_check(window, probability)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (

@@ -16,12 +16,15 @@ overlaps the tag comparison.
 from __future__ import annotations
 
 from ..config import ReadPathMode
-from .engine import DeliveryOutcome
+from .engine import REAP
 from .protected import ProtectedCache
 
 
 class REAPCache(ProtectedCache):
     """Read Error Accumulation Preventer cache (the paper's contribution)."""
+
+    #: Demand deliveries span individually-checked reads only (Eq. 6).
+    delivery_kind = REAP
 
     @classmethod
     def read_path_mode(cls) -> ReadPathMode:
@@ -32,7 +35,3 @@ class REAPCache(ProtectedCache):
     def scheme_name(cls) -> str:
         """Scheme name used in reports and figures."""
         return "reap"
-
-    def _deliver(self, block) -> DeliveryOutcome:
-        """Demand deliveries span individually-checked reads only (Eq. 6)."""
-        return self._engine.on_reap_delivery(block, tick=self._tick)

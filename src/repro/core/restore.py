@@ -23,12 +23,15 @@ from ..cache.readpath import ReadPathEvents
 from ..config import CacheLevelConfig, MTJConfig, ReadPathMode
 from ..mram import WriteErrorModel
 from .data_profile import DataValueProfile
-from .engine import DeliveryOutcome
+from .engine import CONVENTIONAL, DeliveryOutcome
 from .protected import ProtectedCache
 
 
 class RestoreCache(ProtectedCache):
     """Parallel-access cache that restores every way after every read."""
+
+    #: Eq. (3) deliveries, whose window every restore closes: no accumulation.
+    delivery_kind = CONVENTIONAL
 
     def __init__(
         self,
@@ -141,10 +144,6 @@ class RestoreCache(ProtectedCache):
     def expected_failures(self) -> float:
         """Read-path failures plus restore write-failure exposure."""
         return self._engine.expected_failures + self._restore_expected_failures
-
-    def _deliver(self, block) -> DeliveryOutcome:
-        """Deliveries see no accumulation because every read was restored."""
-        return self._engine.on_conventional_delivery(block, tick=self._tick)
 
     def _apply_read_reliability(
         self, cache_set: CacheSet, hit_way: int | None, events: ReadPathEvents

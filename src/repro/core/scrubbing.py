@@ -18,12 +18,15 @@ from __future__ import annotations
 from ..config import CacheLevelConfig, MTJConfig, ReadPathMode
 from ..errors import ConfigurationError
 from .data_profile import DataValueProfile
-from .engine import DeliveryOutcome
+from .engine import CONVENTIONAL, DeliveryOutcome
 from .protected import ProtectedCache
 
 
 class ScrubbingCache(ProtectedCache):
     """Conventional parallel-access cache with a round-robin patrol scrubber."""
+
+    #: Deliveries pay for whatever accumulation survived between scrubs.
+    delivery_kind = CONVENTIONAL
 
     def __init__(
         self,
@@ -126,10 +129,6 @@ class ScrubbingCache(ProtectedCache):
         self._scrub_credit = credit
         self._scrub_cursor = cursor
         self._scrubbed_lines = scrubbed_lines
-
-    def _deliver(self, block) -> DeliveryOutcome:
-        """Deliveries pay for whatever accumulation survived between scrubs."""
-        return self._engine.on_conventional_delivery(block, tick=self._tick)
 
     def read(self, address: int) -> DeliveryOutcome | None:
         """Demand read followed by the patrol scrubber's share of work."""

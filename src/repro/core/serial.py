@@ -12,12 +12,15 @@ avoids.
 from __future__ import annotations
 
 from ..config import ReadPathMode
-from .engine import DeliveryOutcome
+from .engine import SERIAL
 from .protected import ProtectedCache
 
 
 class SerialAccessCache(ProtectedCache):
     """Tag-comparison-first cache with no speculative data reads."""
+
+    #: Every delivery is a single, immediately-checked read (Eq. 2).
+    delivery_kind = SERIAL
 
     @classmethod
     def read_path_mode(cls) -> ReadPathMode:
@@ -28,7 +31,3 @@ class SerialAccessCache(ProtectedCache):
     def scheme_name(cls) -> str:
         """Scheme name used in reports and figures."""
         return "serial"
-
-    def _deliver(self, block) -> DeliveryOutcome:
-        """Every delivery is a single, immediately-checked read (Eq. 2)."""
-        return self._engine.on_serial_delivery(block, tick=self._tick)

@@ -145,7 +145,6 @@ def run_l2_trace(
     config: SimulationConfig | None = None,
     add_leakage: bool = True,
     engine: str = "auto",
-    segment_accesses: int | None = None,
 ) -> SchemeRunResult:
     """Drive a protected L2 cache with an L2-level trace.
 
@@ -154,8 +153,12 @@ def run_l2_trace(
         trace: L2-level trace (``L2_READ`` / ``L2_WRITE`` records; CPU-level
             records are rejected).  Either an in-memory :class:`Trace` or a
             streaming :class:`~repro.workloads.streams.TraceSource` (from
-            :func:`repro.workloads.open_trace`); sources are replayed
-            segment by segment in bounded memory.
+            :func:`repro.workloads.open_trace`), replayed through its
+            ``segments()``: one segment for an in-memory trace, segments of
+            :data:`~repro.workloads.streams.DEFAULT_SEGMENT_ACCESSES` from a
+            file, in bounded memory.  Results are bit-identical for every
+            segmentation, since all cache, policy, accumulator and energy
+            state lives on the cache between segments.
         config: Simulation configuration used for the time base; the default
             paper configuration is used when omitted.
         add_leakage: Whether to add leakage energy for the simulated time.
@@ -165,25 +168,12 @@ def run_l2_trace(
             cache is not fast-path capable; ``"reference"`` runs the
             per-record loop.  Both engines produce numerically identical
             results.
-        segment_accesses: Replay segment length.  ``None`` (the default)
-            takes the trace's own default segmentation: one segment for an
-            in-memory :class:`Trace`, segments of
-            :data:`~repro.workloads.streams.DEFAULT_SEGMENT_ACCESSES` for a
-            streaming source.
-            Results are bit-identical for every segment length, since all
-            cache, policy, accumulator and energy state lives on the cache
-            between segments.
 
     Returns:
         A :class:`SchemeRunResult` snapshot taken after the whole trace ran.
     """
     _check_engine(engine)
-    if segment_accesses is None:
-        segments = trace.segments()
-    elif segment_accesses <= 0:
-        raise SimulationError("segment_accesses must be positive")
-    else:
-        segments = trace.segments(segment_accesses)
+    segments = trace.segments()
     config = config or SimulationConfig()
     if _use_fast_path(cache, engine):
         from .fastpath import replay_l2_segments

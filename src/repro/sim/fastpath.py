@@ -20,11 +20,11 @@ ends with the same L1 contents and statistics as the reference loop.
 
 Numerical equivalence is by construction, not by tolerance: every floating
 point accumulator (energy components, expected failures) receives the same
-addends in the same order as the reference loop, and the vectorised
-binomial functions are element-for-element identical to the scalar ones the
-:class:`~repro.core.engine.ReliabilityEngine` memoises.  The differential
-harness in ``tests/sim/test_engine_equivalence.py`` asserts this field by
-field for every scheme x replacement policy x trace level.
+addends in the same order as the reference loop, and both engines take
+their failure probabilities from the one
+:meth:`~repro.core.engine.ReliabilityEngine.failure_probabilities`.  The
+differential harness in ``tests/sim/test_engine_equivalence.py`` asserts
+this field by field for every scheme x replacement policy x trace level.
 
 The fast path replays exactly the five built-in protection schemes
 (conventional, REAP, serial, restore, and the patrol-scrubbing baseline)
@@ -47,28 +47,12 @@ import numpy as np
 
 from ..cache import CacheHierarchy
 from ..cache.replacement import BUILTIN_POLICIES
-from ..core.conventional import ConventionalCache
 from ..core.protected import ProtectedCache
-from ..core.reap import REAPCache
-from ..core.restore import RestoreCache
-from ..core.scrubbing import ScrubbingCache
-from ..core.serial import SerialAccessCache
+from ..core.schemes import SCHEME_CLASSES
 from ..errors import SimulationError
 from ..telemetry import emit_event, span
 from ..workloads.trace import KIND_ORDER, Trace
-from .soa import _CONVENTIONAL, _REAP, _SERIAL, _read_only
-from .soa import filter_through_l1_soa, replay_l2_soa
-
-#: Scheme classes the fast path replays (exact types: a subclass may change
-#: behaviour the batched kernel does not know about), with the kernel's
-#: delivery-kind code for each.
-_SCHEME_MODES = {
-    ConventionalCache: _CONVENTIONAL,
-    REAPCache: _REAP,
-    SerialAccessCache: _SERIAL,
-    RestoreCache: _CONVENTIONAL,  # restore delivers through the Eq. (3) path
-    ScrubbingCache: _CONVENTIONAL,  # scrubbing adds a patrol pass per access
-}
+from .soa import _read_only, filter_through_l1_soa, replay_l2_soa
 
 
 def supports_fast_path(cache: ProtectedCache) -> tuple[bool, str]:
@@ -78,7 +62,8 @@ def supports_fast_path(cache: ProtectedCache) -> tuple[bool, str]:
         ``(supported, reason)``; ``reason`` is empty when supported and
         names the unsupported feature otherwise.
     """
-    if type(cache) not in _SCHEME_MODES:
+    # Exact types: a subclass may change behaviour the kernel does not know.
+    if type(cache) not in SCHEME_CLASSES.values():
         return False, f"scheme {cache.scheme_name()!r} ({type(cache).__name__})"
     policy = cache.cache.replacement
     if type(policy) not in BUILTIN_POLICIES:
@@ -120,7 +105,7 @@ def _replay_cpu_trace(hierarchy: CacheHierarchy, trace: Trace) -> None:
         addresses = np.asarray(l2_addresses, dtype=np.int64)
         batch = l2_cache.cache.mapper.decompose_batch(addresses)
         set_indices, tags = _read_only(batch.indices), _read_only(batch.tags)
-    replay_l2_soa(l2_cache, codes, set_indices, tags, _SCHEME_MODES[type(l2_cache)])
+    replay_l2_soa(l2_cache, codes, set_indices, tags)
 
 
 #: Remaps :data:`repro.workloads.trace.KIND_ORDER` indices (IFETCH, LOAD,
@@ -179,7 +164,6 @@ def replay_l2_segments(cache: ProtectedCache, segments) -> int:
     _require_fast_path(cache)
     scheme = cache.scheme_name()
     emit_event("sim.engine", engine="fast", path="l2", scheme=scheme)
-    mode = _SCHEME_MODES[type(cache)]
     total = 0
     for segment_index, (kinds, addresses) in enumerate(segments):
         accesses = len(kinds)
@@ -191,7 +175,7 @@ def replay_l2_segments(cache: ProtectedCache, segments) -> int:
             accesses=accesses,
         ):
             codes, set_indices, tags = _decode_arrays(cache, kinds, addresses)
-            replay_l2_soa(cache, codes, set_indices, tags, mode)
+            replay_l2_soa(cache, codes, set_indices, tags)
         total += accesses
     return total
 

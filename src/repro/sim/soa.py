@@ -32,7 +32,9 @@ passes, each timed by its own telemetry span:
      access.  None of it reads ``p_cell``, the ECC strength or the
      interleaving lanes.
    * :func:`apply_exposure` evaluates the failure probabilities of the
-     unique check keys at the engine's parameters, records the checks,
+     unique check keys with one
+     :meth:`~repro.core.engine.ReliabilityEngine.failure_probabilities`
+     call at the engine's parameters, records the checks,
      samples, statistics and restores, and scatters the end state.
 
 Both passes work on the cache's block columns
@@ -69,11 +71,13 @@ Bit-identical to the reference loop by construction:
   order — the per-access addend sequences are reconstructed per accumulator
   and reduced with a seeded ``np.cumsum``, whose accumulation is
   sequential, so the final value is bitwise equal to the scalar loop's;
-* the deferred failure probabilities are evaluated once per unique key
-  (packed-key deduplication via
-  :func:`repro.reliability.binomial.resolve_unique_keys`) with vectorised
-  binomial functions that are element-for-element identical to the scalar
-  ones the reference engine memoises.
+* the deferred failure probabilities are evaluated once per unique
+  ``(kind, ones, window)`` key (packed-key deduplication via
+  :func:`repro.reliability.binomial.resolve_unique_keys`) by
+  :meth:`repro.core.engine.ReliabilityEngine.failure_probabilities`, the
+  function whose memoised scalar form the reference loop looks up; the
+  kind is the cache's ``delivery_kind``, or ``WRITEBACK`` for a dirty
+  victim's read-out.
 
 The CPU-level entry (:func:`filter_through_l1_soa`) replays each L1 with
 :func:`_replay_l1`, which run-length-encodes the stream first: consecutive
@@ -106,20 +110,11 @@ import numpy as np
 
 from ..cache import CacheHierarchy
 from ..cache.cache import SetAssociativeCache
+from ..core.engine import CONVENTIONAL, REAP, SERIAL, WRITEBACK
 from ..core.restore import RestoreCache
 from ..core.scrubbing import ScrubbingCache
-from ..reliability.binomial import (
-    accumulated_failure_probabilities,
-    block_failure_probabilities,
-    reap_failure_probabilities,
-    resolve_unique_keys,
-    sequential_float_sum,
-)
+from ..reliability.binomial import resolve_unique_keys, sequential_float_sum
 from ..telemetry import span as telemetry_span
-
-#: Delivery-kind codes; :data:`repro.sim.fastpath._SCHEME_MODES` maps each
-#: scheme to one of the first three.
-_CONVENTIONAL, _REAP, _SERIAL, _WRITEBACK = 0, 1, 2, 3
 
 #: Exposure rules of :func:`functional_pass`: how the per-way unchecked-read
 #: exposure a victim choice may read (LER) evolves.  It stays zero on an L1,
@@ -284,80 +279,6 @@ def _segment_last_where(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
     if starts.size == 0:
         return np.zeros(0, dtype=np.int64)
     return np.maximum.reduceat(marked, starts)
-
-
-def resolve_probability_keys(
-    engine, u_kinds: np.ndarray, u_ones: np.ndarray, u_windows: np.ndarray
-) -> np.ndarray:
-    """Failure probabilities of unique deferred check keys at ``engine``'s parameters.
-
-    The ``(kind, ones, window)`` columns are the deduplicated keys of
-    :func:`exposure_pass`; each is evaluated once with the vectorised
-    binomial math (falling back to the engine's memoised scalar lookups for
-    multi-lane REAP, whose expression differs).  This and the check records
-    after it are the only kernel steps that read ``p_cell``, the ECC
-    strength or the interleaving lanes.
-
-    Model limit: for an ``L``-lane interleaved code (``L > 1``) a block's
-    probability is the union bound ``min(1, L * q)`` over one lane's
-    failure probability ``q`` (with ``ones / L`` of the ones), exactly as
-    the reference engine computes it.  It is tight while ``q`` is small and
-    overstates the bit-true rate once lanes fail often: with
-    ``InterleavedSECDEDCode(64, degree=4)`` at ``p_cell = 3e-3`` after 32
-    unchecked reads it reads 0.987 averaged over random data, against 0.717
-    from :class:`~repro.reliability.FaultInjectionCampaign` (2000 lifetimes,
-    seed 1; 99.9% Clopper-Pearson interval [0.682, 0.749]).  It stays as it
-    is: changing it would change stored results.
-    """
-    p_cell = engine.p_cell
-    correctable = engine.correctable_errors
-    lanes = engine.interleaving_lanes
-    unique_probs = np.zeros(len(u_kinds), dtype=float)
-
-    nonzero = u_ones > 0
-    if lanes > 1:
-        lane_ones = np.maximum(1, np.round(u_ones / lanes)).astype(np.int64)
-    else:
-        lane_ones = u_ones
-
-    for kind_code in (_CONVENTIONAL, _SERIAL, _WRITEBACK):
-        mask = (u_kinds == kind_code) & nonzero
-        if not mask.any():
-            continue
-        if kind_code == _WRITEBACK:
-            # Write-back checks use the raw Eq. (3) tail, with no lane
-            # adjustment (mirroring ProtectedCache._handle_eviction).
-            unique_probs[mask] = accumulated_failure_probabilities(
-                p_cell, u_ones[mask], u_windows[mask], correctable
-            )
-        else:
-            if kind_code == _CONVENTIONAL:
-                per_lane = accumulated_failure_probabilities(
-                    p_cell, lane_ones[mask], u_windows[mask], correctable
-                )
-            else:
-                per_lane = block_failure_probabilities(
-                    p_cell, lane_ones[mask], correctable
-                )
-            unique_probs[mask] = (
-                np.minimum(1.0, lanes * per_lane) if lanes > 1 else per_lane
-            )
-
-    reap_mask = (u_kinds == _REAP) & nonzero
-    if reap_mask.any():
-        if lanes == 1:
-            unique_probs[reap_mask] = reap_failure_probabilities(
-                p_cell, u_ones[reap_mask], u_windows[reap_mask], correctable
-            )
-        else:
-            # The multi-lane REAP expression goes through the engine's
-            # memoised per-key scalar path; unique keys keep this cheap.
-            for index in np.flatnonzero(reap_mask):
-                unique_probs[index] = engine.reap_probability(
-                    int(u_ones[index]), int(u_windows[index])
-                )
-
-    return unique_probs
 
 
 class _FrameState:
@@ -682,7 +603,7 @@ def _memoised(key: tuple | None, held: tuple, fresh: tuple, compute):
     return entry.value, entry.inputs, "miss"
 
 
-def _pass1_key(cache, scheme_mode: int, columns: tuple) -> tuple:
+def _pass1_key(cache, columns: tuple) -> tuple:
     """Everything :func:`functional_pass` reads from a cold cache.
 
     The columns enter by digest; a hit is confirmed against the entry's
@@ -698,7 +619,7 @@ def _pass1_key(cache, scheme_mode: int, columns: tuple) -> tuple:
         substrate.associativity,
         # Plain ticks, or Random's bit-generator state (and with it the seed).
         repr(policy.export_global_state()),
-        (type(cache), scheme_mode) if policy.victim_uses_exposure else None,
+        type(cache) if policy.victim_uses_exposure else None,
         (
             (cache.scrub_rate, cache.patrol_walk_state())
             if type(cache) is ScrubbingCache
@@ -708,7 +629,7 @@ def _pass1_key(cache, scheme_mode: int, columns: tuple) -> tuple:
     )
 
 
-def _exposure_key(cache, scheme_mode: int, pass1_key: tuple, samples) -> tuple:
+def _exposure_key(cache, pass1_key: tuple, samples) -> tuple:
     """Everything :func:`exposure_pass` reads beyond pass 1, from a cold cache.
 
     The samples enter by digest and are confirmed like the columns.  The
@@ -718,7 +639,7 @@ def _exposure_key(cache, scheme_mode: int, pass1_key: tuple, samples) -> tuple:
     return (
         "exposure",
         pass1_key,
-        (type(cache), scheme_mode),
+        type(cache),
         _digest((samples,)),
         cache.count_writeback_checks,
         cache.tracker is not None,
@@ -731,7 +652,6 @@ def replay_l2_soa(
     codes: np.ndarray,
     set_indices: np.ndarray,
     tags: np.ndarray,
-    scheme_mode: int,
 ) -> None:
     """Drive ``cache`` through the decoded stream with the SoA kernel.
 
@@ -743,8 +663,6 @@ def replay_l2_soa(
         codes: Per-access kind codes (0 read, 1 write).
         set_indices: Per-access set indices.
         tags: Per-access tags.
-        scheme_mode: The scheme's delivery-kind code (see
-            :data:`repro.sim.fastpath._SCHEME_MODES`).
     """
     count = len(codes)
     if count == 0:
@@ -761,7 +679,7 @@ def replay_l2_soa(
     policy = cache.cache.replacement
 
     def pass1():
-        rule, patrol = _l2_pass1_inputs(cache, scheme_mode)
+        rule, patrol = _l2_pass1_inputs(cache)
         product = _freeze(functional_pass(cache.cache, *columns, rule, patrol))
         # The policy end state a hit re-applies.
         return product, _read_only(policy.rows[product.touched_sets]), tuple(
@@ -770,7 +688,7 @@ def replay_l2_soa(
 
     with cache.cache.synced_columns():
         with telemetry_span("kernel.pass1", scheme=scheme, accesses=count) as timed:
-            key = _pass1_key(cache, scheme_mode, columns) if cold else None
+            key = _pass1_key(cache, columns) if cold else None
             (functional, rows, policy_globals), inputs, outcome = _memoised(
                 key, (), columns, pass1
             )
@@ -781,16 +699,16 @@ def replay_l2_soa(
             timed.add(memo=outcome)
         with telemetry_span("kernel.pass2", scheme=scheme, accesses=count) as timed:
             exposure, _, outcome = _memoised(
-                None if key is None else _exposure_key(cache, scheme_mode, key, samples),
+                None if key is None else _exposure_key(cache, key, samples),
                 inputs,
                 (samples,),
-                lambda: exposure_pass(cache, codes, scheme_mode, functional, samples),
+                lambda: exposure_pass(cache, codes, functional, samples),
             )
             apply_exposure(cache, functional, exposure)
             timed.add(memo=outcome)
 
 
-def _l2_pass1_inputs(cache, scheme_mode: int) -> tuple[int, tuple | None]:
+def _l2_pass1_inputs(cache) -> tuple[int, tuple | None]:
     """What :func:`functional_pass` reads of an L2's protection scheme.
 
     Returns:
@@ -798,9 +716,9 @@ def _l2_pass1_inputs(cache, scheme_mode: int) -> tuple[int, tuple | None]:
         patrol scrubber's ``(rate, credit, cursor, scrubbed lines, frames)``
         or ``None`` without one.
     """
-    if type(cache) is RestoreCache or scheme_mode == _REAP:
+    if type(cache) is RestoreCache or cache.delivery_kind == REAP:
         rule = _EXPOSURE_READS_RESET
-    elif scheme_mode == _CONVENTIONAL:
+    elif cache.delivery_kind == CONVENTIONAL:
         rule = _EXPOSURE_ACCUMULATES
     else:
         rule = _EXPOSURE_OWN_RESET
@@ -1059,7 +977,6 @@ def _energy_constants(model) -> tuple[float, ...]:
 def exposure_pass(
     cache,
     codes: np.ndarray,
-    scheme_mode: int,
     functional: FunctionalProduct,
     samples: np.ndarray,
 ) -> ExposureProduct:
@@ -1077,11 +994,11 @@ def exposure_pass(
     Args:
         cache: The cache :func:`functional_pass` replayed.
         codes: Per-access kind codes (0 read, 1 write).
-        scheme_mode: The scheme's delivery-kind code.
         functional: The functional pass's product for this stream.
         samples: One ones-count sample per access.
     """
     count = len(codes)
+    mode = cache.delivery_kind
     restore = type(cache) is RestoreCache
     scrubbing = type(cache) is ScrubbingCache
     substrate = cache.cache
@@ -1176,8 +1093,8 @@ def exposure_pass(
     # Own events: one per access (kind 0 delivery, 1 write hit, 2 fill).
     # Scrub events (kind 3) happen after the access at the same position.
     access_kind = np.where(delivery, 0, np.where(write_hit, 1, 2)).astype(np.int64)
-    serial_scheme = scheme_mode == _SERIAL
-    reap_like = restore or scheme_mode == _REAP
+    serial_scheme = mode == SERIAL
+    reap_like = restore or mode == REAP
     own_R = np.zeros(count, dtype=np.int64) if serial_scheme else rr
     if num_visits:
         evt_frame = np.concatenate((frame, visits_frame))
@@ -1215,7 +1132,7 @@ def exposure_pass(
     # Window deltas: read rank at each event minus the rank at the previous
     # event of the same frame; the first event of a frame is seeded with the
     # initial exposure so warm-cache windows continue exactly.
-    if scheme_mode == _REAP:
+    if mode == REAP:
         first_seed = -init_rsd[seg_frames]
     else:
         first_seed = -init_unch[seg_frames]
@@ -1240,13 +1157,13 @@ def exposure_pass(
 
     first_event = new_frame
     # Delivery windows and concealed counts per scheme family.
-    if scheme_mode == _CONVENTIONAL and not restore:
+    if mode == CONVENTIONAL and not restore:
         win_evt = delta
         conc_evt = delta - 1
-    elif scheme_mode == _SERIAL:
+    elif mode == SERIAL:
         win_evt = delta + 1
         conc_evt = delta
-    elif scheme_mode == _REAP:
+    elif mode == REAP:
         win_evt = delta
         conc_evt = np.where(
             first_event & (R_s == 1) & init_valid[f_s], init_unch[f_s], 0
@@ -1285,13 +1202,8 @@ def exposure_pass(
         if cache.count_writeback_checks
         else np.zeros(count, dtype=bool)
     )
-    delivery_kind = (
-        _REAP
-        if scheme_mode == _REAP
-        else (_SERIAL if serial_scheme else _CONVENTIONAL)
-    )
     ef_mask = delivery | wb_mask
-    ef_kind = np.where(delivery, delivery_kind, _WRITEBACK)[ef_mask]
+    ef_kind = np.where(delivery, mode, WRITEBACK)[ef_mask]
     ef_ones = ones_at_acc[ef_mask]
     ef_pwin = np.where(
         delivery, 1 if serial_scheme else win_acc, evicted_unch_acc + 1
@@ -1304,7 +1216,7 @@ def exposure_pass(
     # Reads of resident ways other than a delivering one: concealed under
     # the accumulating schemes, checked and scrubbed under REAP and restore.
     other_reads = int(nvb[is_read].sum() - np.count_nonzero(delivery))
-    concealed = other_reads if scheme_mode == _CONVENTIONAL and not restore else 0
+    concealed = other_reads if mode == CONVENTIONAL and not restore else 0
     if reap_like:
         scrub_events = other_reads
     else:
@@ -1316,7 +1228,7 @@ def exposure_pass(
         tag_e, way_e, dec_e, mux_e, wtag_e, wdata_e, wecc_e, way_write_e, enc_e
     ) = _energy_constants(cache.energy_model)
 
-    if scheme_mode == _REAP:
+    if mode == REAP:
         ways_read = np.where(is_read, nvb, 0)
         decodes = ways_read
     elif serial_scheme:
@@ -1467,7 +1379,7 @@ def exposure_pass(
     final_ones = np.where(
         has_any, ones_after[np.maximum(last_any, 0)], init_ones
     )
-    if scheme_mode == _CONVENTIONAL and not restore:
+    if mode == CONVENTIONAL and not restore:
         final_unch = np.where(resident_mask, r_end - r_at_last_any, init_unch)
         final_rsd = (
             np.where(resident_mask, r_end - r_at_last_own, init_rsd)
@@ -1574,7 +1486,8 @@ def apply_exposure(
     """Pass 2, second half: record ``exposure`` at the engine's parameters.
 
     Evaluates the failure probability of each unique deferred check key at
-    the engine's ``p_cell``, ECC strength and interleaving lanes, records
+    the engine's ``p_cell``, ECC strength and interleaving lanes (the only
+    kernel step that reads them), records
     the checks in delivery order, and adds the concealed, scrub, tracker,
     statistics and restore records; then scatters the end state of both
     products back into the touched frames.  A cold-start replay whose
@@ -1582,8 +1495,8 @@ def apply_exposure(
     """
     engine = cache.engine
     rel_stats = engine.stats
-    probabilities = resolve_probability_keys(
-        engine, exposure.check_kinds, exposure.check_ones, exposure.check_windows
+    probabilities = engine.failure_probabilities(
+        exposure.check_kinds, exposure.check_ones, exposure.check_windows
     )
     rel_stats.record_check_array(
         exposure.check_exposures, probabilities[exposure.check_inverse]

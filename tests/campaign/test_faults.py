@@ -75,6 +75,24 @@ class TestFaultPlan:
         with pytest.raises(CampaignError, match="fault plan"):
             FaultPlan.from_json(text)
 
+    @pytest.mark.parametrize(
+        ("text", "field"),
+        [
+            ('{"kill_at": 1}', "kill_at"),
+            ('{"kill_at": {"a": "b"}}', "kill_at"),
+            ('{"kill_at": {"a": [true]}}', "kill_at"),
+            ('{"seed": "x"}', "seed"),
+            ('{"seed": 1.5}', "seed"),
+            ('{"seed": true}', "seed"),
+            ('{"torn_write_at": "12"}', "torn_write_at"),
+            ('{"torn_write_at": [1.5]}', "torn_write_at"),
+            ('{"delay_s": "x"}', "delay_s"),
+        ],
+    )
+    def test_wrong_typed_plan_json_rejected(self, text, field):
+        with pytest.raises(CampaignError, match=f"fault plan: {field} must be"):
+            FaultPlan.from_json(text)
+
     def test_same_seed_replays_same_fates(self):
         plan = FaultPlan(seed=11, drop_request_p=0.3, corrupt_p=0.3, delay_p=0.3)
         first = FaultInjector(plan)

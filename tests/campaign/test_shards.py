@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.campaign import (
     open_store,
     render_store_diff,
 )
+from repro.campaign import store as store_module
 from repro.campaign.provenance import ProvenanceWarning
 from repro.errors import CampaignError
 from repro.sim import SchemeRunResult, WorkloadComparison
@@ -290,6 +292,16 @@ def run_together(*calls):
         return [future.result() for future in [pool.submit(c) for c in calls]]
 
 
+STORE_KINDS = pytest.mark.parametrize(
+    "open_store_at",
+    (
+        lambda root: ResultStore(root / "store.jsonl"),
+        lambda root: ShardedResultStore(root / "store"),
+    ),
+    ids=("plain", "sharded"),
+)
+
+
 class TestConcurrentPublishers:
     def test_two_openers_of_a_fresh_store_both_write_the_manifest(
         self, tmp_path, monkeypatch
@@ -304,24 +316,88 @@ class TestConcurrentPublishers:
         assert sorted(p.name for p in directory.iterdir()) == ["store.json"]
         assert ShardedResultStore(directory).shard_width == 2
 
-    @pytest.mark.parametrize(
-        "open_store_at",
-        (
-            lambda root: ResultStore(root / "store.jsonl"),
-            lambda root: ShardedResultStore(root / "store"),
-        ),
-        ids=("plain", "sharded"),
-    )
+    @STORE_KINDS
     def test_two_compactions_at_once_both_publish(
         self, tmp_path, monkeypatch, open_store_at
     ):
         fill_store(open_store_at(tmp_path), WORKLOADS[:1])
         first, second = open_store_at(tmp_path), open_store_at(tmp_path)
         expected = sorted(p.name for p in tmp_path.rglob("*"))
-        gate_os_replace(monkeypatch)
+        # Compactions of one file take turns on its append lock, so their
+        # renames cannot be held together; count them instead.
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(
+            os, "replace", lambda src, dst: (replaced.append(dst), real_replace(src, dst))
+        )
         run_together(first.compact, second.compact)
+        assert len(replaced) == 2
         assert sorted(p.name for p in tmp_path.rglob("*")) == expected
         assert len(open_store_at(tmp_path)) == 1
+
+    @STORE_KINDS
+    def test_compaction_keeps_another_writers_entries(self, tmp_path, open_store_at):
+        first, second = open_store_at(tmp_path), open_store_at(tmp_path)
+        first.put(make_job("gcc"), make_comparison())
+        second.put(make_job("mcf"), make_comparison())
+        second.compact()
+        assert len(second) == 2
+        assert len(open_store_at(tmp_path)) == 2
+
+    @STORE_KINDS
+    def test_append_reopens_a_file_compacted_while_it_waited(
+        self, tmp_path, monkeypatch, open_store_at
+    ):
+        writer, compactor = open_store_at(tmp_path), open_store_at(tmp_path)
+        held = make_job("gcc")
+        compactor.put(held, make_comparison())
+        # A second job whose entry goes to the same file as the first.
+        late = next(
+            job
+            for job in (make_job("mcf", seed=seed) for seed in range(1, 10_000))
+            if writer._shard_path(job.key) == writer._shard_path(held.key)
+        )
+        real_lock = store_module._file_lock
+        pending = [compactor.compact]
+
+        @contextmanager
+        def compact_while_waiting(fd):
+            if pending:  # the compaction replaces the file before the append locks it
+                pending.pop()()
+            with real_lock(fd):
+                yield
+
+        monkeypatch.setattr(store_module, "_file_lock", compact_while_waiting)
+        writer.put(late, make_comparison())
+        assert not pending
+        assert sorted(open_store_at(tmp_path).keys()) == sorted((held.key, late.key))
+
+    @STORE_KINDS
+    def test_appends_during_repeated_compactions_all_survive(
+        self, tmp_path, open_store_at
+    ):
+        open_store_at(tmp_path)  # create the store (and a sharded manifest)
+        writers = [open_store_at(tmp_path) for _ in range(6)]
+        compactor = open_store_at(tmp_path)
+        done = threading.Event()
+
+        def write(index):
+            for workload in WORKLOADS[:4]:
+                job = make_job(workload, seed=index + 1)
+                writers[index].put(job, make_comparison())
+
+        def compact():
+            while not done.is_set():
+                compactor.compact()
+
+        with ThreadPoolExecutor(len(writers) + 1) as pool:
+            compacting = pool.submit(compact)
+            for future in [pool.submit(write, i) for i in range(len(writers))]:
+                future.result(timeout=60)
+            done.set()
+            compacting.result(timeout=60)
+        compactor.compact()
+        assert len(compactor) == len(open_store_at(tmp_path)) == 6 * 4
 
 
 class TestMerge:

@@ -5,7 +5,7 @@ import pytest
 from repro.cache import CacheBlock
 from repro.config import CacheLevelConfig, ECCConfig, ECCKind
 from repro.core import DataValueProfile, ProtectionScheme, build_protected_cache
-from repro.core.engine import ReliabilityEngine
+from repro.core.engine import CONVENTIONAL, REAP, ReliabilityEngine
 from repro.errors import ConfigurationError
 
 
@@ -23,8 +23,8 @@ class TestLaneAwareEngine:
     def test_single_lane_matches_default(self):
         plain = ReliabilityEngine(p_cell=1e-8)
         one_lane = ReliabilityEngine(p_cell=1e-8, interleaving_lanes=1)
-        a = plain.on_conventional_delivery(fresh_block()).failure_probability
-        b = one_lane.on_conventional_delivery(fresh_block()).failure_probability
+        a = plain.on_delivery(fresh_block(), CONVENTIONAL).failure_probability
+        b = one_lane.on_delivery(fresh_block(), CONVENTIONAL).failure_probability
         assert a == pytest.approx(b)
 
     def test_more_lanes_lower_failure(self):
@@ -36,7 +36,7 @@ class TestLaneAwareEngine:
             block = fresh_block()
             for _ in range(49):
                 engine.on_concealed_read(block)
-            results.append(engine.on_conventional_delivery(block).failure_probability)
+            results.append(engine.on_delivery(block, CONVENTIONAL).failure_probability)
         assert results[0] > results[1] > results[2]
         # Four lanes cut the same-codeword pairing chance roughly four-fold.
         assert results[0] / results[2] == pytest.approx(4.0, rel=0.15)
@@ -46,7 +46,7 @@ class TestLaneAwareEngine:
         block = fresh_block()
         for _ in range(9):
             engine.on_scrub_read(block)
-        outcome = engine.on_reap_delivery(block)
+        outcome = engine.on_delivery(block, REAP)
         assert 0.0 < outcome.failure_probability < 1.0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from equivalence_utils import segmented
 
 from repro.campaign import CampaignSpec, run_campaign
 from repro.campaign.hashing import canonical_json
@@ -65,7 +66,7 @@ def segmented_comparison(settings: ExperimentSettings) -> WorkloadComparison:
                 track_accumulation=settings.track_accumulation,
             )
             results.append(
-                run_l2_trace(cache, source, segment_accesses=SEGMENT_ACCESSES)
+                run_l2_trace(cache, segmented(source, SEGMENT_ACCESSES))
             )
     return WorkloadComparison(
         workload="mcf", baseline=results[0], alternatives=tuple(results[1:])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +50,21 @@ EQUIVALENCE_POLICIES = ("lru", "fifo", "plru", "random", "ler")
 over_fast_segmenting = pytest.mark.parametrize(
     "segment_accesses", (None, 701), ids=("whole", "segmented")
 )
+
+
+def segmented(trace, segment_accesses: int | None):
+    """``trace`` (or a trace source) replayed in ``segment_accesses`` segments.
+
+    ``None`` keeps the trace's own segmentation (one segment for an
+    in-memory :class:`~repro.workloads.Trace`).  Results never depend on the
+    segment length; the harness replays ragged segments to check the state
+    carried across segment boundaries.
+    """
+    if segment_accesses is None:
+        return trace
+    return SimpleNamespace(
+        name=trace.name, segments=lambda: trace.segments(segment_accesses)
+    )
 
 def small_l2(**overrides) -> CacheLevelConfig:
     """A small L2 geometry that keeps the harness quick but conflict-rich."""
@@ -132,7 +148,7 @@ def run_both_engines(
     """Run one trace through both engines on identically-built caches.
 
     ``segment_accesses`` is the fast engine's replay segment length
-    (``None`` replays the trace as one segment).
+    (``None`` replays the trace as one segment; see :func:`segmented`).
 
     Returns:
         ``(reference_result, fast_result, reference_cache, fast_cache)``.
@@ -145,7 +161,7 @@ def run_both_engines(
     )
     reference_result = run_l2_trace(reference_cache, trace, engine="reference")
     fast_result = run_l2_trace(
-        fast_cache, trace, engine="fast", segment_accesses=segment_accesses
+        fast_cache, segmented(trace, segment_accesses), engine="fast"
     )
     return reference_result, fast_result, reference_cache, fast_cache
 

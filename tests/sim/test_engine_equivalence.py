@@ -63,6 +63,7 @@ from equivalence_utils import (
     over_fast_segmenting,
     run_both_cpu_engines,
     run_both_engines,
+    segmented,
     small_hierarchy_config,
     small_l2,
 )
@@ -169,12 +170,10 @@ class TestReplacementPolicyMatrix:
         ref_cache = build_cache("conventional", config=config, seed=8)
         fast_cache = build_cache("conventional", config=config, seed=8)
         run_l2_trace(ref_cache, first, engine="reference")
-        run_l2_trace(
-            fast_cache, first, engine="fast", segment_accesses=segment_accesses
-        )
+        run_l2_trace(fast_cache, segmented(first, segment_accesses), engine="fast")
         reference = run_l2_trace(ref_cache, second, engine="reference")
         fast = run_l2_trace(
-            fast_cache, second, engine="fast", segment_accesses=segment_accesses
+            fast_cache, segmented(second, segment_accesses), engine="fast"
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
@@ -220,12 +219,10 @@ class TestScrubbingScheme:
         ref_cache = build_cache("scrubbing", seed=10, scrub_lines_per_access=0.7)
         fast_cache = build_cache("scrubbing", seed=10, scrub_lines_per_access=0.7)
         run_l2_trace(ref_cache, first, engine="reference")
-        run_l2_trace(
-            fast_cache, first, engine="fast", segment_accesses=segment_accesses
-        )
+        run_l2_trace(fast_cache, segmented(first, segment_accesses), engine="fast")
         reference = run_l2_trace(ref_cache, second, engine="reference")
         fast = run_l2_trace(
-            fast_cache, second, engine="fast", segment_accesses=segment_accesses
+            fast_cache, segmented(second, segment_accesses), engine="fast"
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
@@ -501,12 +498,10 @@ class TestConfigurationVariants:
         ref_cache = build_cache("reap", seed=8)
         fast_cache = build_cache("reap", seed=8)
         run_l2_trace(ref_cache, first, engine="reference")
-        run_l2_trace(
-            fast_cache, first, engine="fast", segment_accesses=segment_accesses
-        )
+        run_l2_trace(fast_cache, segmented(first, segment_accesses), engine="fast")
         reference = run_l2_trace(ref_cache, second, engine="reference")
         fast = run_l2_trace(
-            fast_cache, second, engine="fast", segment_accesses=segment_accesses
+            fast_cache, segmented(second, segment_accesses), engine="fast"
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)

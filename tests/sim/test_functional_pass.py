@@ -16,7 +16,7 @@ import pytest
 from equivalence_utils import small_l2
 
 from repro.core import DataValueProfile, build_protected_cache
-from repro.sim.fastpath import _SCHEME_MODES, _decode_arrays
+from repro.sim.fastpath import _decode_arrays
 from repro.sim.soa import _l2_pass1_inputs, functional_pass
 from repro.workloads import generate_l2_trace, get_profile
 
@@ -47,7 +47,7 @@ def product(trace, scheme: str, policy: str, p_cell: float):
         codes,
         set_indices,
         tags,
-        *_l2_pass1_inputs(cache, _SCHEME_MODES[type(cache)]),
+        *_l2_pass1_inputs(cache),
     )
 
 

@@ -31,6 +31,7 @@ from equivalence_utils import (
     assert_hierarchies_equivalent,
     assert_results_equivalent,
     build_cache,
+    segmented,
     small_hierarchy_config,
     small_l2,
 )
@@ -39,7 +40,7 @@ from repro.cache import CacheHierarchy
 from repro.config import ECCConfig, ECCKind
 from repro.core import DataValueProfile, build_protected_cache
 from repro.sim import run_cpu_trace, run_l2_trace, soa
-from repro.sim.fastpath import _SCHEME_MODES, _decode_arrays, _decode_cpu
+from repro.sim.fastpath import _decode_arrays, _decode_cpu
 from repro.telemetry import MemorySink, telemetry
 from repro.workloads import (
     generate_l2_trace,
@@ -217,12 +218,11 @@ def exposure_product(trace, scheme: str, p_cell: float = 1e-8, ecc=None):
         seed=1,
     )
     codes, set_indices, tags = _decode_arrays(cache, *trace.decoded())
-    mode = _SCHEME_MODES[type(cache)]
     samples = cache.data_profile.sample_many(len(codes))
     functional = soa.functional_pass(
-        cache.cache, codes, set_indices, tags, *soa._l2_pass1_inputs(cache, mode)
+        cache.cache, codes, set_indices, tags, *soa._l2_pass1_inputs(cache)
     )
-    return soa.exposure_pass(cache, codes, mode, functional, samples), cache
+    return soa.exposure_pass(cache, codes, functional, samples), cache
 
 
 def assert_products_equal(reference, other, label: str, exclude=()) -> None:
@@ -342,8 +342,8 @@ def test_ler_misses_between_accumulating_and_reap_schemes(trace):
 
 
 def test_segments_after_the_first_bypass(trace):
-    _, _, first = replay_traced("reap", trace, segment_accesses=701)
-    result, cache, second = replay_traced("reap", trace, segment_accesses=701)
+    _, _, first = replay_traced("reap", segmented(trace, 701))
+    result, cache, second = replay_traced("reap", segmented(trace, 701))
     assert both_outcomes(first) == [("miss", "miss")] + [("bypass", "bypass")] * 4
     assert both_outcomes(second) == [("hit", "hit")] + [("bypass", "bypass")] * 4
     assert_equals_reference(result, cache, reference("reap", trace))

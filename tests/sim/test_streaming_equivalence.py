@@ -16,6 +16,7 @@ from equivalence_utils import (
     assert_caches_equivalent,
     assert_results_equivalent,
     build_cache,
+    segmented,
     small_l2,
 )
 
@@ -59,10 +60,7 @@ class TestSegmentedReplayBitIdentity:
         whole_result, whole_cache = run_whole(scheme, trace)
         segmented_cache = build_cache(scheme)
         segmented_result = run_l2_trace(
-            segmented_cache,
-            trace,
-            engine=engine,
-            segment_accesses=segment_accesses,
+            segmented_cache, segmented(trace, segment_accesses), engine=engine
         )
         assert_results_equivalent(whole_result, segmented_result)
         assert_caches_equivalent(whole_cache, segmented_cache)
@@ -74,10 +72,7 @@ class TestSegmentedReplayBitIdentity:
         source_cache = build_cache(scheme)
         with open_trace(binary_path) as source:
             source_result = run_l2_trace(
-                source_cache,
-                source,
-                engine=engine,
-                segment_accesses=1536,
+                source_cache, segmented(source, 1536), engine=engine
             )
         assert_results_equivalent(whole_result, source_result)
         assert_caches_equivalent(whole_cache, source_cache)
@@ -88,7 +83,7 @@ class TestSegmentedReplayBitIdentity:
         whole_result = run_l2_trace(whole_cache, trace, engine="reference")
         segmented_cache = build_cache(scheme)
         segmented_result = run_l2_trace(
-            segmented_cache, trace, engine="reference", segment_accesses=1234
+            segmented_cache, segmented(trace, 1234), engine="reference"
         )
         assert_results_equivalent(whole_result, segmented_result)
         assert_caches_equivalent(whole_cache, segmented_cache)
@@ -100,9 +95,8 @@ class TestSegmentedReplayBitIdentity:
         source_cache = build_cache("reap")
         source_result = run_l2_trace(
             source_cache,
-            open_trace(path, name=trace.name),
+            segmented(open_trace(path, name=trace.name), 900),
             engine="fast",
-            segment_accesses=900,
         )
         assert_results_equivalent(whole_result, source_result)
         assert_caches_equivalent(whole_cache, source_cache)
@@ -122,7 +116,7 @@ class TestSegmentedReplayPlumbing:
         sink = MemorySink()
         cache = build_cache("reap")
         with telemetry(sink):
-            run_l2_trace(cache, trace, engine="fast", segment_accesses=1000)
+            run_l2_trace(cache, segmented(trace, 1000), engine="fast")
         spans = [
             e
             for e in sink.events
@@ -133,12 +127,14 @@ class TestSegmentedReplayPlumbing:
         assert [s["segment"] for s in spans] == list(range(6))
         assert sum(s["accesses"] for s in spans) == NUM_ACCESSES
 
-    def test_invalid_segment_accesses_rejected(self, trace):
-        from repro.errors import SimulationError
+    def test_invalid_segment_accesses_rejected(self, trace, binary_path):
+        from repro.errors import TraceError
 
-        cache = build_cache("reap")
-        with pytest.raises(SimulationError, match="positive"):
-            run_l2_trace(cache, trace, segment_accesses=0)
+        with pytest.raises(TraceError, match="positive"):
+            next(trace.segments(0))
+        with open_trace(binary_path) as source:
+            with pytest.raises(TraceError, match="positive"):
+                next(source.segments(0))
 
     def test_cpu_level_records_rejected_per_segment(self):
         from repro.errors import SimulationError
@@ -153,7 +149,7 @@ class TestSegmentedReplayPlumbing:
         )
         cache = build_cache("reap")
         with pytest.raises(SimulationError, match="L2-level"):
-            run_l2_trace(cache, bad, engine="fast", segment_accesses=1)
+            run_l2_trace(cache, segmented(bad, 1), engine="fast")
 
     def test_settings_serialisation_roundtrip(self):
         settings = ExperimentSettings(trace_file="/tmp/t.bin")

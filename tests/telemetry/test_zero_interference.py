@@ -10,6 +10,7 @@ and field-identical engine results either way.
 from __future__ import annotations
 
 import pytest
+from equivalence_utils import segmented
 
 from repro.config import CacheLevelConfig
 from repro.campaign import CampaignSpec, ShardedResultStore, run_campaign
@@ -120,11 +121,9 @@ class TestEngineResultIdentity:
         if instrument:
             with telemetry(tmp_path / "fast.jsonl"):
                 return run_l2_trace(
-                    cache, trace, engine="fast", segment_accesses=segment_accesses
+                    cache, segmented(trace, segment_accesses), engine="fast"
                 )
-        return run_l2_trace(
-            cache, trace, engine="fast", segment_accesses=segment_accesses
-        )
+        return run_l2_trace(cache, segmented(trace, segment_accesses), engine="fast")
 
     @pytest.mark.parametrize(
         "segment_accesses", (None, 500), ids=("whole", "segmented")
