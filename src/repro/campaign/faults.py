@@ -30,6 +30,7 @@ chaos suite pins down.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import threading
@@ -98,6 +99,11 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise CampaignError(f"FaultPlan.{name} must be in [0, 1], got {value}")
+        # ``time.sleep`` takes a finite, non-negative delay only.
+        if not 0.0 <= self.delay_s < math.inf:
+            raise CampaignError(
+                f"FaultPlan.delay_s must be a finite number >= 0, got {self.delay_s}"
+            )
         # Normalise the mapping/sequence fields so plans hash/compare and
         # JSON round-trips are exact.
         object.__setattr__(
@@ -108,6 +114,14 @@ class FaultPlan:
         object.__setattr__(
             self, "torn_write_at", tuple(int(n) for n in self.torn_write_at)
         )
+        # Visit and append counters start at 1, so a smaller ordinal never fires.
+        ordinals = {f"kill_at[{site!r}]": v for site, v in self.kill_at.items()}
+        ordinals["torn_write_at"] = self.torn_write_at
+        for name, values in ordinals.items():
+            if any(n < 1 for n in values):
+                raise CampaignError(
+                    f"FaultPlan.{name} ordinals are 1-based, got {list(values)}"
+                )
 
     def to_json(self) -> str:
         """Serialise the plan for the ``REPRO_FAULT_PLAN`` environment hop."""

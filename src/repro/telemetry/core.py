@@ -409,9 +409,16 @@ def read_events(path: str | Path) -> Iterator[dict[str, Any]]:
     """Iterate the events of a telemetry JSONL file, in file order.
 
     Blank lines are skipped and a truncated *final* line (a writer killed
-    mid-append) is tolerated; a malformed line anywhere else raises
-    :class:`TelemetryError`, since silent drops would skew aggregations.
+    mid-append) is tolerated; a malformed line anywhere else, or one that
+    is not a JSON object, raises :class:`TelemetryError`, since silent drops
+    would skew aggregations.
     """
+    for _, event in read_numbered_events(path):
+        yield event
+
+
+def read_numbered_events(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """:func:`read_events`, with each event's 1-based line number."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -430,12 +437,16 @@ def read_events(path: str | Path) -> Iterator[dict[str, Any]]:
             raise TelemetryError(
                 f"malformed telemetry line {index + 1} in {path}: {exc}"
             ) from exc
-        if isinstance(event, dict):
-            yield event
+        if not isinstance(event, dict):
+            raise TelemetryError(
+                f"malformed telemetry line {index + 1} in {path}: "
+                f"a {type(event).__name__}, not a JSON object"
+            )
+        yield index + 1, event
     if tail.strip():
         try:
             event = json.loads(tail.decode("utf-8"))
         except (ValueError, RecursionError):
             return  # truncated tail: the writer died mid-append
         if isinstance(event, dict):
-            yield event
+            yield len(complete) + 1, event

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .core import read_events
+from ..errors import TelemetryError
+from .core import read_numbered_events
 
 #: Span names that are kernel phases, in display (pipeline) order.
 _PHASE_ORDER = (
@@ -183,7 +184,19 @@ class TelemetryAggregator:
         self.stats = TelemetryStats()
 
     def add(self, event: Mapping[str, Any]) -> None:
-        """Fold one event dict into the running stats (unknown kinds ignored)."""
+        """Fold one event dict into the running stats (unknown kinds ignored).
+
+        Raises:
+            TelemetryError: if a field the fold reads has the wrong type.
+        """
+        try:
+            self._add(event)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TelemetryError(
+                f"malformed {event.get('kind')} event {event.get('name')!r}: {exc}"
+            ) from exc
+
+    def _add(self, event: Mapping[str, Any]) -> None:
         stats = self.stats
         stats.total_events += 1
         kind = event.get("kind")
@@ -319,7 +332,13 @@ def aggregate_telemetry(events: Iterable[Mapping[str, Any]]) -> TelemetryStats:
 
 def load_telemetry_stats(path: str | Path) -> TelemetryStats:
     """Read a telemetry JSONL file and aggregate it in one pass."""
-    return aggregate_telemetry(read_events(path))
+    aggregator = TelemetryAggregator()
+    for number, event in read_numbered_events(path):
+        try:
+            aggregator.add(event)
+        except TelemetryError as exc:
+            raise TelemetryError(f"telemetry line {number} in {path}: {exc}") from exc
+    return aggregator.stats
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,35 @@ int64 tag), addresses are composed per set with one vectorised shift-or, and
 the merged columns become the trace through :meth:`Trace.from_columns` —
 no per-access :class:`TraceRecord` is built.  Stable-set hot-line runs draw
 their write decisions in one batch between cold re-reads; a batch of ``n``
-uniforms is the same stream as ``n`` scalar draws, so the RNG is consumed in
-exactly the same order as a record-at-a-time loop would consume it, and
+uniforms is the same stream as ``n`` scalar draws.
+
+Churn sets are emulated, not looped.  :meth:`_SetStreamBuilder.churn_stream`
+makes one ``random()`` or ``integers(n)`` call per draw; the churn sets of a
+trace consume the generator back to back, so :func:`_churn_streams` draws
+one block of raw PCG64 words for all of them (refilled every
+:data:`_BLOCK_ACCESSES` accesses) and reproduces numpy's draws from it:
+
+* ``random()`` is ``(word >> 11) * 2**-53``, so every word's write and miss
+  flags come from one vectorised compare;
+* ``integers(n)`` is Lemire's bounded draw over 32-bit halves (a word's low
+  half, its high half buffered for the next 32-bit draw); a short
+  Python-int walk (:func:`_walk_churn`) finds which words are which;
+* a claim's tag is the next fresh tag, and a hit copies an earlier
+  position's tag, found by pointer jumping.
+
+The columns, the builders' tag state and the generator's state afterwards
+are bit-identical to the loop's.  The loop still runs a stream whose fresh
+tags could wrap (:func:`_emulable`), as on a 3-tag-bit geometry.
 ``Trace.content_hash()`` of every generated trace is pinned by a golden
 table in the test suite.
+
+numpy does not promise a stable stream across releases (NEP 19).
+``tests/workloads/test_generator.py`` pins the emulated draws against the
+installed numpy's ``Generator.random``/``integers`` and names the numpy
+version when they differ.  A numpy that changes them would make the
+emulation and the loop disagree, so the fix is one of two: pin numpy below
+that release, or update the emulation to the new draws and rebuild the
+golden tables, which changes every stored result and artifact key.
 """
 
 from __future__ import annotations
@@ -146,6 +171,9 @@ class _SetStreamBuilder:
     def churn_stream(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Stream for a churn set: streaming misses plus short-distance reuse.
 
+        This loop defines the stream; :func:`_churn_streams` reproduces it
+        from raw words wherever :func:`_emulable` allows.
+
         Returns the ``(kind code, tag)`` columns of the stream.
         """
         profile = self._profile
@@ -245,17 +273,242 @@ def generate_l2_trace(
         if not sets or budget <= 0:
             continue
         per_set = _split_budget(budget, len(sets), rng)
-        for set_index, length in zip(sets, per_set):
-            if length == 0:
-                continue
-            builder = _SetStreamBuilder(tag_bits, set_index, profile, rng)
-            stream = builder.stable_stream if stable else builder.churn_stream
-            kinds, tags = stream(length)
+        populated = [(s, length) for s, length in zip(sets, per_set) if length]
+        builders = [_SetStreamBuilder(tag_bits, s, profile, rng) for s, _ in populated]
+        lengths = [length for _, length in populated]
+        if stable:
+            streams = [b.stable_stream(n) for b, n in zip(builders, lengths)]
+        else:
+            streams = _churn_streams(builders, lengths, rng)
+        for (set_index, _), (kinds, tags) in zip(populated, streams):
             kind_streams.append(kinds)
             address_streams.append((tags << tag_shift) | (set_index << offset_bits))
 
     kinds, addresses = _weighted_merge(kind_streams, address_streams, rng)
     return Trace.from_columns(profile.name, kinds, addresses)
+
+
+#: The double ``Generator.random()`` makes of a raw word's top 53 bits.
+_DOUBLE_UNIT = 2.0**-53
+_UINT32_MASK = 0xFFFFFFFF
+#: Raw words a churn block draws beyond three per access, for Lemire
+#: rejections (each has probability below ``n / 2**32``).
+_BLOCK_SLACK = 64
+#: Most churn accesses one raw block serves, so the block's memory stays
+#: bounded on long traces.
+_BLOCK_ACCESSES = 1 << 14
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The doubles ``Generator.random()`` makes of raw PCG64 words."""
+    return (words >> np.uint64(11)) * _DOUBLE_UNIT
+
+
+def _next_uint32(
+    words: list[int], i: int, has_uint32: int, uinteger: int
+) -> tuple[int, int, int, int]:
+    """PCG64's 32-bit draw over raw words.
+
+    It takes the buffered high half if there is one, else the low half of
+    ``words[i]``, buffering its high half.  Returns the value, the next
+    word index and the buffer left behind.
+    """
+    if has_uint32:
+        return uinteger, i, 0, uinteger
+    word = words[i]
+    return word & _UINT32_MASK, i + 1, 1, word >> 32
+
+
+def _lemire_redraw(
+    n: int, m: int, words: list[int], i: int, has_uint32: int, uinteger: int
+) -> tuple[int, int, int, int]:
+    """Finish numpy's Lemire draw of ``integers(n)`` from its first product.
+
+    ``integers(n)`` for ``2 <= n < 2**32`` takes ``m = u * n`` of a 32-bit
+    draw ``u`` and returns ``m >> 32``; a draw whose leftover
+    ``m mod 2**32`` is below ``(2**32 - n) % n`` is rejected and redrawn.
+    Returns the accepted product, the next word index and the buffer.
+    """
+    threshold = ((1 << 32) - n) % n
+    while m & _UINT32_MASK < threshold:
+        u, i, has_uint32, uinteger = _next_uint32(words, i, has_uint32, uinteger)
+        m = u * n
+    return m, i, has_uint32, uinteger
+
+
+def _walk_churn(
+    words: list[int],
+    misses: list[bool],
+    lengths: list[int],
+    window: int,
+    has_uint32: int,
+    uinteger: int,
+) -> tuple[list[int], list[int], int, int, int]:
+    """Replay the RNG calls of back-to-back churn streams over raw words.
+
+    This is :meth:`_SetStreamBuilder.churn_stream`'s draw order.  Position
+    0 of a stream draws one double, its write flag; its empty window always
+    claims.  Every later position ``p`` draws its write double, then its
+    miss double (``misses[i]``: word ``i`` read as a double is below the
+    miss fraction), and a hit then draws ``integers(n)`` with
+    ``n = min(p, window)``.
+
+    Positions are numbered across all the streams.  Returns the position
+    whose tag each position carries (itself for a claim), the position of
+    each word taken by a 32-bit draw, then the words consumed and the uint32
+    buffer left behind.  Raises ``IndexError`` if the words run out.
+    """
+    sources = list(range(sum(lengths)))
+    drawn: list[int] = []
+    i = 0
+    first = 0
+    for length in lengths:
+        i += 1
+        for g in range(first + 1, first + length):
+            if misses[i + 1]:
+                i += 2
+                continue
+            i += 2
+            n = g - first
+            if n > window:
+                n = window
+            if n == 1:
+                sources[g] = g - 1
+                continue
+            if has_uint32:  # _next_uint32, inlined
+                has_uint32 = 0
+                u = uinteger
+            else:
+                word = words[i]
+                i += 1
+                drawn.append(g)
+                u = word & _UINT32_MASK
+                uinteger = word >> 32
+                has_uint32 = 1
+            m = u * n
+            if m & _UINT32_MASK < n:
+                before = i
+                m, i, has_uint32, uinteger = _lemire_redraw(
+                    n, m, words, i, has_uint32, uinteger
+                )
+                drawn += [g] * (i - before)
+            sources[g] = g - n + (m >> 32)
+        first += length
+    return sources, drawn, i, has_uint32, uinteger
+
+
+def _churn_streams(
+    builders: list[_SetStreamBuilder], lengths: list[int], rng: np.random.Generator
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``builder.churn_stream(length)`` for each pair in turn, from raw blocks.
+
+    The builders share one profile and draw from ``rng``, a PCG64
+    generator as :func:`generate_l2_trace` makes.
+
+    Consecutive streams that :func:`_emulable` admits are generated together
+    by :func:`_emulate_churn` from one raw block (at most
+    :data:`_BLOCK_ACCESSES` accesses each); any other stream runs the loop.
+    Either way the columns, the builders' tag state and ``rng``'s state
+    afterwards are those of the calls in turn.
+    """
+    streams: list[tuple[np.ndarray, np.ndarray]] = []
+    start = 0
+    while start < len(builders):
+        stop, accesses = start, 0
+        while (
+            stop < len(builders)
+            and _emulable(builders[stop], lengths[stop])
+            and (stop == start or accesses + lengths[stop] <= _BLOCK_ACCESSES)
+        ):
+            accesses += lengths[stop]
+            stop += 1
+        if stop == start:
+            streams.append(builders[start].churn_stream(lengths[start]))
+            start += 1
+        else:
+            streams += _emulate_churn(builders[start:stop], lengths[start:stop], rng)
+            start = stop
+    return streams
+
+
+def _emulable(builder: _SetStreamBuilder, length: int) -> bool:
+    """Whether a churn stream's fresh tags are simply the next ``length`` ones.
+
+    That holds when no tag is live and the counter cannot wrap to skip one.
+    The emulation also needs a window that numpy bounds by Lemire's 32-bit
+    draw.
+    """
+    return (
+        not builder._live_tags
+        and 0 < length <= builder._max_tag - builder._next_fresh_tag
+        and builder._profile.churn_reuse_window <= _UINT32_MASK
+    )
+
+
+def _emulate_churn(
+    builders: list[_SetStreamBuilder], lengths: list[int], rng: np.random.Generator
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Back-to-back churn streams from one raw block, bit-identical to the loop.
+
+    The write and miss flags of every word come from one vectorised compare;
+    :func:`_walk_churn` finds which words are which.  A claim's tag is the
+    builder's next fresh tag plus its rank among the stream's claims, and a
+    hit copies the tag of an earlier position, so pointer jumping from each
+    hit to the claim it copies resolves every tag.  The bit generator is
+    then put where the calls in turn would leave it.
+    """
+    profile = builders[0]._profile
+    window = profile.churn_reuse_window
+    bit_generator = rng.bit_generator
+    entry = bit_generator.state
+    words = bit_generator.random_raw(3 * sum(lengths) + _BLOCK_SLACK)
+    uniforms = _uniforms(words)
+    bit_generator.state = entry
+    try:
+        sources, drawn, consumed, has_uint32, uinteger = _walk_churn(
+            words.tolist(),
+            (uniforms < profile.churn_miss_fraction).tolist(),
+            lengths,
+            window,
+            entry["has_uint32"],
+            entry["uinteger"],
+        )
+    except IndexError:  # rejections outran the slack: replay through the loop
+        return [b.churn_stream(n) for b, n in zip(builders, lengths)]
+    bit_generator.advance(consumed)
+    state = bit_generator.state
+    state.update(has_uint32=has_uint32, uinteger=uinteger)
+    bit_generator.state = state
+
+    # A position's first word is its write draw: words before it are one
+    # per stream start, two per later position, plus the 32-bit draws'.
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    taken = np.full(len(sources), 2, dtype=np.int64)
+    taken[starts] = 1
+    taken += np.bincount(np.array(drawn, dtype=np.int64), minlength=len(sources))
+    write_words = np.cumsum(taken) - taken
+    writes = (uniforms < profile.write_fraction)[write_words]
+    kinds = np.where(writes, _WRITE, _READ).astype(np.int8)
+    parents = np.array(sources, dtype=np.int64)
+    claims = parents == np.arange(len(parents))
+    while True:
+        jumped = parents[parents]
+        if np.array_equal(jumped, parents):
+            break
+        parents = jumped
+    ranks = np.cumsum(claims)  # position 0 of every stream is a claim
+    first_tags = np.array([b._next_fresh_tag for b in builders], dtype=np.int64)
+    offsets = first_tags - ranks[starts]
+    tags = (ranks + np.repeat(offsets, lengths))[parents]
+
+    streams = []
+    for builder, start, end, offset in zip(builders, starts, ends, offsets):
+        stream_tags = tags[start:end]
+        builder._next_fresh_tag = int(ranks[end - 1] + offset) + 1
+        builder._live_tags = set(stream_tags[-window:].tolist())
+        streams.append((kinds[start:end], stream_tags))
+    return streams
 
 
 def _split_budget(total: int, parts: int, rng: np.random.Generator) -> list[int]:

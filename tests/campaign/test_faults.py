@@ -93,6 +93,31 @@ class TestFaultPlan:
         with pytest.raises(CampaignError, match=f"fault plan: {field} must be"):
             FaultPlan.from_json(text)
 
+    @pytest.mark.parametrize(
+        ("text", "field"),
+        [
+            ('{"delay_s": -1, "delay_p": 1.0}', "delay_s"),
+            ('{"delay_s": -0.5}', "delay_s"),
+            ('{"delay_s": Infinity}', "delay_s"),
+            ('{"delay_s": NaN}', "delay_s"),
+            ('{"kill_at": {"worker.after_pull": [0]}}', "kill_at"),
+            ('{"kill_at": {"worker.after_pull": [2, -1]}}', "kill_at"),
+            ('{"torn_write_at": [0]}', "torn_write_at"),
+            ('{"torn_write_at": [1, -3]}', "torn_write_at"),
+        ],
+    )
+    def test_plan_that_cannot_work_rejected(self, text, field):
+        """A negative delay would raise from ``time.sleep`` on the first
+        delayed frame, and an ordinal below 1 could never fire."""
+        with pytest.raises(CampaignError, match=rf"FaultPlan\.{field}"):
+            FaultPlan.from_json(text)
+
+    def test_zero_delay_and_first_ordinals_accepted(self):
+        plan = FaultPlan.from_json(
+            '{"delay_s": 0, "kill_at": {"site": [1]}, "torn_write_at": [1]}'
+        )
+        assert (plan.delay_s, plan.kill_at, plan.torn_write_at) == (0, {"site": (1,)}, (1,))
+
     def test_same_seed_replays_same_fates(self):
         plan = FaultPlan(seed=11, drop_request_p=0.3, corrupt_p=0.3, delay_p=0.3)
         first = FaultInjector(plan)

@@ -176,6 +176,18 @@ class TestFileSinkRoundTrip:
         with pytest.raises(TelemetryError, match="malformed telemetry line 1"):
             list(read_events(path))
 
+    @pytest.mark.parametrize("line", ("[1, 2]", "7", '"event"', "null"))
+    def test_non_object_mid_file_raises(self, tmp_path, line):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind": "event", "name": "x"}\n' + line + "\n")
+        with pytest.raises(TelemetryError, match="line 2 .*not a JSON object"):
+            list(read_events(path))
+
+    def test_non_object_tail_tolerated(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind": "event", "name": "x"}\n[1, 2]')
+        assert [e["name"] for e in read_events(path)] == ["x"]
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('\n{"kind": "event", "name": "x"}\n\n')

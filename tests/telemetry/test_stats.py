@@ -1,5 +1,10 @@
 """Tests for telemetry aggregation and the ``repro-reap stats`` report."""
 
+import json
+
+import pytest
+
+from repro.errors import TelemetryError
 from repro.telemetry import (
     MemorySink,
     TelemetryAggregator,
@@ -226,6 +231,43 @@ class TestRoundTripThroughFile:
         assert stats.engine_selections == {"fast/loop": 1}
         assert stats.campaign.jobs == 1 and stats.campaign.executed == 1
         assert stats.counters["net.frame"] == (1, 42.0)
+
+
+class TestWrongTypedFields:
+    """A field the fold casts raises ``TelemetryError`` naming the line,
+    not a bare ``ValueError``/``TypeError`` from the cast."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "span", "name": "kernel.pass1", "duration_s": "x"},
+            {"kind": "span", "name": "kernel.pass1", "duration_s": None},
+            {"kind": "span", "name": "job.execute", "duration_s": 1.0, "accesses": "x"},
+            {"kind": "counter", "name": "retries", "value": "x"},
+            {"kind": "counter", "name": "net.frame", "value": 1e400},
+            {"kind": "gauge", "name": "depth", "value": None},
+            {"kind": "event", "name": "coordinator.result", "worker_elapsed_s": "x"},
+        ],
+        ids=[
+            "duration-str",
+            "duration-null",
+            "accesses-str",
+            "counter-str",
+            "counter-inf",
+            "gauge-null",
+            "worker-elapsed-str",
+        ],
+    )
+    def test_load_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "events.jsonl"
+        good = json.dumps(span_event("kernel.decode", 0.1))
+        path.write_text(f"{good}\n\n{json.dumps(bad)}\n")
+        with pytest.raises(TelemetryError, match=r"telemetry line 3 in .*events\.jsonl"):
+            load_telemetry_stats(path)
+
+    def test_aggregator_names_the_event(self):
+        with pytest.raises(TelemetryError, match="malformed span event 'kernel.pass1'"):
+            TelemetryAggregator().add(span_event("kernel.pass1", None))
 
 
 class TestRendering:

@@ -226,6 +226,16 @@ class TestTelemetryCLI:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("repro-reap: error: ") and str(missing) in line
 
+    @pytest.mark.parametrize(
+        "line", ['{"kind": "span", "name": "kernel.pass1", "duration_s": "x"}', "[1, 2]"]
+    )
+    def test_stats_on_malformed_line_fails_cleanly(self, tmp_path, capsys, line):
+        path = tmp_path / "events.jsonl"
+        path.write_text(line + "\n")
+        assert main(["stats", str(path)]) == 2
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith("repro-reap: error: ") and "line 1" in error
+
 
 class TestStoreCommands:
     def run_small_campaign(self, store_path, workload="gcc", accesses="800"):

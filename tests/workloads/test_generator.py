@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import AddressMapper
 from repro.config import CacheLevelConfig, paper_l2_config
 from repro.errors import ConfigurationError, TraceError
-from repro.workloads import AccessKind, generate_l2_trace, get_profile
+from repro.workloads import AccessKind, generate_l2_trace, generator, get_profile
+from repro.workloads.spec_profiles import SPECWorkloadProfile
 from repro.workloads.trace import KIND_ORDER
 
 _READ = KIND_ORDER.index(AccessKind.L2_READ)
@@ -186,3 +189,239 @@ class TestFreshTagWraparound:
         assert len(kinds) == len(tags) == 50
         assert set(kinds.tolist()) <= {_READ, _WRITE}
         assert len(set(tags.tolist())) == 3  # 2 hot + 1 cold, no aliasing
+
+
+# --- The churn-stream block emulation -------------------------------------
+
+#: PCG64's 128-bit LCG multiplier, for crafting a state with a chosen output.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_NUMPY_STREAM = (
+    f"numpy {np.__version__} changed the Generator stream the churn-set "
+    "emulation in repro.workloads.generator reproduces; see the README's "
+    "'Traces and the L2 generator'"
+)
+
+
+def _twin(rng):
+    """A fresh PCG64 generator in ``rng``'s exact state."""
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def _zero_word_ahead(rng, ahead):
+    """Put ``rng`` where its ``ahead``-th next raw word is 0."""
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    # The state whose next step lands on LCG state 0, whose output is 0.
+    state["state"]["state"] = (-inc * pow(_PCG64_MULTIPLIER, -1, 1 << 128)) % (1 << 128)
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(-(ahead - 1))
+
+
+def _buffer_uint32(rng):
+    rng.integers(5)  # leaves the drawn word's high half buffered
+
+
+def _emulated_integer(n, words, i, has_uint32, uinteger):
+    """``integers(n)`` composed from the module's 32-bit draw and Lemire step."""
+    if n == 1:
+        return 0, i, has_uint32, uinteger
+    u, i, has_uint32, uinteger = generator._next_uint32(words, i, has_uint32, uinteger)
+    m, i, has_uint32, uinteger = generator._lemire_redraw(
+        n, u * n, words, i, has_uint32, uinteger
+    )
+    return m >> 32, i, has_uint32, uinteger
+
+
+def _churn_builders(lengths, write_fraction, miss_fraction, window, seed, tag_bits=31):
+    profile = SPECWorkloadProfile(
+        name="churn",
+        write_fraction=write_fraction,
+        stable_traffic_share=0.0,
+        num_stable_sets=0,
+        num_churn_sets=len(lengths),
+        hot_lines_per_set=1,
+        cold_lines_per_set=0,
+        cold_gap_median=8.0,
+        cold_gap_sigma=0.0,
+        churn_miss_fraction=miss_fraction,
+        churn_reuse_window=window,
+    )
+    rng = np.random.default_rng(seed)
+    builders = [
+        generator._SetStreamBuilder(tag_bits, s, profile, rng) for s in range(len(lengths))
+    ]
+    return rng, builders
+
+
+def _assert_block_matches_loop(
+    lengths, write_fraction, miss_fraction, window, seed, prepare=None, tag_bits=31
+):
+    """The block path and the loop leave the same columns, tags and RNG
+    state; ``prepare(rng)`` runs on each fresh generator first."""
+    results = []
+    for block in (True, False):
+        rng, builders = _churn_builders(
+            lengths, write_fraction, miss_fraction, window, seed, tag_bits
+        )
+        if prepare is not None:
+            prepare(rng)
+        if block:
+            streams = generator._churn_streams(builders, lengths, rng)
+        else:
+            streams = [b.churn_stream(n) for b, n in zip(builders, lengths)]
+        results.append(
+            (
+                [(kinds.tolist(), tags.tolist()) for kinds, tags in streams],
+                [(b._next_fresh_tag, b._live_tags) for b in builders],
+                rng.bit_generator.state,
+            )
+        )
+    block_result, loop_result = results
+    assert block_result[0] == loop_result[0], _NUMPY_STREAM
+    assert block_result[1] == loop_result[1]
+    assert block_result[2] == loop_result[2], _NUMPY_STREAM
+
+
+class TestRawDrawPin:
+    """The emulated draws equal ``Generator.random``/``integers`` on the
+    installed numpy.  NEP 19 promises no stream stability across releases,
+    so a numpy that changes them fails here, by name."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 2019])
+    def test_interleaved_random_and_integers(self, seed, buffered):
+        rng = np.random.default_rng(seed)
+        if buffered:
+            _buffer_uint32(rng)
+        assert rng.bit_generator.state["has_uint32"] == int(buffered)
+        entry = rng.bit_generator.state
+        words_array = _twin(rng).bit_generator.random_raw(4_000)
+        uniforms = generator._uniforms(words_array)
+        words = words_array.tolist()
+        # n near 2**31 and 3 * 2**30 reject often; 2**32 - 1 rejects only 0.
+        bounds = [1, 2, 3, 4, 7, 64, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+        ops = np.random.default_rng(seed + 100).integers(len(bounds) + 2, size=1_500)
+        i, has_uint32, uinteger = 0, entry["has_uint32"], entry["uinteger"]
+        expected, emulated = [], []
+        for op in ops.tolist():
+            if op >= len(bounds):
+                expected.append(rng.random())
+                emulated.append(float(uniforms[i]))
+                i += 1
+            else:
+                n = bounds[op]
+                expected.append(int(rng.integers(n)))
+                value, i, has_uint32, uinteger = _emulated_integer(
+                    n, words, i, has_uint32, uinteger
+                )
+                emulated.append(value)
+        assert emulated == expected, _NUMPY_STREAM
+        # The emulation also ends where numpy's generator ends.
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = entry
+        twin.bit_generator.advance(i)
+        state = twin.bit_generator.state
+        state.update(has_uint32=has_uint32, uinteger=uinteger)
+        assert state == rng.bit_generator.state, _NUMPY_STREAM
+
+    def test_lemire_rejection_with_crafted_words(self):
+        # Low half 0 is rejected for n = 3 (threshold (2**32 - 3) % 3 = 1);
+        # the buffered high half 2**31 is accepted: (2**31 * 3) >> 32 = 1.
+        words = [0x80000000_00000000]
+        u, i, has_uint32, uinteger = generator._next_uint32(words, 0, 0, 0)
+        assert (u, i, has_uint32, uinteger) == (0, 1, 1, 0x80000000)
+        m, i, has_uint32, uinteger = generator._lemire_redraw(
+            3, u * 3, words, i, has_uint32, uinteger
+        )
+        assert (m >> 32, i, has_uint32) == (1, 1, 0)
+        # n = 2 has threshold 0: a zero leftover is accepted as it is.
+        assert generator._lemire_redraw(2, 0, [], 0, 0, 0) == (0, 0, 0, 0)
+
+    def test_lemire_rejection_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        _zero_word_ahead(rng, 1)
+        words = _twin(rng).bit_generator.random_raw(2).tolist()
+        assert words[0] == 0
+        # Both halves of the zero word are rejected; word 1 decides.
+        assert _emulated_integer(3, words, 0, 0, 0)[:2] == (rng.integers(3), 2)
+
+    def test_walk_rejection_with_crafted_words(self):
+        # Window 3, every miss draw a hit.  Position 1 (n = 1) draws nothing;
+        # position 2 (n = 2) takes word 5's low half 2**31, index 1; position
+        # 3 (n = 3) takes its buffered high half 0, is rejected, and takes
+        # word 8's low half 2**32 - 1, index 2.
+        words = [0] * 10
+        words[5] = 0x00000000_80000000
+        words[8] = 0x12345678_FFFFFFFF
+        sources, drawn, consumed, has_uint32, uinteger = generator._walk_churn(
+            words, [False] * 10, [4], 3, 0, 0
+        )
+        assert sources == [0, 0, 1, 2]
+        assert drawn == [2, 3]
+        assert (consumed, has_uint32, uinteger) == (9, 1, 0x12345678)
+
+    def test_walk_reports_exhausted_words(self):
+        with pytest.raises(IndexError):
+            generator._walk_churn([0] * 4, [False] * 4, [4], 3, 0, 0)
+
+
+class TestChurnBlockEmulation:
+    """The block path equals ``churn_stream``'s loop, draw for draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        write_fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        miss_fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        window=st.integers(1, 64),
+        lengths=st.lists(st.integers(1, 2_000), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        buffered=st.booleans(),
+    )
+    def test_block_path_equals_loop(
+        self, write_fraction, miss_fraction, window, lengths, seed, buffered
+    ):
+        prepare = _buffer_uint32 if buffered else None
+        _assert_block_matches_loop(
+            lengths, write_fraction, miss_fraction, window, seed, prepare
+        )
+
+    def test_rejection_inside_a_stream_matches_loop(self, monkeypatch):
+        """A crafted zero word makes position 3's draw a Lemire rejection."""
+        calls = []
+        real = generator._lemire_redraw
+
+        def spy(n, m, *args):
+            calls.append((n, m & 0xFFFFFFFF))
+            return real(n, m, *args)
+
+        monkeypatch.setattr(generator, "_lemire_redraw", spy)
+        # Word 5 is position 2's fresh 32-bit draw; its high half is
+        # position 3's buffered draw.
+        _assert_block_matches_loop([12], 0.3, 0.0, 3, 5, lambda rng: _zero_word_ahead(rng, 6))
+        assert (3, 0) in calls  # position 3's buffered zero half was rejected
+
+    def test_streams_span_several_blocks(self, monkeypatch):
+        monkeypatch.setattr(generator, "_BLOCK_ACCESSES", 100)
+        _assert_block_matches_loop([70, 80, 90, 30], 0.2, 0.3, 4, 9, _buffer_uint32)
+
+    def test_exhausted_block_falls_back_to_the_loop(self, monkeypatch):
+        def exhausted(*args):
+            raise IndexError("out of words")
+
+        monkeypatch.setattr(generator, "_walk_churn", exhausted)
+        _assert_block_matches_loop([50, 60], 0.2, 0.3, 4, 4)
+
+    def test_possible_wraparound_runs_the_loop(self):
+        # 3 tag bits: tags 1..7, so a stream of 7 could wrap, one of 6 not.
+        _, builders = _churn_builders([7, 6], 0.2, 0.5, 3, seed=1, tag_bits=3)
+        assert not generator._emulable(builders[0], 7)
+        assert generator._emulable(builders[1], 6)
+        builders[1]._claim_tag()
+        assert not generator._emulable(builders[1], 2)  # a tag is live
+        assert not generator._emulable(builders[0], 0)
+
+    def test_wraparound_streams_between_block_streams(self):
+        """A loop-run stream splits the block streams around it."""
+        _assert_block_matches_loop([5, 9, 4], 0.3, 0.4, 3, 8, _buffer_uint32, tag_bits=3)
